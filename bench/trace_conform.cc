@@ -1,21 +1,22 @@
 /**
  * @file
- * Streaming trace-conformance throughput (ISSUE 10).
+ * Streaming trace-conformance throughput.
  *
  * The streaming checker exists so million-event executions — far past
  * what the exhaustive axiomatic checker can enumerate — can still be
- * validated against the PTX axioms. This bench is the artifact behind
- * the two acceptance numbers: a synthetic 1M-event trace checks at
- * >= 100k events/sec in Release, and the live window the checker keeps
- * stays orders of magnitude below the event count (peak live writes
- * vs. events processed), so memory is bounded by the window, not the
- * trace.
+ * validated against the PTX axioms. This bench measures events/sec on
+ * 1M-event traces in Release, and shows that the live window the
+ * checker keeps stays orders of magnitude below the event count (peak
+ * live writes vs. events processed), so memory is bounded by the
+ * window, not the trace.
  *
- * The synthetic workload round-robins T threads over per-thread
- * location sets (store, commit, load-back), which keeps every event
- * conformant by construction while filling all T windows at once —
- * the retirement path, not the violation path, is what 1M clean events
- * exercises.
+ * Two synthetic workloads, both conformant by construction:
+ *  - private: T threads round-robin over per-thread location sets
+ *    (store, commit, load-back), filling all T windows at once; it
+ *    exercises the retirement path and has no SC fences.
+ *  - fenced: message passing between thread pairs with one SC fence
+ *    per four events; live writes and live fences both outgrow the
+ *    window, so it exercises fence-SC bookkeeping and fence retirement.
  */
 
 #include <chrono>
@@ -88,6 +89,68 @@ syntheticTrace(std::size_t events, std::size_t threads = 4,
     return out.str();
 }
 
+/**
+ * Build a conformant message-passing trace with ~@p events events: per
+ * turn a writer stores data, issues an SC fence and stores a release
+ * flag; a different reader acquires the flag, issues an SC fence and
+ * loads the data. Every load reads the latest commit, so the trace is
+ * sequentially consistent; one event in four is an SC fence.
+ */
+std::string
+fencedTrace(std::size_t events, std::size_t threads = 4,
+            std::size_t pairs = 4)
+{
+    std::ostringstream out;
+    conform::TraceWriter writer(out);
+
+    conform::TraceHeader header;
+    header.test = "fenced_" + std::to_string(events);
+    for (std::size_t t = 0; t < threads; t++)
+        header.threads.push_back(
+            {"t" + std::to_string(t), static_cast<int>(t), 0});
+    for (std::size_t p = 0; p < pairs; p++) {
+        header.locations.push_back({"d" + std::to_string(p), 0});
+        header.locations.push_back({"f" + std::to_string(p), 0});
+    }
+    writer.header(header);
+
+    using litmus::ProxyKind;
+    using litmus::Scope;
+    using litmus::Semantics;
+    std::vector<std::uint64_t> value(2 * pairs, 0);
+    std::vector<std::uint64_t> latest(2 * pairs);
+    for (std::size_t l = 0; l < latest.size(); l++)
+        latest[l] = l; // the init writes
+    auto storeCommit = [&](std::size_t t, std::size_t l, Semantics sem) {
+        latest[l] = writer.store(t, l, ++value[l], sem, Scope::Gpu,
+                                 ProxyKind::Generic);
+        writer.commit(latest[l]);
+    };
+    std::size_t emitted = 0;
+    for (std::size_t turn = 0; emitted + 8 <= events; turn++) {
+        const std::size_t w = turn % threads;
+        const std::size_t r =
+            (w + 1 + (turn / threads) % (threads - 1)) % threads;
+        const std::size_t data = 2 * ((turn / 3) % pairs);
+        const std::size_t flag = data + 1;
+        storeCommit(w, data, Semantics::Weak);
+        writer.fence(w, Semantics::Sc, Scope::Gpu);
+        storeCommit(w, flag, Semantics::Release);
+        writer.load(r, flag, value[flag], latest[flag],
+                    Semantics::Acquire, Scope::Gpu, ProxyKind::Generic,
+                    "");
+        writer.fence(r, Semantics::Sc, Scope::Gpu);
+        writer.load(r, data, value[data], latest[data], Semantics::Weak,
+                    Scope::None, ProxyKind::Generic, "");
+        emitted += 8;
+    }
+    litmus::Outcome outcome;
+    for (std::size_t l = 0; l < value.size(); l++)
+        outcome.memory[header.locations[l].name] = value[l];
+    writer.finish(outcome);
+    return out.str();
+}
+
 struct Run
 {
     double ms = 0.0;
@@ -138,21 +201,28 @@ void
 printThroughputTable()
 {
     banner("Streaming conformance: events/sec and window residency",
-           "million-event traces check in window-bounded memory at "
-           ">= 100k events/sec");
+           "million-event traces, private and fence-heavy, check in "
+           "window-bounded memory");
 
-    std::printf("%-12s %-10s %-12s %-14s %-14s\n", "events", "wall ms",
-                "events/sec", "peak window", "retired");
+    std::printf("%-9s %-10s %-10s %-12s %-10s %-12s %-10s\n", "traffic",
+                "events", "wall ms", "events/sec", "fences",
+                "peak window", "retired");
     rule();
-    for (std::size_t events :
-         {std::size_t{10'000}, std::size_t{100'000},
-          std::size_t{1'000'000}}) {
-        const std::string trace = syntheticTrace(events);
-        Run run = checkBest(trace);
-        std::printf("%-12zu %-10.1f %-12.0f %-14zu %-14llu\n", events,
-                    run.ms, eventsPerSec(run), run.stats.peakWindow,
-                    static_cast<unsigned long long>(
-                        run.stats.retiredWrites));
+    for (bool fenced : {false, true}) {
+        for (std::size_t events :
+             {std::size_t{10'000}, std::size_t{100'000},
+              std::size_t{1'000'000}}) {
+            Run run = checkBest(fenced ? fencedTrace(events)
+                                       : syntheticTrace(events));
+            std::printf(
+                "%-9s %-10zu %-10.1f %-12.0f %-10llu %-12zu %-10llu\n",
+                fenced ? "fenced" : "private", events, run.ms,
+                eventsPerSec(run),
+                static_cast<unsigned long long>(run.stats.fences),
+                run.stats.peakWindow,
+                static_cast<unsigned long long>(
+                    run.stats.retiredWrites));
+        }
     }
     rule();
     std::printf("\n");
@@ -206,18 +276,24 @@ writeStatsJson()
     session.enable();
     {
         obs::ScopedSession bind(&session);
-        const std::string trace = syntheticTrace(1'000'000);
-        Run run = checkBest(trace);
+        Run run = checkBest(syntheticTrace(1'000'000));
         obs::gauge("trace_conform.events_per_sec", eventsPerSec(run));
         obs::gauge("trace_conform.wall_ms.1m_events", run.ms);
         obs::gauge("trace_conform.peak_window",
                    static_cast<double>(run.stats.peakWindow));
+        Run fenced = checkBest(fencedTrace(1'000'000));
+        obs::gauge("trace_conform.fenced.events_per_sec",
+                   eventsPerSec(fenced));
+        obs::gauge("trace_conform.fenced.wall_ms.1m_events", fenced.ms);
+        obs::gauge("trace_conform.fenced.peak_window",
+                   static_cast<double>(fenced.stats.peakWindow));
     }
     session.disable();
 
     std::map<std::string, std::string> meta;
     meta["bench"] = "trace_conform";
-    meta["workload"] = "synthetic_1m_events_4t_window1024_bestof3";
+    meta["workload"] =
+        "private_and_fenced_1m_events_4t_window1024_bestof3";
     const std::filesystem::path path = dir / "trace_conform.stats.json";
     std::ofstream out(path);
     if (out) {
@@ -244,6 +320,24 @@ BM_CheckSyntheticTrace(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_CheckSyntheticTrace)
+    ->Arg(10'000)
+    ->Arg(100'000)
+    ->Unit(benchmark::kMillisecond);
+
+void
+BM_CheckFencedTrace(benchmark::State &state)
+{
+    const std::string trace =
+        fencedTrace(static_cast<std::size_t>(state.range(0)));
+    for (auto _ : state) {
+        conform::ConformOptions opts;
+        std::istringstream in(trace);
+        benchmark::DoNotOptimize(
+            conform::checkTrace(in, opts).stats.events);
+    }
+    state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_CheckFencedTrace)
     ->Arg(10'000)
     ->Arg(100'000)
     ->Unit(benchmark::kMillisecond);

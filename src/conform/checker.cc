@@ -70,6 +70,15 @@ ConformReport::summary() const
     return os.str();
 }
 
+void
+checkWindow(std::size_t window, const std::string &what)
+{
+    if (window < kMinWindow || window > kMaxWindow) {
+        fatal(what, " must be between ", kMinWindow, " and ", kMaxWindow,
+              " (got ", window, ")");
+    }
+}
+
 namespace {
 
 constexpr std::size_t kNoThread = ~std::size_t{0};
@@ -78,7 +87,8 @@ constexpr std::uint64_t kNoFence = ~std::uint64_t{0};
 /**
  * Capped dedup set of SC-fence ids. Overflow drops the oldest entry:
  * losing a fence id loses forced SC edges (an under-approximation),
- * never invents one.
+ * never invents one. kCap also bounds the fences each write remembers
+ * as program-order-after it.
  */
 struct FenceSet
 {
@@ -105,11 +115,10 @@ struct FenceSet
 
 struct StreamChecker::Impl
 {
+    // Validate the window before scGraph allocates window^2 bits.
     explicit Impl(ConformOptions opts)
-        : opts(opts), scGraph(opts.window)
+        : opts(opts), scGraph((checkWindow(opts.window), opts.window))
     {
-        if (opts.window < 2)
-            panic("StreamChecker: window must be at least 2");
     }
 
     ConformOptions opts;
@@ -137,10 +146,10 @@ struct StreamChecker::Impl
         bool isRmw = false;
         std::uint64_t rmwRf = kNoUid; ///< RMW only: read-from uid
         std::uint64_t coPos = 0;      ///< per-location commit number
-        relation::EventId localId = 0; ///< id in the location's graph
         std::vector<std::uint64_t> clock; ///< issue-time VC snapshot
         std::uint64_t fenceBefore = kNoFence; ///< last SC fence po-before
-        FenceSet fencesAfter;  ///< SC fences po-after (so far)
+        /** SC fences its thread had issued; later ones are po-after. */
+        std::uint64_t scBefore = 0;
         FenceSet readerFences; ///< SC fences po-before observers
     };
 
@@ -149,14 +158,13 @@ struct StreamChecker::Impl
 
     struct LocationState
     {
-        explicit LocationState(std::size_t window) : graph(window) {}
-
-        /** Live committed uids, in commit (= coherence) order. */
-        std::deque<std::uint64_t> co;
-        /** Transitively closed commit-order chain over localIds. */
-        relation::WindowedRelation graph;
+        /**
+         * Live committed writes, in commit (= coherence) order; dense
+         * in coPos. The nodes live in `writes`, whose pointers are
+         * stable until retireLocation erases them.
+         */
+        std::deque<WriteInfo *> co;
         std::uint64_t nextCoPos = 0;
-        relation::EventId nextLocalId = 0;
         /** uids below this were retired (reads of them are unknown). */
         std::uint64_t uidFloor = 0;
         /**
@@ -179,7 +187,10 @@ struct StreamChecker::Impl
         litmus::Scope scope = litmus::Scope::None;
     };
 
-    /** Forced SC-fence order (transitively closed) over fence ids. */
+    /**
+     * Forced SC-fence order (transitively closed) over fence ids,
+     * stored as its converse: row f holds the fences forced before f.
+     */
     relation::WindowedRelation scGraph;
     std::deque<FenceInfo> liveFences; ///< fid-dense, ascending
     std::uint64_t nextFid = 0;
@@ -187,6 +198,24 @@ struct StreamChecker::Impl
     std::vector<std::uint64_t> lastScFence; ///< per thread
     /** Per thread: fence ids owed an edge into its next SC fence. */
     std::vector<FenceSet> pendingRead;
+    /** Per thread: SC fences issued, and the last kCap of their ids. */
+    std::vector<std::uint64_t> scCount;
+    std::vector<std::array<std::uint64_t, FenceSet::kCap>> recentSc;
+
+    /**
+     * Per thread: committed writes whose co-predecessor evidence (the
+     * predecessor's fenceBefore and readerFences) may have grown since
+     * the thread's last SC fence, as (location, coPos). Past kDirtyCap
+     * entries the list gives up and the next fence rescans.
+     */
+    struct DirtyWrites
+    {
+        static constexpr std::size_t kDirtyCap = 64;
+
+        std::vector<std::pair<std::size_t, std::uint64_t>> writes;
+        bool overflowed = false;
+    };
+    std::vector<DirtyWrites> dirty;
 
     /** In-flight CTA barrier rendezvous, keyed by (gpu, cta). */
     struct BarrierState
@@ -270,13 +299,47 @@ struct StreamChecker::Impl
     }
 
     /** Deque index of the committed write with commit number coPos. */
-    std::size_t
-    coIndexOf(const LocationState &loc, std::uint64_t coPos) const
+    static std::size_t
+    coIndexOf(const LocationState &loc, std::uint64_t coPos)
     {
         // loc.co is dense in commit numbers: front() holds the oldest
         // live one.
-        const std::uint64_t base = writes.at(loc.co.front()).coPos;
-        return (std::size_t)(coPos - base);
+        return (std::size_t)(coPos - loc.co.front()->coPos);
+    }
+
+    /** Note that @p w's co-predecessor evidence changed. */
+    void
+    markDirty(const WriteInfo &w)
+    {
+        if (w.thread == kNoThread)
+            return;
+        DirtyWrites &d = dirty[w.thread];
+        if (d.overflowed)
+            return;
+        if (d.writes.size() >= DirtyWrites::kDirtyCap) {
+            d.overflowed = true;
+            d.writes.clear();
+            return;
+        }
+        d.writes.emplace_back(w.location, w.coPos);
+    }
+
+    /**
+     * Call @p fn on each SC fence w's thread issued after w, oldest
+     * first, keeping only the last kCap (FenceSet's overflow rule).
+     */
+    template <typename Fn>
+    void
+    forEachFenceAfter(const WriteInfo &w, Fn &&fn) const
+    {
+        if (w.thread == kNoThread)
+            return;
+        const std::uint64_t count = scCount[w.thread];
+        std::uint64_t k = count > FenceSet::kCap ? count - FenceSet::kCap
+                                                 : 0;
+        k = std::max(k, w.scBefore);
+        for (; k < count; k++)
+            fn(recentSc[w.thread][k % FenceSet::kCap]);
     }
 
     bool
@@ -337,9 +400,9 @@ struct StreamChecker::Impl
         if (!scopeIncludes(fb.scope, fb.thread, fa.thread) ||
             !scopeIncludes(fa.scope, fa.thread, fb.thread))
             return;
-        if (scGraph.contains(before, after))
+        if (scGraph.contains(after, before))
             return;
-        if (scGraph.insertWouldCycle(before, after)) {
+        if (scGraph.insertWouldCycle(after, before)) {
             violation(ViolationKind::FenceSc, seq,
                       std::string("forced SC-fence order is cyclic (") +
                           why + " forces fence at seq " +
@@ -350,7 +413,7 @@ struct StreamChecker::Impl
                       {fb.seq, fa.seq});
             return;
         }
-        scGraph.insertClosure(before, after);
+        scGraph.insertClosure(after, before);
     }
 
     std::uint64_t
@@ -417,6 +480,7 @@ struct StreamChecker::Impl
         if (lastScFence[ev.thread] != kNoFence &&
             lastScFence[ev.thread] >= fidFloor)
             w.fenceBefore = lastScFence[ev.thread];
+        w.scBefore = scCount[ev.thread];
         writes.emplace(ev.uid, std::move(w));
         if (writes.size() > report.stats.peakWindow)
             report.stats.peakWindow = writes.size();
@@ -427,19 +491,13 @@ struct StreamChecker::Impl
     {
         const std::size_t drop = loc.co.size() / 2;
         std::uint64_t floor = loc.uidFloor;
-        relation::EventId localFloor = 0;
         for (std::size_t i = 0; i < drop; i++) {
-            const std::uint64_t uid = loc.co.front();
+            const std::uint64_t uid = loc.co.front()->uid;
             loc.co.pop_front();
-            auto it = writes.find(uid);
-            if (it != writes.end()) {
-                localFloor = it->second.localId + 1;
-                if (uid + 1 > floor)
-                    floor = uid + 1;
-                writes.erase(it);
-            }
+            if (uid + 1 > floor)
+                floor = uid + 1;
+            writes.erase(uid);
         }
-        loc.graph.retireBelow(localFloor);
         loc.uidFloor = floor;
         report.stats.retiredWrites += drop;
     }
@@ -502,11 +560,11 @@ struct StreamChecker::Impl
         if (w.isRmw && w.rmwRf != kNoUid) {
             auto src = writes.find(w.rmwRf);
             if (src != writes.end() && src->second.committed &&
-                !loc.co.empty() && loc.co.back() != w.rmwRf) {
+                !loc.co.empty() && loc.co.back()->uid != w.rmwRf) {
                 const std::size_t from =
                     coIndexOf(loc, src->second.coPos) + 1;
                 for (std::size_t i = from; i < loc.co.size(); i++) {
-                    const WriteInfo &mid = writes.at(loc.co[i]);
+                    const WriteInfo &mid = *loc.co[i];
                     if (morallyStrong(mid.sem, mid.scope, mid.thread,
                                       w.sem, w.scope, w.thread)) {
                         violation(
@@ -524,24 +582,12 @@ struct StreamChecker::Impl
             }
         }
 
-        // Admit into the location's windowed coherence graph and extend
-        // the closed commit-order chain.
+        // Append to the location's commit order. The write now has a
+        // co-predecessor, so its thread's next SC fence owes it a visit.
         w.committed = true;
         w.coPos = loc.nextCoPos++;
-        w.localId = loc.nextLocalId++;
-        loc.graph.admit(w.localId);
-        if (!loc.co.empty()) {
-            const WriteInfo &last = writes.at(loc.co.back());
-            if (loc.graph.insertWouldCycle(last.localId, w.localId)) {
-                violation(ViolationKind::Coherence, ev.seq,
-                          "commit-order chain became cyclic at uid " +
-                              std::to_string(w.uid),
-                          {last.seq, w.seq});
-            } else {
-                loc.graph.insertClosure(last.localId, w.localId);
-            }
-        }
-        loc.co.push_back(w.uid);
+        loc.co.push_back(&w);
+        markDirty(w);
 
         // Fold this write's snapshot into the per-thread maxima.
         if (w.thread != kNoThread && genericWrite) {
@@ -558,8 +604,7 @@ struct StreamChecker::Impl
         // forces edges when this thread's later fences arrive; collect
         // the co-predecessor's obligations onto this thread.
         if (w.thread != kNoThread && loc.co.size() >= 2) {
-            const WriteInfo &prev =
-                writes.at(loc.co[loc.co.size() - 2]);
+            const WriteInfo &prev = *loc.co[loc.co.size() - 2];
             if (prev.fenceBefore != kNoFence &&
                 prev.fenceBefore >= fidFloor)
                 pendingRead[w.thread].add(prev.fenceBefore);
@@ -619,10 +664,15 @@ struct StreamChecker::Impl
                 ? lastScFence[t]
                 : kNoFence;
         if (w && w->committed) {
-            if (fenceA != kNoFence)
-                w->readerFences.add(fenceA);
             LocationState &loc = locState[ev.location];
-            if (!loc.co.empty() && loc.co.back() != w->uid) {
+            const std::size_t idx = coIndexOf(loc, w->coPos);
+            if (fenceA != kNoFence) {
+                w->readerFences.add(fenceA);
+                // w's co-successor just gained evidence.
+                if (idx + 1 < loc.co.size())
+                    markDirty(*loc.co[idx + 1]);
+            }
+            if (loc.co.back() != w) {
                 // The staleness conviction only applies when write,
                 // read, and the later write all live in the generic
                 // proxy: non-generic caches are legitimately
@@ -631,10 +681,9 @@ struct StreamChecker::Impl
                 const bool generic =
                     ev.proxy == litmus::ProxyKind::Generic &&
                     w->proxy == litmus::ProxyKind::Generic;
-                const std::size_t from = coIndexOf(loc, w->coPos) + 1;
                 bool flagged = false;
-                for (std::size_t i = from; i < loc.co.size(); i++) {
-                    const WriteInfo &later = writes.at(loc.co[i]);
+                for (std::size_t i = idx + 1; i < loc.co.size(); i++) {
+                    const WriteInfo &later = *loc.co[i];
                     if (!flagged && generic &&
                         later.proxy == litmus::ProxyKind::Generic &&
                         later.thread != t && hbToNow(later, t)) {
@@ -652,11 +701,10 @@ struct StreamChecker::Impl
                     // before any fence already program-order-after a
                     // coherence-later write.
                     if (fenceA != kNoFence) {
-                        for (std::uint64_t fid :
-                             later.fencesAfter.ids) {
+                        forEachFenceAfter(later, [&](std::uint64_t fid) {
                             addScEdge(fenceA, fid, ev.seq,
                                       "read of an overwritten value");
-                        }
+                        });
                     }
                 }
             }
@@ -711,8 +759,10 @@ struct StreamChecker::Impl
         liveFences.push_back(FenceInfo{fid, ev.seq, t, ev.scope});
 
         // Program order chains this thread's SC fences.
-        if (lastScFence[t] != kNoFence && lastScFence[t] >= fidFloor)
-            addScEdge(lastScFence[t], fid, ev.seq, "program order");
+        const std::uint64_t prevFid = lastScFence[t];
+        const bool prevLive = prevFid != kNoFence && prevFid >= fidFloor;
+        if (prevLive)
+            addScEdge(prevFid, fid, ev.seq, "program order");
         // Communication observed by this thread forces earlier fences
         // before this one.
         for (std::uint64_t before : pendingRead[t].ids) {
@@ -727,29 +777,54 @@ struct StreamChecker::Impl
 
         // This fence is program-order-after every live write this
         // thread has issued; co-predecessors of the committed ones owe
-        // it an edge.
-        for (auto &[uid, w] : writes) {
-            if (w.thread != t)
-                continue;
-            w.fencesAfter.add(fid);
-            if (!w.committed)
-                continue;
-            const LocationState &loc = locState[w.location];
-            if (w.coPos == 0)
-                continue;
-            // w's direct co-predecessor, if still in the window.
-            const std::size_t idx = coIndexOf(loc, w.coPos);
-            if (idx == 0)
-                continue;
-            const WriteInfo &prev = writes.at(loc.co[idx - 1]);
-            if (prev.fenceBefore != kNoFence)
-                addScEdge(prev.fenceBefore, fid, ev.seq,
-                          "coherence order");
-            for (std::uint64_t before : prev.readerFences.ids)
-                addScEdge(before, fid, ev.seq,
-                          "read before overwrite");
+        // it an edge. Those edges only ever point into fid, so their
+        // order cannot matter. A write whose evidence did not change
+        // since the previous fence already reaches fid through it (the
+        // program-order edge above). Rescan all of the thread's writes
+        // when that edge is missing, or when fid's scope is wider than
+        // the previous fence's and may admit a source it excluded
+        // (Scope::None orders below cta, so an unscoped previous fence
+        // always rescans; an unscoped fid admits no edge at all).
+        DirtyWrites &d = dirty[t];
+        const bool rescan =
+            !prevLive || d.overflowed ||
+            liveFences[prevFid - fidFloorBase()].scope < ev.scope;
+        if (rescan) {
+            for (const LocationState &loc : locState) {
+                for (const WriteInfo *w : loc.co) {
+                    if (w->thread == t)
+                        coPredecessorEdges(loc, *w, fid, ev.seq);
+                }
+            }
+        } else {
+            for (const auto &[location, coPos] : d.writes) {
+                const LocationState &loc = locState[location];
+                if (coPos >= loc.co.front()->coPos)
+                    coPredecessorEdges(loc, *loc.co[coIndexOf(loc, coPos)],
+                                       fid, ev.seq);
+            }
         }
+        d.writes.clear();
+        d.overflowed = false;
+
+        recentSc[t][scCount[t] % FenceSet::kCap] = fid;
+        scCount[t]++;
         lastScFence[t] = fid;
+    }
+
+    /** Edges from committed write w's co-predecessor into fence fid. */
+    void
+    coPredecessorEdges(const LocationState &loc, const WriteInfo &w,
+                       std::uint64_t fid, std::uint64_t seq)
+    {
+        // w's direct co-predecessor, if still in the window.
+        if (w.coPos <= loc.co.front()->coPos)
+            return;
+        const WriteInfo &prev = *loc.co[coIndexOf(loc, w.coPos) - 1];
+        if (prev.fenceBefore != kNoFence)
+            addScEdge(prev.fenceBefore, fid, seq, "coherence order");
+        for (std::uint64_t before : prev.readerFences.ids)
+            addScEdge(before, fid, seq, "read before overwrite");
     }
 
     void
@@ -824,13 +899,15 @@ StreamChecker::begin(const TraceHeader &header)
                  std::vector<std::uint64_t>(st.threads.size(), 0));
     st.lastScFence.assign(st.threads.size(), kNoFence);
     st.pendingRead.assign(st.threads.size(), {});
+    st.scCount.assign(st.threads.size(), 0);
+    st.recentSc.assign(st.threads.size(), {});
+    st.dirty.assign(st.threads.size(), {});
     for (const TraceThread &thread : st.threads)
         st.ctaSize[{thread.gpu, thread.cta}]++;
     st.locState.clear();
     st.locState.reserve(st.locations.size());
     for (std::size_t i = 0; i < st.locations.size(); i++) {
-        st.locState.emplace_back(st.opts.window);
-        Impl::LocationState &loc = st.locState.back();
+        Impl::LocationState &loc = st.locState.emplace_back();
         // The init write: uid i, committed first, before everything.
         Impl::WriteInfo init;
         init.uid = i;
@@ -838,10 +915,8 @@ StreamChecker::begin(const TraceHeader &header)
         init.value = st.locations[i].init;
         init.committed = true;
         init.coPos = loc.nextCoPos++;
-        init.localId = loc.nextLocalId++;
-        loc.graph.admit(init.localId);
-        loc.co.push_back(i);
-        st.writes.emplace(i, std::move(init));
+        loc.co.push_back(&st.writes.emplace(i, std::move(init))
+                              .first->second);
     }
     if (st.writes.size() > st.report.stats.peakWindow)
         st.report.stats.peakWindow = st.writes.size();
@@ -928,7 +1003,7 @@ StreamChecker::footer(const TraceFooter &footer)
         const Impl::LocationState &loc = st.locState[i];
         std::uint64_t final = st.locations[i].init;
         if (!loc.co.empty())
-            final = st.writes.at(loc.co.back()).value;
+            final = loc.co.back()->value;
         auto it = footer.memory.find(st.locations[i].name);
         if (it == footer.memory.end()) {
             st.violation(ViolationKind::Malformed, 0,

@@ -14,12 +14,21 @@
  * schema/footer integrity are checked as well.
  *
  * The checker is windowed: it keeps O(window) live writes per location
- * and O(window) live SC fences, retiring the oldest as the trace
- * advances, so a million-event trace checks in bounded memory. The
- * per-location coherence graphs and the global fence-SC graph are
- * relation::WindowedRelation instances — the same closure kernels the
- * batch checker uses on dense storage, running on the banded
- * sliding-window backend.
+ * and O(window) live SC fences, retiring the oldest half of a full
+ * window as the trace advances, so a million-event trace checks in
+ * bounded memory. Coherence needs no graph: a location's commit order
+ * is a deque of pointers to its live writes, and per-thread clock
+ * maxima over every commit answer the coherence axiom in O(threads).
+ * Fence-SC is a relation::WindowedRelation over live fence ids stored
+ * as predecessor sets (row f = the fences forced before f), so an edge
+ * into the newest fence ORs one row instead of broadcasting into every
+ * ancestor row. An SC fence revisits only the writes of its thread
+ * whose co-predecessor evidence changed since the thread's previous SC
+ * fence; everything else already reaches the new fence through that
+ * program-order edge. An event thus costs O(threads) amortized, plus,
+ * per new fence-SC edge, one row OR and one bit test per live fence.
+ * Memory is O(locations x window) for live writes plus window^2 / 8
+ * bytes of fence graph (about 34 MB at kMaxWindow).
  *
  * Soundness stance: every rule is an *under*-approximation of the
  * model's causality relation (vector clocks built from program order,
@@ -54,14 +63,28 @@ struct ConformOptions
 {
     /**
      * Live-window capacity: committed writes kept per location and SC
-     * fences kept globally. Smaller windows use less memory but let
-     * older evidence escape.
+     * fences kept globally, in [kMinWindow, kMaxWindow]. Smaller
+     * windows use less memory but let older evidence escape.
      */
     std::size_t window = 1024;
 
     /** Violations retained with full detail (counters see all). */
     std::size_t maxViolations = 16;
 };
+
+/** Smallest accepted ConformOptions::window. */
+inline constexpr std::size_t kMinWindow = 2;
+
+/** Largest accepted ConformOptions::window (~34 MB of fence graph). */
+inline constexpr std::size_t kMaxWindow = 16384;
+
+/**
+ * Throw FatalError, naming the value @p what, unless kMinWindow <=
+ * @p window <= kMaxWindow. The CLI and the daemon validate requests
+ * with it; StreamChecker does too.
+ */
+void checkWindow(std::size_t window,
+                 const std::string &what = "conform window");
 
 /** The axiom (or integrity rule) one violation convicts. */
 enum class ViolationKind {

@@ -368,8 +368,12 @@ handleRequestLine(Engine &engine, const std::string &line,
                 fatal("conform needs 'path' (trace file) or 'trace' "
                       "(inline JSONL)");
             }
-            request.conform.window = static_cast<std::size_t>(
-                doc->uintOr("window", request.conform.window));
+            if (const json::Value *window = doc->find("window")) {
+                if (!window->isInteger)
+                    fatal("'window' must be a non-negative integer");
+                conform::checkWindow(window->integer, "'window'");
+                request.conform.window = window->integer;
+            }
             request.conform.maxViolations = static_cast<std::size_t>(
                 doc->uintOr("max_violations",
                             request.conform.maxViolations));

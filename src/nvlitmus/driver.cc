@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "analysis/analyzer.hh"
+#include "conform/checker.hh"
 #include "engine/engine.hh"
 #include "engine/service.hh"
 #include "litmus/parser.hh"
@@ -94,8 +95,8 @@ trace conformance (docs/trace_conformance.md):
                    conformant, 1 otherwise
   --conform-window N
                    live-window capacity per location (and SC fences)
-                   for --conform; smaller windows bound memory but let
-                   older evidence escape (default 1024)
+                   for --conform, 2 to 16384; smaller windows bound
+                   memory but let older evidence escape (default 1024)
   --sim-trace-out FILE
                    record one simulated schedule of the single input
                    test as a mixedproxy.trace.v1 stream into FILE
@@ -263,8 +264,7 @@ parseArgs(const std::vector<std::string> &args)
             } catch (const std::exception &) {
                 fatal("bad --conform-window '", value, "'");
             }
-            if (opts.conformWindow < 1)
-                fatal("--conform-window must be at least 1");
+            conform::checkWindow(opts.conformWindow, "--conform-window");
         } else if (value_flag("--sim-trace-out", &opts.simTraceOut)) {
         } else if (value_flag("--trace-out", &opts.traceOut)) {
         } else if (value_flag("--stats-json", &opts.statsJsonOut)) {

@@ -11,6 +11,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -147,6 +148,65 @@ TEST(ConformOp, DaemonConformErrorPaths)
         response(engine, "{\"cmd\":\"conform\",\"id\":4,\"path\":"
                          "\"/nonexistent/trace.jsonl\"}")
             ->boolOr("ok", true));
+}
+
+/**
+ * An out-of-range window is a per-request error: the daemon replies
+ * ok:false and keeps serving (a later ping is still answered) instead
+ * of dying in the checker's constructor.
+ */
+TEST(ConformOp, DaemonRejectsBadWindowAndKeepsServing)
+{
+    const std::string trace =
+        jsonQuote(recordTrace("fig9_message_passing", 3));
+    std::string script;
+    for (const char *window :
+         {"0", "1", "16385", "18446744073709551615", "-4", "\"64\"",
+          "2.5"}) {
+        script += "{\"cmd\":\"conform\",\"trace\":" + trace +
+                  ",\"window\":" + window + "}\n";
+    }
+    script += "{\"cmd\":\"conform\",\"trace\":" + trace +
+              ",\"window\":2}\n";
+    script += "{\"cmd\":\"ping\"}\n";
+
+    Engine engine;
+    std::istringstream in(script);
+    std::ostringstream out;
+    std::ostringstream err;
+    EXPECT_EQ(serve(engine, ServeOptions{}, in, out, err), 0);
+
+    std::vector<std::unique_ptr<json::Value>> replies;
+    std::istringstream reader(out.str());
+    for (std::string line; std::getline(reader, line);)
+        replies.push_back(json::parse(line));
+    ASSERT_EQ(replies.size(), 9u) << out.str();
+    for (std::size_t i = 0; i < 7; i++) {
+        ASSERT_TRUE(replies[i]);
+        EXPECT_FALSE(replies[i]->boolOr("ok", true)) << i;
+        EXPECT_NE(replies[i]->stringOr("error", "").find("'window'"),
+                  std::string::npos)
+            << i;
+    }
+    // The smallest legal window still checks the trace.
+    EXPECT_TRUE(replies[7]->boolOr("ok", false));
+    EXPECT_TRUE(replies[7]->boolOr("conformant", false));
+    EXPECT_TRUE(replies[8]->boolOr("ok", false));
+}
+
+/** Engine callers that skip request decoding get a FatalError too. */
+TEST(ConformOp, EngineRejectsBadWindow)
+{
+    Engine engine;
+    Request request = Request::forConform("");
+    request.conform.traceText = recordTrace("fig9_message_passing", 3);
+    for (std::size_t window :
+         {std::size_t{0}, std::size_t{1}, conform::kMaxWindow + 1}) {
+        request.conform.window = window;
+        EXPECT_THROW(engine.submit(request), FatalError) << window;
+    }
+    request.conform.window = conform::kMaxWindow;
+    EXPECT_TRUE(engine.submit(request).passed());
 }
 
 } // namespace

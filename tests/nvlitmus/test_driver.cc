@@ -118,6 +118,38 @@ TEST(Cli, BadJobsIsUsageError)
               2);
 }
 
+TEST(ParseArgs, ConformWindowRange)
+{
+    EXPECT_EQ(parseArgs({"--conform-window", "2"}).conformWindow, 2u);
+    EXPECT_EQ(parseArgs({"--conform-window=16384"}).conformWindow,
+              16384u);
+    EXPECT_THROW(parseArgs({"--conform-window", "0"}), FatalError);
+    EXPECT_THROW(parseArgs({"--conform-window", "1"}), FatalError);
+    EXPECT_THROW(parseArgs({"--conform-window", "16385"}), FatalError);
+    EXPECT_THROW(parseArgs({"--conform-window", "18446744073709551615"}),
+                 FatalError);
+    EXPECT_THROW(parseArgs({"--conform-window", "-3"}), FatalError);
+}
+
+TEST(Cli, BadConformWindowIsUsageError)
+{
+    for (const char *window : {"1", "0", "100000"}) {
+        std::string out;
+        std::string err;
+        EXPECT_EQ(run({"--conform", "unused.trace", "--conform-window",
+                       window},
+                      &out, &err),
+                  2)
+            << window;
+        EXPECT_NE(err.find("--conform-window must be between 2 and 16384"),
+                  std::string::npos)
+            << err;
+        EXPECT_NE(err.find("usage:"), std::string::npos) << err;
+        EXPECT_EQ(err.find("internal error"), std::string::npos) << err;
+        EXPECT_EQ(out, "");
+    }
+}
+
 TEST(Cli, HelpMentionsJobs)
 {
     std::string out;
