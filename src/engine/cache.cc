@@ -155,7 +155,7 @@ class Sha256
 };
 
 /** Disk-entry format tag; bump on any layout change. */
-constexpr const char *kEntryFormat = "mixedproxy.verdict.v3";
+constexpr const char *kEntryFormat = "mixedproxy.verdict.v4";
 
 json::Value
 encodeOutcome(const litmus::Outcome &outcome)
@@ -377,7 +377,7 @@ VerdictCache::fingerprint(const std::string &canonicalKey,
                           model::ProxyMode mode, bool staticFastPath,
                           std::uint64_t maxExecutions,
                           model::PresolvePolicy presolve,
-                          model::EnumCore enumCore)
+                          EnumCore enumCore)
 {
     // "fp3" guards this layout the way the canonical key's own version
     // tag guards its serialization; any knob added to CheckOptions that

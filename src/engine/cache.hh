@@ -45,6 +45,15 @@
 namespace mixedproxy::engine {
 
 /**
+ * The enumeration core a verdict comes from. The checker has exactly
+ * one, and no flag, request field or model::CheckOptions field selects
+ * it; the tag survives only because the perfbench tracer still passes
+ * CheckBlock::enumCore to VerdictCache::fingerprint(). This enum, that
+ * field and the fingerprint parameter go when that call does.
+ */
+enum class EnumCore { Incremental };
+
+/**
  * One memoized verdict: the complete admitted outcome set of a
  * canonical program under one configuration, plus the enumeration
  * stats that produced it (reports re-render from these on a hit, so a
@@ -89,18 +98,15 @@ class VerdictCache
      * check has no outcome enumeration), even though non-Off requests
      * currently also bypass the cache for exactly that reason: keying
      * on it means a future cached-presolve tier can never collide with
-     * today's enumerated entries. The enumeration core is a knob for
-     * the same defensive reason: the cores are bit-identical by
-     * contract, but a cached incremental verdict must never satisfy a
-     * request that explicitly asked the legacy oracle to recompute.
+     * today's enumerated entries. @p enumCore is the single-value
+     * EnumCore tag and does not change the key.
      */
     static std::string
     fingerprint(const std::string &canonicalKey, model::ProxyMode mode,
                 bool staticFastPath, std::uint64_t maxExecutions,
                 model::PresolvePolicy presolve =
                     model::PresolvePolicy::Off,
-                model::EnumCore enumCore =
-                    model::EnumCore::Incremental);
+                EnumCore enumCore = EnumCore::Incremental);
 
     /**
      * Return the verdict for @p key, computing it with @p compute on a

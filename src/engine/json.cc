@@ -80,9 +80,18 @@ class Parser
             out.kind = Value::Kind::String;
             return parseString(out.string);
           case '[':
-            return parseArray(out);
-          case '{':
-            return parseObject(out);
+          case '{': {
+            // Each nesting level costs a native stack frame; cap it so
+            // a hostile document is a syntax error, not a crash.
+            if (depth == kMaxDepth)
+                return fail("nesting deeper than " +
+                            std::to_string(kMaxDepth));
+            depth++;
+            const bool ok =
+                text[pos] == '[' ? parseArray(out) : parseObject(out);
+            depth--;
+            return ok;
+          }
           default:
             return parseNumber(out);
         }
@@ -266,7 +275,8 @@ class Parser
             Value member;
             if (!parseValue(member))
                 return false;
-            out.object[name] = std::move(member);
+            if (!out.object.emplace(name, std::move(member)).second)
+                return fail("duplicate member \"" + name + "\"");
             skipWhitespace();
             if (pos >= text.size())
                 return fail("unterminated object");
@@ -284,6 +294,7 @@ class Parser
 
     const std::string &text;
     std::size_t pos = 0;
+    std::size_t depth = 0; ///< open arrays and objects
     std::string message;
 };
 

@@ -70,12 +70,20 @@ struct Value
 };
 
 /**
+ * Deepest array/object nesting parse() accepts. The parser recurses
+ * once per level, so an unbounded depth would let one request line
+ * overflow the stack; no protocol message comes close to this.
+ */
+constexpr std::size_t kMaxDepth = 256;
+
+/**
  * Parse one complete JSON document.
  *
  * @param error When non-null, receives a position-annotated message on
  *        failure.
- * @return The document, or nullptr on any syntax error or trailing
- *         garbage.
+ * @return The document, or nullptr on any syntax error, trailing
+ *         garbage, a duplicate object member name, or nesting deeper
+ *         than kMaxDepth.
  */
 std::unique_ptr<Value> parse(const std::string &text,
                              std::string *error = nullptr);

@@ -451,15 +451,6 @@ handleRequestLine(Engine &engine, const std::string &line,
             fatal("unknown presolve policy '", presolve,
                   "' (want off|on|only)");
         }
-        request.check.profileEnum = doc->uintOr("profile_enum", 0);
-        const std::string core =
-            doc->stringOr("enum_core", "incremental");
-        if (auto enum_core = model::enumCoreFromString(core)) {
-            request.check.enumCore = *enum_core;
-        } else {
-            fatal("unknown enum core '", core,
-                  "' (want incremental|legacy)");
-        }
         request.lint.enabled = doc->boolOr("lint", false);
         request.lint.lintOnly = doc->boolOr("lint_only", false);
         request.sim.enabled = doc->boolOr("sim", false);

@@ -1,5 +1,6 @@
 #include "expr.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <utility>
 
@@ -227,19 +228,46 @@ class ConditionParser
     ExprPtr
     parse()
     {
-        ExprPtr e = parseOr();
+        Node n = parseOr();
         skipWs();
         if (pos != text.size())
             fail("trailing input");
-        return e;
+        return n.expr;
     }
 
   private:
+    /** A parsed subexpression and the height of its tree. */
+    struct Node
+    {
+        ExprPtr expr;
+        std::size_t height = 1;
+    };
+
     [[noreturn]] void
     fail(const std::string &why) const
     {
         fatal("condition parse error at offset ", pos, " of '", text,
               "': ", why);
+    }
+
+    /**
+     * Wrap @p expr as a node over children of height @p below. Every
+     * pass over a condition (evaluation, printing, destruction)
+     * recurses once per level, so the tree height is capped as well as
+     * the parser's own descent.
+     */
+    Node
+    node(ExprPtr expr, std::size_t below) const
+    {
+        if (below >= kMaxConditionDepth)
+            tooDeep();
+        return {std::move(expr), below + 1};
+    }
+
+    [[noreturn]] void
+    tooDeep() const
+    {
+        fail("nesting deeper than " + std::to_string(kMaxConditionDepth));
     }
 
     void
@@ -284,39 +312,56 @@ class ConditionParser
         return text.substr(start, pos - start);
     }
 
-    ExprPtr
+    Node
     parseOr()
     {
-        ExprPtr e = parseAnd();
-        while (consume("||"))
-            e = Expr::logicalOr(e, parseAnd());
-        return e;
+        Node n = parseAnd();
+        while (consume("||")) {
+            Node rhs = parseAnd();
+            n = node(Expr::logicalOr(n.expr, rhs.expr),
+                     std::max(n.height, rhs.height));
+        }
+        return n;
     }
 
-    ExprPtr
+    Node
     parseAnd()
     {
-        ExprPtr e = parseUnary();
-        while (consume("&&"))
-            e = Expr::logicalAnd(e, parseUnary());
-        return e;
+        Node n = parseUnary();
+        while (consume("&&")) {
+            Node rhs = parseUnary();
+            n = node(Expr::logicalAnd(n.expr, rhs.expr),
+                     std::max(n.height, rhs.height));
+        }
+        return n;
     }
 
-    ExprPtr
+    Node
     parseUnary()
     {
-        if (consume("!"))
-            return Expr::logicalNot(parseUnary());
+        // '!' and '(' are the only recursive descents; bound them
+        // before recursing so a hostile condition cannot exhaust the
+        // stack on the way down.
+        if (consume("!")) {
+            if (++descent > kMaxConditionDepth)
+                tooDeep();
+            Node inner = parseUnary();
+            descent--;
+            return node(Expr::logicalNot(inner.expr), inner.height);
+        }
         if (peek() == '(') {
             // Could be a parenthesized boolean. Values never start with
             // '(' in this grammar, so this is unambiguous.
             consume("(");
-            ExprPtr e = parseOr();
+            if (++descent > kMaxConditionDepth)
+                tooDeep();
+            Node n = parseOr();
+            descent--;
             if (!consume(")"))
                 fail("expected ')'");
-            return e;
+            return n;
         }
-        return parseComparison();
+        return {parseComparison(), 2};
     }
 
     ExprPtr
@@ -364,6 +409,7 @@ class ConditionParser
 
     const std::string &text;
     std::size_t pos = 0;
+    std::size_t descent = 0; ///< open '!' and '(' levels
 };
 
 } // namespace

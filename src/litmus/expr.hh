@@ -107,6 +107,14 @@ class Expr
 };
 
 /**
+ * Deepest condition parseCondition() accepts, counted both as nested
+ * '!' / '(' levels and as the height of the resulting tree. Evaluation,
+ * printing and destruction all recurse once per level, so without a cap
+ * one long line of '!' would overflow the stack.
+ */
+constexpr std::size_t kMaxConditionDepth = 256;
+
+/**
  * Parse a condition string, e.g. "t0.r3 == 42 && [x] != 0".
  *
  * Grammar: or-expr := and-expr ('||' and-expr)*;
@@ -114,7 +122,8 @@ class Expr
  *          unary := '!' unary | '(' or-expr ')' | value ('=='|'!=') value;
  *          value := INT | IDENT '.' IDENT | '[' IDENT ']'.
  *
- * @throws FatalError on malformed input.
+ * @throws FatalError on malformed input or nesting deeper than
+ *         kMaxConditionDepth.
  */
 ExprPtr parseCondition(const std::string &text);
 

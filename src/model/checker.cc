@@ -40,28 +40,6 @@ presolvePolicyFromString(const std::string &text)
 }
 
 std::string
-toString(EnumCore core)
-{
-    switch (core) {
-    case EnumCore::Incremental:
-        return "incremental";
-    case EnumCore::Legacy:
-        return "legacy";
-    }
-    return "incremental";
-}
-
-std::optional<EnumCore>
-enumCoreFromString(const std::string &text)
-{
-    if (text == "incremental")
-        return EnumCore::Incremental;
-    if (text == "legacy")
-        return EnumCore::Legacy;
-    return std::nullopt;
-}
-
-std::string
 Witness::toString() const
 {
     std::ostringstream os;
@@ -584,51 +562,6 @@ Checker::check(const litmus::LitmusTest &test) const
 
 namespace {
 
-/** Odometer over per-read candidate source lists. */
-class RfEnumerator
-{
-  public:
-    explicit RfEnumerator(const Program &program)
-        : program(program), reads(program.reads()),
-          index(reads.size(), 0), done(reads.empty() ? false : false)
-    {}
-
-    bool
-    valid() const
-    {
-        return !done;
-    }
-
-    void
-    advance()
-    {
-        for (std::size_t i = 0; i < reads.size(); i++) {
-            index[i]++;
-            if (index[i] < program.readSources(reads[i]).size())
-                return;
-            index[i] = 0;
-        }
-        done = true;
-    }
-
-    /** Current source assignment, indexed by event id. */
-    std::vector<EventId>
-    sources() const
-    {
-        std::vector<EventId> out(program.size(),
-                                 static_cast<EventId>(-1));
-        for (std::size_t i = 0; i < reads.size(); i++)
-            out[reads[i]] = program.readSources(reads[i])[index[i]];
-        return out;
-    }
-
-  private:
-    const Program &program;
-    const std::vector<EventId> &reads;
-    std::vector<std::size_t> index;
-    bool done;
-};
-
 Relation
 rfRelation(const Program &program, const std::vector<EventId> &source_of)
 {
@@ -641,8 +574,7 @@ rfRelation(const Program &program, const std::vector<EventId> &source_of)
 /** Build the coherence relation from per-location total orders. */
 Relation
 coRelation(const Program &program,
-           const std::vector<std::vector<EventId>> &orders,
-           const std::vector<char> &live)
+           const std::vector<std::vector<EventId>> &orders)
 {
     Relation co(program.size());
     for (LocationId loc = 0;
@@ -654,7 +586,6 @@ coRelation(const Program &program,
             for (std::size_t j = i + 1; j < order.size(); j++)
                 co.insert(order[i], order[j]);
         }
-        (void)live;
     }
     return co;
 }
@@ -676,38 +607,15 @@ frRelation(const Program &program, const std::vector<EventId> &source_of,
 }
 
 /**
- * Which candidate-level axiom rejected a candidate execution (None =
- * consistent). The enumeration profiler attributes every rejection to
- * the *first* failing axiom in candidateConsistent()'s fixed check
- * order, so the four rejection counters partition the rejected
- * candidates exactly.
- */
-enum class Axiom { None, CausalityB, ScPerLocation, Atomicity, FenceSc };
-
-/**
- * Sampled per-axiom wall-clock accumulator for the opt-in profiler
- * (CheckOptions::profileEnum). Filled only for sampled candidates; the
- * always-on counters never touch a clock.
- */
-struct EnumProfiler
-{
-    std::uint64_t samples = 0;
-    std::uint64_t coBuildNs = 0;
-    // Indexed by the candidate-level axioms in check order:
-    // 0 Causality-b, 1 SC-per-Location, 2 Atomicity, 3 Fence-SC.
-    std::array<std::uint64_t, 4> axiomNs{};
-};
-
-/**
  * The Fence-SC axiom over one fully specified candidate execution:
  * some total order of the sc fences must agree with base causality and
  * with communication routed through program order, for every morally
  * strong fence pair. Equivalently: the forced edges between morally
  * strong sc-fence pairs are acyclic. Trivially true with fewer than
  * two sc fences. Shared between candidateConsistent() and the
- * incremental core's survivor pass (Fence-SC is the only cross-
- * location axiom, so it is the only one the per-location order
- * classification cannot discharge).
+ * enumerator's survivor pass (Fence-SC is the only cross-location
+ * axiom, so it is the only one the per-location order classification
+ * cannot discharge).
  */
 bool
 fenceScHolds(const Program &program, const DerivedRelations &derived,
@@ -742,44 +650,26 @@ fenceScHolds(const Program &program, const DerivedRelations &derived,
 }
 
 /**
- * The per-candidate axiom core shared by the enumeration loop and
- * evaluateCandidate(): Causality part (b), SC-per-Location, Atomicity
- * and Fence-SC over one fully specified candidate execution. (No-Thin-
- * Air, value feasibility and Causality part (a) depend only on rf and
- * are checked once per rf assignment, before the coherence odometer.)
- * Returns the first failing axiom, Axiom::None when consistent. With
- * @p prof non-null, each axiom block's wall time is accumulated (the
- * failing block's time included).
+ * The candidate-level axioms over one fully specified candidate
+ * execution, for evaluateCandidate(): Causality part (b),
+ * SC-per-Location, Atomicity and Fence-SC. (No-Thin-Air, value
+ * feasibility and Causality part (a) depend only on rf and are checked
+ * before.) The incremental core checks the same axioms per location
+ * (OrderClass) plus fenceScHolds() per survivor, in this order.
  */
-Axiom
+bool
 candidateConsistent(const Program &program,
                     const std::vector<EventId> &source_of,
                     const std::vector<char> &live,
                     const DerivedRelations &derived, const Relation &rf,
-                    const Relation &co, const Relation &fr,
-                    EnumProfiler *prof = nullptr)
+                    const Relation &co, const Relation &fr)
 {
     const auto &events = program.events();
     const std::size_t n = events.size();
 
-    using ProfClock = std::chrono::steady_clock;
-    ProfClock::time_point mark =
-        prof ? ProfClock::now() : ProfClock::time_point{};
-    auto lap = [&](std::size_t axiom) {
-        if (!prof)
-            return;
-        ProfClock::time_point now = ProfClock::now();
-        prof->axiomNs[axiom] += static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(now -
-                                                                 mark)
-                .count());
-        mark = now;
-    };
-
     // ---- Axiom: Causality, part (b) -------------------------------
     // A read must not observe a write coherence-older than a write
     // that causally precedes the read.
-    bool failed = false;
     for (EventId r : program.reads()) {
         EventId src = source_of[r];
         for (EventId w = 0; w < n; w++) {
@@ -787,35 +677,21 @@ candidateConsistent(const Program &program,
                 continue;
             if (events[w].location != events[r].location)
                 continue;
-            if (derived.cause.contains(w, r) && co.contains(src, w)) {
-                failed = true;
-                break;
-            }
+            if (derived.cause.contains(w, r) && co.contains(src, w))
+                return false;
         }
-        if (failed)
-            break;
     }
-    lap(0);
-    if (failed)
-        return Axiom::CausalityB;
 
     // ---- Axiom: SC-per-Location -----------------------------------
     // Within each maximal clique of morally strong overlapping
     // operations, program order and communication order are acyclic.
-    {
-        Relation comm = rf | co | fr | program.po();
-        for (const auto &clique : program.msCliques()) {
-            EventSet live_clique =
-                clique.filter([&](EventId id) { return live[id]; });
-            if (!comm.restrict(live_clique).acyclic()) {
-                failed = true;
-                break;
-            }
-        }
+    Relation comm = rf | co | fr | program.po();
+    for (const auto &clique : program.msCliques()) {
+        EventSet live_clique =
+            clique.filter([&](EventId id) { return live[id]; });
+        if (!comm.restrict(live_clique).acyclic())
+            return false;
     }
-    lap(1);
-    if (failed)
-        return Axiom::ScPerLocation;
 
     // ---- Axiom: Atomicity -----------------------------------------
     // No morally strong write intervenes in coherence order between an
@@ -835,25 +711,13 @@ candidateConsistent(const Program &program,
                 continue;
             if (co.contains(src, w2) && co.contains(w2, w) &&
                 program.morallyStrong().contains(w2, w)) {
-                failed = true;
-                break;
+                return false;
             }
         }
-        if (failed)
-            break;
     }
-    lap(2);
-    if (failed)
-        return Axiom::Atomicity;
 
     // ---- Axiom: Fence-SC -------------------------------------------
-    if (!fenceScHolds(program, derived, rf, co, fr))
-        failed = true;
-    lap(3);
-    if (failed)
-        return Axiom::FenceSc;
-
-    return Axiom::None;
+    return fenceScHolds(program, derived, rf, co, fr);
 }
 
 /** The outcome of one consistent candidate. */
@@ -1009,11 +873,7 @@ class OutcomeAccumulator
     std::map<std::vector<std::uint64_t>, Witness> witnesses;
 };
 
-/**
- * One consistent execution rendered for diagnostics. Shared by the
- * legacy candidate loop and the incremental core's survivor pass, so
- * witness content cannot differ between cores.
- */
+/** One consistent execution rendered for diagnostics. */
 Witness
 buildWitness(const Program &program, const std::vector<char> &live,
              const Relation &rf,
@@ -1076,27 +936,6 @@ buildWitness(const Program &program, const std::vector<char> &live,
     return w;
 }
 
-/**
- * Per-rf-assignment derived-relation accounting shared by both cores
- * (identical call sites keep the two cores' counters bit-identical).
- */
-void
-accountDerived(CheckStats &stats, const DerivedRelations &derived)
-{
-    if (derived.fastPath)
-        stats.fastPathHits++;
-    else
-        stats.fastPathMisses++;
-    stats.fixpointIterations += derived.fixpointIterations;
-    stats.layerBaseReuse++;
-    stats.layerRfDelta += derived.swDeltaEdges;
-    if (obs::enabled()) {
-        stats.bcauseEdges += derived.bcause.pairCount();
-        stats.ppbcEdges += derived.ppbc.pairCount();
-        stats.causeEdges += derived.cause.pairCount();
-    }
-}
-
 /** Saturating product — the combinatorial counters must not wrap. */
 std::uint64_t
 satMul(std::uint64_t a, std::uint64_t b)
@@ -1108,207 +947,6 @@ satMul(std::uint64_t a, std::uint64_t b)
     if (a > kMax / b)
         return kMax;
     return a * b;
-}
-
-/**
- * The per-candidate coherence odometer over fully enumerated
- * per-location order buckets: examine every combination, charge the
- * profiler counters, collect outcomes and witnesses. Shared by the
- * legacy core and by the incremental core's budget-exhaustion
- * fallback — the budget cutoff is *defined* by this loop's candidate
- * numbering (enumeration stops at maxExecutions + 1 with the final
- * candidate uncharged), so near the limit the incremental core
- * replays it exactly. Returns false when the budget was exceeded (the
- * caller stops enumerating rf assignments).
- */
-bool
-runCandidateOdometer(
-    const Program &program, const CheckOptions &opts,
-    CheckResult &result, OutcomeAccumulator &acc,
-    EnumProfiler &profiler, std::size_t depth_bucket,
-    const std::vector<EventId> &source_of, const Valuation &vals,
-    const DerivedRelations &derived, const Relation &rf,
-    const std::vector<std::vector<std::vector<EventId>>> &per_loc_orders)
-{
-    std::vector<std::size_t> co_index(program.locationCount(), 0);
-    bool co_done = false;
-    while (!co_done) {
-        result.stats.candidateExecutions++;
-        if (result.stats.candidateExecutions > opts.maxExecutions) {
-            // Out of budget: stop enumerating and report the partial
-            // result as inconclusive (allPassed() == false) instead of
-            // killing the whole batch run.
-            result.budgetExceeded = true;
-            return false;
-        }
-        result.stats.depthHistogram[depth_bucket]++;
-
-        // Opt-in sampled profiling: every Nth examined candidate gets
-        // wall-clock attribution; candidate numbering is per-check, so
-        // sampling is deterministic and invariant under --jobs N work
-        // distribution.
-        const bool sampled =
-            opts.profileEnum != 0 &&
-            (result.stats.candidateExecutions - 1) % opts.profileEnum ==
-                0;
-
-        std::vector<std::vector<EventId>> orders(
-            program.locationCount());
-        for (std::size_t loc = 0; loc < orders.size(); loc++) {
-            const auto &bucket = per_loc_orders[loc];
-            orders[loc] = bucket.empty() ? std::vector<EventId>{}
-                                         : bucket[co_index[loc]];
-        }
-        std::chrono::steady_clock::time_point co_start;
-        if (sampled)
-            co_start = std::chrono::steady_clock::now();
-        Relation co = coRelation(program, orders, vals.live);
-        Relation fr = frRelation(program, source_of, co);
-        if (sampled) {
-            profiler.samples++;
-            profiler.coBuildNs += static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - co_start)
-                    .count());
-        }
-
-        // Causality (b), SC-per-Location, Atomicity, Fence-SC.
-        const Axiom verdict = candidateConsistent(
-            program, source_of, vals.live, derived, rf, co, fr,
-            sampled ? &profiler : nullptr);
-        switch (verdict) {
-        case Axiom::None:
-            break;
-        case Axiom::CausalityB:
-            result.stats.rejectCausalityB++;
-            break;
-        case Axiom::ScPerLocation:
-            result.stats.rejectScPerLocation++;
-            break;
-        case Axiom::Atomicity:
-            result.stats.rejectAtomicity++;
-            break;
-        case Axiom::FenceSc:
-            result.stats.rejectFenceSc++;
-            break;
-        }
-
-        if (verdict == Axiom::None) {
-            result.stats.consistentExecutions++;
-            if (acc.insert(orders, vals.value) &&
-                opts.collectWitnesses) {
-                acc.attachWitness(
-                    buildWitness(program, vals.live, rf, orders,
-                                 derived));
-            }
-        }
-
-        // Advance the coherence odometer.
-        co_done = true;
-        for (std::size_t loc = 0; loc < co_index.size(); loc++) {
-            if (per_loc_orders[loc].empty())
-                continue;
-            co_index[loc]++;
-            if (co_index[loc] < per_loc_orders[loc].size()) {
-                co_done = false;
-                break;
-            }
-            co_index[loc] = 0;
-        }
-    }
-    return true;
-}
-
-/**
- * The original nested-odometer enumeration, kept behind
- * CheckOptions::enumCore as a differential oracle for the incremental
- * core (and as the only core that can host sampled enumeration
- * profiling).
- */
-void
-enumerateLegacy(const Program &program, const CheckOptions &opts,
-                CheckResult &result, OutcomeAccumulator &acc,
-                EnumProfiler &profiler, std::size_t depth_bucket)
-{
-    const std::size_t n = program.size();
-    Valuation vals; // reused across assignments
-    for (RfEnumerator rfe(program); rfe.valid(); rfe.advance()) {
-        result.stats.rfAssignments++;
-        std::vector<EventId> source_of = rfe.sources();
-        Relation rf = rfRelation(program, source_of);
-
-        // ---- Axiom: No-Thin-Air --------------------------------------
-        if (!(rf | program.dep()).acyclic()) {
-            result.stats.rejectNoThinAir++;
-            continue;
-        }
-
-        evaluateInto(program, rf, source_of, vals);
-        if (!vals.feasible) {
-            result.stats.rejectValueInfeasible++;
-            continue;
-        }
-
-        DerivedRelations derived =
-            computeDerived(program, rf, vals.live, opts.staticFastPath);
-        accountDerived(result.stats, derived);
-
-        // ---- Axiom: Causality, part (a) -------------------------------
-        // A read cannot observe a write that it causally precedes.
-        bool ok = true;
-        for (EventId r : program.reads()) {
-            if (derived.cause.contains(r, source_of[r])) {
-                ok = false;
-                break;
-            }
-        }
-        if (!ok) {
-            result.stats.rejectCausalityA++;
-            continue;
-        }
-
-        // ---- Axiom: Coherence ------------------------------------------
-        // Enumerate only coherence orders that embed causality between
-        // overlapping live writes; if causality is cyclic on writes, no
-        // order exists and the candidate dies here.
-        std::vector<std::vector<std::vector<EventId>>> per_loc_orders(
-            program.locationCount());
-        bool some_loc_empty = false;
-        for (LocationId loc = 0;
-             loc < static_cast<LocationId>(program.locationCount());
-             loc++) {
-            EventSet live_writes(n);
-            for (EventId w : program.writesAt(loc)) {
-                if (vals.live[w])
-                    live_writes.insert(w);
-            }
-            Relation partial = derived.cause.restrict(live_writes);
-            auto &bucket =
-                per_loc_orders[static_cast<std::size_t>(loc)];
-            relation::forEachTotalOrder(
-                live_writes, partial,
-                [&bucket](const std::vector<EventId> &order) {
-                    bucket.push_back(order);
-                    return true;
-                });
-            if (bucket.empty() && live_writes.count() > 0)
-                some_loc_empty = true;
-            if (live_writes.count() > 0) {
-                result.stats.coLocations++;
-                result.stats.coOrders += bucket.size();
-            }
-        }
-        if (some_loc_empty) {
-            result.stats.rejectCoherenceUnembeddable++;
-            continue;
-        }
-
-        if (!runCandidateOdometer(program, opts, result, acc, profiler,
-                                  depth_bucket, source_of, vals,
-                                  derived, rf, per_loc_orders)) {
-            break;
-        }
-    }
 }
 
 /**
@@ -1329,32 +967,38 @@ enumerateLegacy(const Program &program, const CheckOptions &opts,
 enum class OrderClass { Viable, CausalityB, ScPerLocation, Atomicity };
 
 /**
- * The incremental enumeration core: the layered delta engine behind
- * EnumCore::Incremental.
+ * The enumeration core: a layered delta engine that never examines
+ * candidates one by one unless Fence-SC or witness collection needs
+ * them.
  *
- * rf layer — assignments are a DFS over the reads in *reverse* index
- * order, which reproduces the legacy odometer's sequence exactly
- * (read 0 is the odometer's fastest digit, so it must be the DFS's
- * innermost level). A ^(dep | rf-prefix) closure is maintained with
- * per-depth snapshots, seeded from the Program's precomputed dep
- * closure; an rf edge that would close a cycle discharges the whole
- * subtree combinatorially. This is exact: dep is present from depth 0,
- * so a full assignment is cyclic iff some prefix edge closed a cycle
- * at the moment it was added.
+ * rf layer — assignments are a DFS over the reads from the last to the
+ * first (read 0 is the innermost level), each read trying its sources
+ * in Program::readSources() order. A ^(dep | rf-prefix) closure is
+ * maintained with per-depth snapshots, seeded from the Program's
+ * precomputed dep closure; an rf edge that would close a cycle
+ * discharges the whole subtree combinatorially. This is exact: dep is
+ * present from depth 0, so a full assignment is cyclic iff some prefix
+ * edge closed a cycle at the moment it was added.
  *
  * co layer — per surviving assignment, each location's admissible
- * coherence orders are enumerated once (identical bucket order to the
- * legacy forEachTotalOrder) and classified by OrderClass, with
- * Causality-(b) doom marked on order prefixes: a pushed write's new co
- * edges are checkable immediately, and doom is monotone, so extensions
- * inherit the class without re-checking. Candidate-level counters are
- * rolled up as saturating products of per-location class counts;
- * survivors are only materialized when Fence-SC is live or witnesses
- * are wanted, and then in the legacy candidate order (location 0 is
- * the fastest odometer digit) so witness selection — first candidate
- * per outcome — matches the legacy core bit for bit. Near the
- * execution budget the legacy candidate odometer is replayed verbatim
- * so the cutoff point matches exactly.
+ * coherence orders are enumerated once (relation::forEachTotalOrderVisit
+ * order) and classified by OrderClass, with Causality-(b) doom marked
+ * on order prefixes: a pushed write's new co edges are checkable
+ * immediately, and doom is monotone, so extensions inherit the class
+ * without re-checking. Candidate-level counters are rolled up as
+ * saturating products of per-location class counts.
+ *
+ * Visit order — the candidates of one assignment are the mixed-radix
+ * combinations of its per-location orders with location 0 as the
+ * fastest digit. Survivors are materialized in that order only when
+ * Fence-SC is live or witnesses are wanted, and each outcome's witness
+ * is the first consistent candidate with that outcome in the overall
+ * order (assignment by assignment, then combination by combination).
+ *
+ * Budget — an assignment is charged whole: when its candidate count
+ * would push candidateExecutions past CheckOptions::maxExecutions,
+ * enumeration stops before charging any of them and the result is
+ * marked budgetExceeded.
  */
 class IncrementalEnumerator
 {
@@ -1362,10 +1006,9 @@ class IncrementalEnumerator
     IncrementalEnumerator(const Program &program,
                           const CheckOptions &opts, CheckResult &result,
                           OutcomeAccumulator &acc,
-                          EnumProfiler &profiler,
                           std::size_t depth_bucket)
         : program(program), opts(opts), result(result), acc(acc),
-          profiler(profiler), depth_bucket(depth_bucket),
+          depth_bucket(depth_bucket),
           events(program.events()), n(program.size()),
           reads(program.reads())
     {
@@ -1410,8 +1053,7 @@ class IncrementalEnumerator
         closure[0] = program.depClosure();
         if (!closure[0].irreflexive()) {
             // The dependency order alone is cyclic: every assignment is
-            // a thin-air rejection (the legacy core rediscovers this
-            // once per assignment).
+            // a thin-air rejection.
             result.stats.rfAssignments += prefix_product[reads.size()];
             result.stats.rejectNoThinAir +=
                 prefix_product[reads.size()];
@@ -1469,7 +1111,18 @@ class IncrementalEnumerator
 
         DerivedRelations derived =
             computeDerived(program, rf, vals.live, opts.staticFastPath);
-        accountDerived(stats, derived);
+        if (derived.fastPath)
+            stats.fastPathHits++;
+        else
+            stats.fastPathMisses++;
+        stats.fixpointIterations += derived.fixpointIterations;
+        stats.layerBaseReuse++;
+        stats.layerRfDelta += derived.swDeltaEdges;
+        if (obs::enabled()) {
+            stats.bcauseEdges += derived.bcause.pairCount();
+            stats.ppbcEdges += derived.ppbc.pairCount();
+            stats.causeEdges += derived.cause.pairCount();
+        }
 
         // ---- Axiom: Causality, part (a) ---------------------------
         for (EventId r : reads) {
@@ -1518,17 +1171,12 @@ class IncrementalEnumerator
             p_viable = satMul(p_viable, lo.viable.size());
         }
 
-        // Near the execution budget the exact cutoff candidate matters
-        // (the legacy loop stops at maxExecutions + 1, final candidate
-        // uncharged): replay the legacy odometer for this assignment
-        // instead of chunk-charging past the limit.
+        // Out of budget: stop here, before charging any candidate of
+        // this assignment, and report the partial result as
+        // inconclusive (allPassed() == false) instead of killing the
+        // whole batch run.
         if (p_full > opts.maxExecutions - stats.candidateExecutions) {
-            per_loc_orders_scratch.assign(L, {});
-            for (std::size_t loc = 0; loc < L; loc++)
-                per_loc_orders_scratch[loc] = locs[loc].orders;
-            runCandidateOdometer(program, opts, result, acc, profiler,
-                                 depth_bucket, source_of, vals, derived,
-                                 rf, per_loc_orders_scratch);
+            result.budgetExceeded = true;
             return;
         }
 
@@ -1548,7 +1196,7 @@ class IncrementalEnumerator
         }
 
         // Fence-SC is the one cross-location axiom: evaluate it per
-        // survivor, in legacy candidate order (location 0 fastest).
+        // survivor, in visit order (location 0 fastest).
         std::vector<std::size_t> vi(L, 0);
         while (true) {
             orders_scratch.assign(L, {});
@@ -1556,7 +1204,7 @@ class IncrementalEnumerator
                 const LocOrders &lo = locs[loc];
                 orders_scratch[loc] = lo.orders[lo.viable[vi[loc]]];
             }
-            Relation co = coRelation(program, orders_scratch, vals.live);
+            Relation co = coRelation(program, orders_scratch);
             Relation fr = frRelation(program, source_of, co);
             if (fenceScHolds(program, derived, rf, co, fr)) {
                 stats.consistentExecutions++;
@@ -1588,11 +1236,10 @@ class IncrementalEnumerator
      * its registers (fixed by rf) plus each location's final-write
      * value. Visit one representative survivor per distinct
      * final-value combination — the representative is the *first*
-     * survivor with that outcome in legacy candidate order (the
-     * odometer digits are independent, so the earliest combination is
-     * the per-location earliest viable order with that final value),
-     * which is exactly the candidate the legacy core would have
-     * witnessed.
+     * survivor with that outcome in visit order (the digits are
+     * independent, so the earliest combination is the per-location
+     * earliest viable order with that final value), which is exactly
+     * the candidate a one-by-one walk would have witnessed.
      */
     void
     emitOutcomeProduct(const Valuation &vals,
@@ -1847,7 +1494,6 @@ class IncrementalEnumerator
     const CheckOptions &opts;
     CheckResult &result;
     OutcomeAccumulator &acc;
-    EnumProfiler &profiler;
     const std::size_t depth_bucket;
     const std::vector<Event> &events;
     const std::size_t n;
@@ -1878,8 +1524,6 @@ class IncrementalEnumerator
     Valuation vals_scratch;
     std::vector<LocOrders> locs;
     std::vector<std::vector<EventId>> orders_scratch;
-    std::vector<std::vector<std::vector<EventId>>>
-        per_loc_orders_scratch;
 };
 
 } // namespace
@@ -1958,10 +1602,10 @@ evaluateCandidate(const Program &program,
         orders[static_cast<std::size_t>(loc)] = std::move(order);
     }
 
-    Relation co = coRelation(program, orders, vals.live);
+    Relation co = coRelation(program, orders);
     Relation fr = frRelation(program, source_of, co);
-    if (candidateConsistent(program, source_of, vals.live, derived, rf,
-                            co, fr) != Axiom::None) {
+    if (!candidateConsistent(program, source_of, vals.live, derived, rf,
+                             co, fr)) {
         return std::nullopt;
     }
 
@@ -2090,26 +1734,14 @@ Checker::check(const Program &program) const
     const std::size_t depth_bucket = std::min(
         program.reads().size(), CheckStats::kDepthBuckets - 1);
 
-    EnumProfiler profiler;
     OutcomeAccumulator acc(program);
 
-    std::optional<obs::Span> enumerate_span;
-    enumerate_span.emplace("check.enumerate");
-    // Sampled profiling times individual candidate examinations, which
-    // the incremental core skips by design — profileEnum forces the
-    // legacy core so the sampler keeps meaning what it says.
-    const bool legacy_core =
-        opts.enumCore == EnumCore::Legacy || opts.profileEnum != 0;
-    if (legacy_core) {
-        enumerateLegacy(program, opts, result, acc, profiler,
-                        depth_bucket);
-    } else {
-        IncrementalEnumerator incremental(program, opts, result, acc,
-                                          profiler, depth_bucket);
-        incremental.run();
+    {
+        obs::Span enumerate_span("check.enumerate");
+        IncrementalEnumerator(program, opts, result, acc, depth_bucket)
+            .run();
+        acc.materialize(result);
     }
-    acc.materialize(result);
-    enumerate_span.reset();
 
     evaluateAssertions(test, result);
 
@@ -2117,27 +1749,6 @@ Checker::check(const Program &program) const
         result.stats.publish(session->metrics);
         if (result.budgetExceeded)
             session->metrics.add("checker.budget_exceeded");
-        // Sampled timings are per-run measurements, published straight
-        // to the session (never stored in CheckStats) so a verdict-
-        // cache hit can't replay stale wall-clock numbers.
-        if (profiler.samples > 0) {
-            session->metrics.add("checker.enum.sampled.candidates",
-                                 profiler.samples);
-            session->metrics.add("checker.enum.sampled.co_build_ns",
-                                 profiler.coBuildNs);
-            session->metrics.add(
-                "checker.enum.sampled.axiom.causality_b_ns",
-                profiler.axiomNs[0]);
-            session->metrics.add(
-                "checker.enum.sampled.axiom.sc_per_location_ns",
-                profiler.axiomNs[1]);
-            session->metrics.add(
-                "checker.enum.sampled.axiom.atomicity_ns",
-                profiler.axiomNs[2]);
-            session->metrics.add(
-                "checker.enum.sampled.axiom.fence_sc_ns",
-                profiler.axiomNs[3]);
-        }
     }
 
     return result;

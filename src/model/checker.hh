@@ -55,36 +55,6 @@ std::optional<PresolvePolicy>
 presolvePolicyFromString(const std::string &text);
 
 /**
- * Which enumeration core drives the exhaustive check.
- *
- *  - Incremental (default): the layered delta core. Reads-from
- *    assignments are a DFS that extends a maintained ^(dep | rf)
- *    closure edge by edge, discharging whole thin-air-doomed subtrees
- *    combinatorially; coherence orders are enumerated once per
- *    location with Causality-(b) doom marked on prefixes; the
- *    candidate-level axiom counters are rolled up as products of
- *    per-location order classes instead of examining every candidate.
- *  - Legacy: the original nested-odometer enumeration, kept for one
- *    release as a differential oracle (--enum-core=legacy,
- *    --enum-diff).
- *
- * Both cores produce identical CheckResults — outcomes, witnesses,
- * assertion verdicts and every deterministic CheckStats counter — by
- * construction; the incremental core just refuses to spend time
- * proportional to the candidate count when per-location reasoning
- * suffices. Sampled enumeration profiling (profileEnum != 0) always
- * runs on the legacy core: the sampler times individual candidate
- * examinations, which the incremental core skips by design.
- */
-enum class EnumCore { Incremental, Legacy };
-
-/** "incremental" / "legacy" — the CLI and JSON-protocol spellings. */
-std::string toString(EnumCore core);
-
-/** Parse a CLI/JSON spelling; nullopt for anything unrecognized. */
-std::optional<EnumCore> enumCoreFromString(const std::string &text);
-
-/**
  * The pre-solver's verdict on one assertion, with provenance. Only
  * trust `passed` when `conclusive` is true — the pre-solver never
  * guesses, so an inconclusive verdict carries no information.
@@ -154,10 +124,12 @@ struct CheckOptions
     bool staticFastPath = true;
 
     /**
-     * Stop enumerating past this many candidate executions. Exceeding
-     * the budget is a structured per-test verdict
-     * (CheckResult::budgetExceeded), not an error — batch runs report
-     * it and keep going.
+     * Candidate-execution budget. Enumeration charges the candidates of
+     * one reads-from assignment at a time and stops before the first
+     * assignment that would exceed the budget, so candidateExecutions
+     * never exceeds it. Exceeding the budget is a structured per-test
+     * verdict (CheckResult::budgetExceeded), not an error — batch runs
+     * report it and keep going.
      */
     std::uint64_t maxExecutions = 100'000'000;
 
@@ -175,26 +147,6 @@ struct CheckOptions
      * here; the engine facade does this wiring automatically.
      */
     const Presolver *presolver = nullptr;
-
-    /**
-     * Enumeration-profiler sampling period: every Nth examined
-     * candidate additionally gets per-axiom wall-clock timing
-     * (published as "checker.enum.sampled.*" counters). 0 disables
-     * sampling. The always-on profiler counters in CheckStats are
-     * collected regardless of this knob; sampling only adds the clock
-     * reads. Does not affect verdicts, so it is deliberately not part
-     * of the verdict-cache fingerprint — a cache hit replays the
-     * deterministic counters but produces no fresh timing samples
-     * (combine with --no-cache to force live samples).
-     */
-    std::uint64_t profileEnum = 0;
-
-    /**
-     * Enumeration core (see EnumCore). Identical verdicts, outcomes
-     * and statistics either way; Legacy is the differential oracle.
-     * profileEnum != 0 forces the legacy core regardless.
-     */
-    EnumCore enumCore = EnumCore::Incremental;
 
     /**
      * Observability session to record into (bound for the duration of
@@ -283,9 +235,9 @@ struct CheckStats
      * Enumeration-profiler rejection attribution (always on; plain
      * field increments, no registry traffic in the hot loop). The
      * first four are rf-level: the whole rf assignment dies before any
-     * coherence odometer runs, counted once per rejected assignment.
-     * The last four are candidate-level, attributed to the *first*
-     * axiom that fails in candidateConsistent()'s fixed check order
+     * coherence order is enumerated, counted once per rejected
+     * assignment. The last four are candidate-level, attributed to the
+     * *first* axiom that fails in the fixed check order
      * (Causality-b, SC-per-Location, Atomicity, Fence-SC), so for any
      * completed (non-budget-exceeded) enumeration:
      *
@@ -333,7 +285,7 @@ struct CheckStats
      * and co_prefix_reject count whole enumeration subtrees discharged
      * at a prefix (an rf prefix edge that closes a thin-air cycle; a
      * coherence prefix whose Causality-(b) doom every extension
-     * inherits). The prefix counters stay zero on the legacy core.
+     * inherits).
      */
     std::uint64_t layerBaseReuse = 0;
     std::uint64_t layerRfDelta = 0;
@@ -369,10 +321,11 @@ struct CheckResult
     std::optional<StaticDischarge> staticallyDischarged;
 
     /**
-     * True when enumeration stopped at CheckOptions::maxExecutions.
-     * The outcome set (and thus every assertion verdict) covers only
-     * the candidates enumerated before the budget ran out — treat the
-     * result as inconclusive, not as a pass.
+     * True when the program has more candidate executions than
+     * CheckOptions::maxExecutions. The outcome set (and thus every
+     * assertion verdict) covers only the reads-from assignments
+     * enumerated before the budget ran out — treat the result as
+     * inconclusive, not as a pass.
      */
     bool budgetExceeded = false;
 
@@ -457,8 +410,8 @@ struct CandidateExecution
 
 /**
  * Check one candidate execution against all six PTX axioms (the same
- * per-candidate core Checker::check() runs inside its enumeration
- * loops) and return its outcome when consistent, std::nullopt when any
+ * axioms Checker::check() applies during enumeration) and return its
+ * outcome when consistent, std::nullopt when any
  * axiom rejects it. Also rejects malformed candidates: a read source
  * that is not in the read's feasible source set, value-infeasible rf,
  * or a coherence order that is not a permutation of the location's

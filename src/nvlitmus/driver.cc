@@ -73,15 +73,6 @@ options:
                    pre-solver's conclusive verdicts against full
                    enumeration; prints a per-test table and exits 0
                    only on zero disagreements
-  --enum-core=MODE enumeration core: incremental (layered delta
-                   engine, the default) or legacy (the monolithic
-                   per-candidate loop, kept as a differential oracle;
-                   --profile-enum implies it)
-  --enum-diff      differential harness for the enumeration cores: for
-                   every input (default: every built-in test), check
-                   under both cores and require identical outcomes,
-                   verdicts, and shared statistics; prints a per-test
-                   table and exits 0 only on zero divergences
   --jobs N         check batch inputs (--all, multiple inputs, --synth,
                    --lint-only, --conform) on N worker threads; output
                    and --stats-json are identical for any N (default 1)
@@ -125,12 +116,9 @@ observability (docs/observability.md):
   --stats-json FILE
                    write the structured metrics report (counters,
                    gauges, timer histograms, enum_profile) as JSON
-  --profile-enum[=N]
-                   enumeration profiler: sample every Nth examined
-                   candidate for per-axiom wall-clock attribution
-                   (bare flag: every candidate) and print the profiler
-                   breakdown table on stderr after the run; the
-                   always-on rejection/depth/branching counters appear
+  --profile-enum   print the enumeration profiler table (rejections
+                   by axiom, candidates by rf depth, branching factors)
+                   on stderr after the run; the same counters appear
                    in --stats-json regardless
   --metrics-out FILE
                    write the run's metrics in Prometheus text
@@ -197,15 +185,6 @@ parseArgs(const std::vector<std::string> &args)
             opts.lint = true;
         } else if (arg == "--presolve-diff") {
             opts.presolveDiff = true;
-        } else if (arg == "--enum-diff") {
-            opts.enumDiff = true;
-        } else if (value_flag("--enum-core", &value)) {
-            if (auto core = model::enumCoreFromString(value)) {
-                opts.enumCore = *core;
-            } else {
-                fatal("unknown enum core '", value,
-                      "' (want incremental|legacy)");
-            }
         } else if (arg == "--presolve") {
             opts.presolve = model::PresolvePolicy::On;
             opts.presolveSet = true;
@@ -271,21 +250,7 @@ parseArgs(const std::vector<std::string> &args)
         } else if (value_flag("--metrics-out", &opts.metricsOut)) {
         } else if (value_flag("--log-json", &opts.logJsonOut)) {
         } else if (arg == "--profile-enum") {
-            opts.profileEnum = 1;
-        } else if (arg.rfind("--profile-enum=", 0) == 0) {
-            value = arg.substr(15);
-            bool digits = !value.empty() &&
-                          value.find_first_not_of("0123456789") ==
-                              std::string::npos;
-            if (!digits)
-                fatal("bad --profile-enum period '", value, "'");
-            try {
-                opts.profileEnum = std::stoull(value);
-            } catch (const std::exception &) {
-                fatal("bad --profile-enum period '", value, "'");
-            }
-            if (opts.profileEnum < 1)
-                fatal("--profile-enum period must be at least 1");
+            opts.enumProfile = true;
         } else if (value_flag("--synth-out", &opts.synthOut)) {
         } else if (value_flag("--shrink", &opts.shrinkCondition)) {
         } else if (value_flag("--model", &value)) {
@@ -388,8 +353,6 @@ checkRequestOf(const litmus::LitmusTest &test,
     request.check.dot = options.dot;
     request.check.compareModels = options.compareModels;
     request.check.presolve = options.presolve;
-    request.check.profileEnum = options.profileEnum;
-    request.check.enumCore = options.enumCore;
     request.lint.enabled = options.lint;
     request.sim.enabled = options.simulate;
     request.sim.iterations = options.simIterations;
@@ -477,113 +440,6 @@ runPresolveDiff(const DriverOptions &opts, engine::Engine &eng,
         << total_assertions << " assertions conclusive, "
         << disagreements << " disagreements\n";
     return disagreements == 0 ? 0 : 1;
-}
-
-/**
- * The stats both enumeration cores must account identically — every
- * deterministic counter except the three incremental-only layer
- * counters (layerRfDelta additionally counts the DFS's closure
- * inserts; the prefix-reject counters have no legacy analogue).
- */
-std::vector<std::pair<const char *, std::uint64_t>>
-sharedEnumStats(const model::CheckStats &s)
-{
-    std::vector<std::pair<const char *, std::uint64_t>> fields = {
-        {"rf_assignments", s.rfAssignments},
-        {"candidate_executions", s.candidateExecutions},
-        {"consistent_executions", s.consistentExecutions},
-        {"fixpoint_iterations", s.fixpointIterations},
-        {"fast_path_hits", s.fastPathHits},
-        {"fast_path_misses", s.fastPathMisses},
-        {"reject_no_thin_air", s.rejectNoThinAir},
-        {"reject_value_infeasible", s.rejectValueInfeasible},
-        {"reject_causality_a", s.rejectCausalityA},
-        {"reject_coherence_unembeddable",
-         s.rejectCoherenceUnembeddable},
-        {"reject_causality_b", s.rejectCausalityB},
-        {"reject_sc_per_location", s.rejectScPerLocation},
-        {"reject_atomicity", s.rejectAtomicity},
-        {"reject_fence_sc", s.rejectFenceSc},
-        {"enum_reads", s.enumReads},
-        {"enum_source_slots", s.enumSourceSlots},
-        {"co_locations", s.coLocations},
-        {"co_orders", s.coOrders},
-        {"layer_base_reuse", s.layerBaseReuse},
-    };
-    for (std::size_t d = 0; d < s.depthHistogram.size(); d++)
-        fields.emplace_back("depth_histogram", s.depthHistogram[d]);
-    return fields;
-}
-
-/**
- * The --enum-diff harness: for every test, run the incremental core
- * and the legacy oracle and require byte-identical observable results
- * — outcome sets, budget verdicts, assertion verdicts, and every
- * shared counter. Exit 0 iff zero divergences; the cores are supposed
- * to be indistinguishable, so any difference is a bug in one of them.
- */
-int
-runEnumDiff(const DriverOptions &opts, engine::Engine &eng,
-            const std::vector<litmus::LitmusTest> &tests,
-            std::ostream &out, std::ostream &err)
-{
-    std::size_t divergences = 0;
-
-    for (const litmus::LitmusTest &test : tests) {
-        engine::Request incremental = engine::Request::forCheck(test);
-        incremental.check.mode = opts.mode;
-        incremental.check.enumCore = model::EnumCore::Incremental;
-
-        engine::Request legacy = engine::Request::forCheck(test);
-        legacy.check.mode = opts.mode;
-        legacy.check.enumCore = model::EnumCore::Legacy;
-
-        model::CheckResult ir, lr;
-        try {
-            ir = eng.submit(incremental).check;
-            lr = eng.submit(legacy).check;
-        } catch (const FatalError &e) {
-            err << "nvlitmus: " << test.name() << ": " << e.what()
-                << "\n";
-            return 2;
-        }
-
-        std::vector<std::string> diffs;
-        if (ir.outcomes != lr.outcomes)
-            diffs.push_back("outcome sets differ (" +
-                            std::to_string(ir.outcomes.size()) +
-                            " vs " +
-                            std::to_string(lr.outcomes.size()) + ")");
-        if (ir.budgetExceeded != lr.budgetExceeded)
-            diffs.push_back("budget verdicts differ");
-        if (ir.allPassed() != lr.allPassed())
-            diffs.push_back("assertion verdicts differ");
-        const auto is = sharedEnumStats(ir.stats);
-        const auto ls = sharedEnumStats(lr.stats);
-        for (std::size_t f = 0; f < is.size(); f++) {
-            if (is[f].second != ls[f].second) {
-                diffs.push_back(std::string(is[f].first) + " " +
-                                std::to_string(is[f].second) + " vs " +
-                                std::to_string(ls[f].second));
-            }
-        }
-
-        if (diffs.empty()) {
-            out << "ok    " << test.name() << "  ("
-                << ir.stats.candidateExecutions << " candidates, "
-                << ir.outcomes.size() << " outcomes)\n";
-        } else {
-            divergences++;
-            out << "DIVERGE  " << test.name();
-            for (const std::string &d : diffs)
-                out << "  [" << d << "]";
-            out << "\n";
-        }
-    }
-
-    out << "enum-core differential: " << tests.size() << " tests, "
-        << divergences << " divergences\n";
-    return divergences == 0 ? 0 : 1;
 }
 
 } // namespace
@@ -715,9 +571,8 @@ runParsed(const DriverOptions &opts, engine::Engine &eng,
     }
 
     std::vector<litmus::LitmusTest> tests;
-    if (opts.all ||
-        ((opts.presolveDiff || opts.enumDiff) && opts.inputs.empty())) {
-        // A differential harness with no inputs sweeps the whole
+    if (opts.all || (opts.presolveDiff && opts.inputs.empty())) {
+        // The differential harness with no inputs sweeps the whole
         // built-in corpus — the corpus-soundness default.
         tests = litmus::allTests();
     } else {
@@ -774,8 +629,6 @@ runParsed(const DriverOptions &opts, engine::Engine &eng,
 
     if (opts.presolveDiff)
         return runPresolveDiff(opts, eng, tests, out, err);
-    if (opts.enumDiff)
-        return runEnumDiff(opts, eng, tests, out, err);
 
     runtime::ParallelOptions par;
     par.jobs = opts.jobs;
@@ -852,7 +705,6 @@ runParsed(const DriverOptions &opts, engine::Engine &eng,
                     engine::Request::forCheck(tests[i]);
                 request.check.mode = opts.mode;
                 request.check.presolve = opts.presolve;
-                request.check.profileEnum = opts.profileEnum;
                 auto verdict = eng.submit(request);
                 const model::CheckResult &result = verdict.check;
                 slots[i].passed = result.allPassed();
@@ -921,7 +773,7 @@ runCli(const std::vector<std::string> &args, std::ostream &out,
     // global session, and concurrent runCli calls cannot collide.
     const bool observing = opts.timing || !opts.traceOut.empty() ||
                            !opts.statsJsonOut.empty() ||
-                           opts.profileEnum != 0 ||
+                           opts.enumProfile ||
                            !opts.metricsOut.empty();
     obs::Session session;
     if (observing)
@@ -939,7 +791,7 @@ runCli(const std::vector<std::string> &args, std::ostream &out,
         session.disable();
         if (opts.timing)
             err << obs::timingTable(session.metrics);
-        if (opts.profileEnum != 0)
+        if (opts.enumProfile)
             err << obs::enumProfileTable(session.metrics);
         if (!opts.metricsOut.empty()) {
             std::map<std::string, std::string> meta;

@@ -103,7 +103,7 @@ hasPrefix(const std::string &name, const std::string &prefix)
  */
 void
 emitEnumSection(std::ostringstream &os, const MetricsRegistry &registry,
-                const char *label, const std::string &group, bool last)
+                const char *label, const std::string &group)
 {
     const std::string prefix = std::string(kEnumPrefix) + group + ".";
     os << "    \"" << label << "\": {";
@@ -115,7 +115,7 @@ emitEnumSection(std::ostringstream &os, const MetricsRegistry &registry,
            << jsonEscape(name.substr(prefix.size())) << "\": " << value;
         first = false;
     }
-    os << (first ? "" : "\n    ") << "}" << (last ? "\n" : ",\n");
+    os << (first ? "" : "\n    ") << "},\n";
 }
 
 } // namespace
@@ -186,8 +186,8 @@ statsJson(const MetricsRegistry &registry,
         first = false;
     }
     os << (first ? "" : "\n    ") << "}\n  },\n  \"enum_profile\": {\n";
-    emitEnumSection(os, registry, "rejections", "reject", false);
-    emitEnumSection(os, registry, "depth_histogram", "depth", false);
+    emitEnumSection(os, registry, "rejections", "reject");
+    emitEnumSection(os, registry, "depth_histogram", "depth");
     // Branching spans two counter groups ("rf.*" and "co.*"); emit
     // them with their group-qualified suffixes under one object.
     {
@@ -204,9 +204,8 @@ statsJson(const MetricsRegistry &registry,
                << "\": " << value;
             bfirst = false;
         }
-        os << (bfirst ? "" : "\n    ") << "},\n";
+        os << (bfirst ? "" : "\n    ") << "}\n";
     }
-    emitEnumSection(os, registry, "sampled", "sampled", true);
     os << "  }\n}\n";
     return os.str();
 }
@@ -361,37 +360,6 @@ enumProfileTable(const MetricsRegistry &registry)
     row("presolve inconclusive",
         counterOr(registry, "check.presolve.inconclusive"));
 
-    const std::uint64_t samples =
-        counterOr(registry, "checker.enum.sampled.candidates");
-    if (samples > 0) {
-        std::snprintf(line, sizeof(line),
-                      "sampled wall clock (%llu candidates):\n",
-                      static_cast<unsigned long long>(samples));
-        os << line;
-        auto sampled_row = [&](const char *name,
-                               const std::string &counter) {
-            const std::uint64_t ns = counterOr(registry, counter);
-            std::snprintf(line, sizeof(line),
-                          "  %-30s %12.3f ms %10.1f ns/cand\n", name,
-                          static_cast<double>(ns) * 1e-6,
-                          static_cast<double>(ns) /
-                              static_cast<double>(samples));
-            os << line;
-        };
-        sampled_row("co+fr build",
-                    "checker.enum.sampled.co_build_ns");
-        sampled_row("axiom causality_b",
-                    "checker.enum.sampled.axiom.causality_b_ns");
-        sampled_row("axiom sc_per_location",
-                    "checker.enum.sampled.axiom.sc_per_location_ns");
-        sampled_row("axiom atomicity",
-                    "checker.enum.sampled.axiom.atomicity_ns");
-        sampled_row("axiom fence_sc",
-                    "checker.enum.sampled.axiom.fence_sc_ns");
-    } else {
-        os << "sampled wall clock: (no samples — pass "
-              "--profile-enum[=N] on a run that enumerates)\n";
-    }
     return os.str();
 }
 

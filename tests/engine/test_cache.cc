@@ -11,6 +11,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -108,10 +109,6 @@ TEST(Fingerprint, SeparatesEveryKnob)
     EXPECT_NE(base, VerdictCache::fingerprint(
                         key, model::ProxyMode::Ptx75, true, 1000,
                         model::PresolvePolicy::Only));
-    EXPECT_NE(base, VerdictCache::fingerprint(
-                        key, model::ProxyMode::Ptx75, true, 1000,
-                        model::PresolvePolicy::Off,
-                        model::EnumCore::Legacy));
     EXPECT_EQ(base, VerdictCache::fingerprint(
                         key, model::ProxyMode::Ptx75, true, 1000));
     EXPECT_EQ(base, VerdictCache::fingerprint(
@@ -120,7 +117,7 @@ TEST(Fingerprint, SeparatesEveryKnob)
     EXPECT_EQ(base, VerdictCache::fingerprint(
                         key, model::ProxyMode::Ptx75, true, 1000,
                         model::PresolvePolicy::Off,
-                        model::EnumCore::Incremental));
+                        EnumCore::Incremental));
 }
 
 TEST(VerdictCache, MissComputesThenHits)
@@ -365,6 +362,47 @@ TEST(VerdictCache, CorruptDiskEntryDegradesToAMiss)
         &hit);
     EXPECT_FALSE(hit);
     EXPECT_EQ(computations, 1);
+}
+
+TEST(VerdictCache, PreviousFormatDiskEntryIsAMiss)
+{
+    // v3 entries predate the per-assignment budget cutoff, so a cached
+    // over-budget verdict from them could disagree with a fresh check.
+    // An otherwise valid entry under the old format tag must be
+    // recomputed, and the recomputation replaces it.
+    CachedVerdict stale = sampleVerdict(3);
+    std::string text = encodeVerdictEntry("k", stale);
+    const std::string current = "mixedproxy.verdict.v4";
+    const std::size_t at = text.find(current);
+    ASSERT_NE(at, std::string::npos) << text;
+    text.replace(at, current.size(), "mixedproxy.verdict.v3");
+    CachedVerdict decoded;
+    EXPECT_FALSE(decodeVerdictEntry(text, "k", decoded));
+
+    TempDir dir;
+    VerdictCache::Config config;
+    config.diskDir = dir.path.string();
+    const auto path = dir.path / (sha256Hex("k") + ".json");
+    std::ofstream(path) << text;
+
+    int computations = 0;
+    bool hit = true;
+    CachedVerdict fresh = VerdictCache(config).lookupOrCompute(
+        "k",
+        [&] {
+            computations++;
+            return sampleVerdict(4);
+        },
+        &hit);
+    EXPECT_FALSE(hit);
+    EXPECT_EQ(computations, 1);
+    EXPECT_EQ(fresh.stats.candidateExecutions,
+              sampleVerdict(4).stats.candidateExecutions);
+
+    std::ifstream in(path);
+    std::ostringstream stored;
+    stored << in.rdbuf();
+    EXPECT_NE(stored.str().find(current), std::string::npos);
 }
 
 } // namespace

@@ -81,6 +81,37 @@ TEST(Json, RejectsMalformedInput)
     EXPECT_FALSE(json::parse("\"unterminated", &error));
     EXPECT_FALSE(json::parse("1 2", &error)); // trailing garbage
     EXPECT_FALSE(json::parse("{\"a\":1,}", &error));
+    EXPECT_FALSE(json::parse("{\"a\":1} x", &error));
+    EXPECT_FALSE(json::parse("nan", &error)); // not a JSON number
+    EXPECT_FALSE(json::parse("[NaN]", &error));
+    EXPECT_FALSE(json::parse("{\"a\":1,\"a\":2}", &error));
+    EXPECT_NE(error.find("duplicate member"), std::string::npos) << error;
+}
+
+TEST(Json, NestingDepthIsBounded)
+{
+    // Exactly kMaxDepth levels parse; one more is a syntax error with
+    // the usual position note.
+    const std::string ok = std::string(json::kMaxDepth, '[') +
+                           std::string(json::kMaxDepth, ']');
+    EXPECT_TRUE(json::parse(ok));
+    std::string error;
+    const std::string deep = std::string(json::kMaxDepth + 1, '[') +
+                             std::string(json::kMaxDepth + 1, ']');
+    EXPECT_FALSE(json::parse(deep, &error));
+    EXPECT_NE(error.find("nesting deeper than"), std::string::npos)
+        << error;
+    EXPECT_NE(error.find("at offset " + std::to_string(json::kMaxDepth)),
+              std::string::npos)
+        << error;
+
+    // Far past the limit (the crash this guards against), mixing
+    // arrays and objects.
+    std::string hostile;
+    for (int i = 0; i < 200000; i++)
+        hostile += i % 2 ? "{\"k\":" : "[";
+    EXPECT_FALSE(json::parse(hostile, &error));
+    EXPECT_FALSE(json::parse(std::string(400000, '['), &error));
 }
 
 TEST(Json, FindOnNonObjectIsNull)

@@ -269,48 +269,18 @@ TEST(Service, MetricsOpReportsLiveServiceState)
     EXPECT_TRUE(check->find("p95_ms") != nullptr);
 }
 
-TEST(Service, ProfileEnumKnobPublishesSampledCounters)
+TEST(Service, RetiredEnumerationFieldsAreIgnored)
 {
     Engine engine;
-    // profile_enum samples every candidate of the (cache-missing)
-    // first check; the sampled counters merge into the live registry
-    // that the metrics op snapshots.
-    std::istringstream in(
-        "{\"test\":\"fig9_message_passing\",\"profile_enum\":1,"
-        "\"id\":0}\n"
-        "{\"op\":\"metrics\",\"id\":1}\n");
-    std::ostringstream out;
-    std::ostringstream err;
-    ServeOptions options;
-    options.jobs = 1;
-    ASSERT_EQ(serve(engine, options, in, out, err), 0);
-
-    std::string second = out.str().substr(out.str().find('\n') + 1);
-    auto metrics = json::parse(second);
-    ASSERT_TRUE(metrics) << second;
-    const json::Value *counters = metrics->find("counters");
-    ASSERT_TRUE(counters && counters->isObject());
-    const std::uint64_t candidates =
-        counters->uintOr("checker.candidates", 0);
-    EXPECT_GT(candidates, 0u);
-    EXPECT_EQ(counters->uintOr("checker.enum.sampled.candidates", 0),
-              candidates);
-    EXPECT_GT(counters->uintOr("checker.enum.sampled.co_build_ns", 0),
-              0u);
-}
-
-TEST(Service, EnumCoreKnobSelectsCoreAndRejectsUnknown)
-{
-    Engine engine;
-    // The two cores must answer identically (same passed verdict and
-    // outcome count); a bogus core name is a structured error, not a
-    // dead daemon.
+    // Old clients may still send the retired enumeration-core and
+    // sampling fields; the daemon ignores them, whatever their value,
+    // and answers exactly as it does without them.
     std::istringstream in(
         "{\"test\":\"fig9_message_passing\",\"id\":0}\n"
         "{\"test\":\"fig9_message_passing\","
-        "\"enum_core\":\"legacy\",\"id\":1}\n"
+        "\"enum_core\":\"legacy\",\"profile_enum\":1,\"id\":1}\n"
         "{\"test\":\"fig9_message_passing\","
-        "\"enum_core\":\"bogus\",\"id\":2}\n");
+        "\"enum_core\":\"bogus\",\"profile_enum\":\"x\",\"id\":2}\n");
     std::ostringstream out;
     std::ostringstream err;
     ServeOptions options;
@@ -318,23 +288,49 @@ TEST(Service, EnumCoreKnobSelectsCoreAndRejectsUnknown)
     ASSERT_EQ(serve(engine, options, in, out, err), 0);
 
     std::istringstream lines(out.str());
-    std::string first, second, third;
-    std::getline(lines, first);
-    std::getline(lines, second);
-    std::getline(lines, third);
-    auto incremental = json::parse(first);
-    auto legacy = json::parse(second);
-    auto bogus = json::parse(third);
-    ASSERT_TRUE(incremental && legacy && bogus);
-    EXPECT_TRUE(incremental->boolOr("ok", false));
-    EXPECT_TRUE(legacy->boolOr("ok", false));
-    EXPECT_EQ(incremental->boolOr("passed", false),
-              legacy->boolOr("passed", true));
-    EXPECT_EQ(incremental->stringOr("report", "a"),
-              legacy->stringOr("report", "b"));
-    EXPECT_FALSE(bogus->boolOr("ok", true));
-    EXPECT_NE(bogus->stringOr("error", "").find("enum core"),
-              std::string::npos);
+    std::vector<std::unique_ptr<json::Value>> docs;
+    for (std::string line; std::getline(lines, line);)
+        docs.push_back(json::parse(line));
+    ASSERT_EQ(docs.size(), 3u);
+    for (const auto &doc : docs) {
+        ASSERT_TRUE(doc);
+        EXPECT_TRUE(doc->boolOr("ok", false));
+        EXPECT_EQ(doc->stringOr("report", "a"),
+                  docs[0]->stringOr("report", "b"));
+    }
+    // Same fingerprint: the later requests are cache hits.
+    EXPECT_TRUE(docs[1]->boolOr("cache_hit", false));
+    EXPECT_TRUE(docs[2]->boolOr("cache_hit", false));
+}
+
+TEST(Service, DeeplyNestedRequestIsAnErrorAndServingContinues)
+{
+    Engine engine;
+    // 400k open brackets once overflowed the parser's stack and took
+    // the daemon down; now it is one error response and the next
+    // request is still answered.
+    std::istringstream in(std::string(400000, '[') + "\n" +
+                          "{\"cmd\":\"ping\",\"id\":1}\n");
+    std::ostringstream out;
+    std::ostringstream err;
+    ServeOptions options;
+    options.jobs = 1;
+    ASSERT_EQ(serve(engine, options, in, out, err), 0);
+
+    std::istringstream lines(out.str());
+    std::string first, second;
+    ASSERT_TRUE(std::getline(lines, first));
+    ASSERT_TRUE(std::getline(lines, second));
+    auto bad = json::parse(first);
+    auto pong = json::parse(second);
+    ASSERT_TRUE(bad && pong) << first << "\n" << second;
+    EXPECT_FALSE(bad->boolOr("ok", true));
+    EXPECT_NE(bad->stringOr("error", "").find("nesting deeper than"),
+              std::string::npos)
+        << first;
+    EXPECT_TRUE(pong->boolOr("ok", false));
+    EXPECT_TRUE(pong->boolOr("pong", false));
+    EXPECT_EQ(pong->uintOr("id", 0), 1u);
 }
 
 TEST(Service, ErrorRequestsCountIntoErrorsTotal)

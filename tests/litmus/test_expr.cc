@@ -128,6 +128,37 @@ TEST(ConditionParser, Malformed)
     EXPECT_THROW(parseCondition("t0r1 == 1"), FatalError);
 }
 
+TEST(ConditionParser, NestingDepthIsBounded)
+{
+    Outcome o = sampleOutcome();
+    // A comparison is two levels deep and each '!' adds one, so
+    // kMaxConditionDepth - 2 negations is the deepest accepted.
+    const std::size_t most = kMaxConditionDepth - 2;
+    EXPECT_TRUE(parseCondition(std::string(most, '!') + "t0.r1 == 1")
+                    ->evalBool(o));
+    EXPECT_THROW(parseCondition(std::string(most + 1, '!') + "t0.r1 == 1"),
+                 FatalError);
+
+    // Far past the limit — these once overflowed the stack.
+    EXPECT_THROW(parseCondition(std::string(300000, '!') + "t0.r1 == 1"),
+                 FatalError);
+    EXPECT_THROW(parseCondition(std::string(300000, '(') + "t0.r1 == 1"),
+                 FatalError);
+    try {
+        parseCondition(std::string(300000, '!') + "t0.r1 == 1");
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("nesting deeper than"),
+                  std::string::npos);
+    }
+
+    // A flat chain builds a tree as deep as it is long, and every
+    // later pass over the tree recurses through it.
+    std::string chain = "t0.r1 == 1";
+    for (std::size_t i = 0; i < kMaxConditionDepth; i++)
+        chain += " && t0.r1 == 1";
+    EXPECT_THROW(parseCondition(chain), FatalError);
+}
+
 TEST(ConditionParser, RoundTripToString)
 {
     auto e = parseCondition("!(t0.r1 == 1) || t1.r2 != 3 && [x] == 0");

@@ -170,61 +170,11 @@ TEST(ParseArgs, ObservabilityFlags)
 
 TEST(ParseArgs, ProfileEnumFlag)
 {
-    EXPECT_EQ(parseArgs({"x"}).profileEnum, 0u);
-    // The bare flag samples every candidate; =N sets the period.
-    EXPECT_EQ(parseArgs({"--profile-enum", "x"}).profileEnum, 1u);
-    EXPECT_EQ(parseArgs({"--profile-enum=8", "x"}).profileEnum, 8u);
-    EXPECT_THROW(parseArgs({"--profile-enum=0"}), FatalError);
-    EXPECT_THROW(parseArgs({"--profile-enum="}), FatalError);
-    EXPECT_THROW(parseArgs({"--profile-enum=abc"}), FatalError);
-    EXPECT_THROW(parseArgs({"--profile-enum=4x"}), FatalError);
+    EXPECT_FALSE(parseArgs({"x"}).enumProfile);
+    EXPECT_TRUE(parseArgs({"--profile-enum", "x"}).enumProfile);
+    // A bare switch: there is no sampling period to set.
+    EXPECT_THROW(parseArgs({"--profile-enum=8"}), FatalError);
     EXPECT_THROW(parseArgs({"--profile-enumx"}), FatalError);
-}
-
-TEST(ParseArgs, EnumCoreFlags)
-{
-    EXPECT_EQ(parseArgs({"x"}).enumCore, model::EnumCore::Incremental);
-    EXPECT_FALSE(parseArgs({"x"}).enumDiff);
-    EXPECT_EQ(parseArgs({"--enum-core=legacy", "x"}).enumCore,
-              model::EnumCore::Legacy);
-    EXPECT_EQ(parseArgs({"--enum-core", "incremental", "x"}).enumCore,
-              model::EnumCore::Incremental);
-    EXPECT_TRUE(parseArgs({"--enum-diff"}).enumDiff);
-    EXPECT_THROW(parseArgs({"--enum-core=bogus"}), FatalError);
-    EXPECT_THROW(parseArgs({"--enum-core"}), FatalError);
-    EXPECT_THROW(parseArgs({"--enum-diffx"}), FatalError);
-}
-
-TEST(Cli, EnumCoresProduceIdenticalReports)
-{
-    // The legacy core is a differential oracle: byte-identical stdout
-    // on the same input, whatever the outcome set looks like.
-    std::string incremental, legacy;
-    ASSERT_EQ(run({"fig9_message_passing"}, &incremental), 0);
-    ASSERT_EQ(
-        run({"--enum-core=legacy", "fig9_message_passing"}, &legacy),
-        0);
-    EXPECT_EQ(incremental, legacy);
-}
-
-TEST(Cli, EnumDiffReportsZeroDivergences)
-{
-    std::string out;
-    ASSERT_EQ(run({"--enum-diff", "fig9_message_passing",
-                   "fig8a_alias_fence"},
-                  &out),
-              0);
-    EXPECT_NE(out.find("0 divergences"), std::string::npos);
-    EXPECT_NE(out.find("ok    fig9_message_passing"),
-              std::string::npos);
-}
-
-TEST(Cli, HelpMentionsEnumCoreFlags)
-{
-    std::string out;
-    ASSERT_EQ(run({"--help"}, &out), 0);
-    EXPECT_NE(out.find("--enum-core"), std::string::npos);
-    EXPECT_NE(out.find("--enum-diff"), std::string::npos);
 }
 
 TEST(ParseArgs, MetricsOutAndLogJsonFlags)
@@ -313,6 +263,25 @@ TEST(Cli, FileInput)
     std::string out;
     EXPECT_EQ(run({path}, &out), 0);
     EXPECT_NE(out.find("from_file"), std::string::npos);
+    std::remove(path);
+}
+
+TEST(Cli, OverlyNestedConditionIsParseError)
+{
+    // 300k leading '!' once overflowed the stack in the condition
+    // parser; now the file is rejected like any other parse error.
+    const char *path = "nvlitmus_deep_tmp.litmus";
+    {
+        std::ofstream file(path);
+        file << "name: deep\n"
+                "thread t0:\n"
+                "  ld.global.u32 r1, [x]\n"
+                "require: "
+             << std::string(300000, '!') << "t0.r1 == 0\n";
+    }
+    std::string err;
+    EXPECT_EQ(run({path}, nullptr, &err), 2);
+    EXPECT_NE(err.find("nesting deeper than"), std::string::npos);
     std::remove(path);
 }
 

@@ -2,22 +2,37 @@
  * @file
  * Tests for the exporters: JSON escaping, Chrome trace_event output,
  * the structured stats report, and the --timing table. The two JSON
- * emitters are hand-rolled, so every document is run through the full
- * JSON syntax checker in json_check.hh.
+ * emitters are hand-rolled, so every document is run through the
+ * library's strict JSON parser (engine::json).
  */
 
 #include <sstream>
 
 #include <gtest/gtest.h>
 
-#include "json_check.hh"
+#include "engine/json.hh"
 #include "obs/report.hh"
 
 namespace {
 
 using namespace mixedproxy::obs;
-using mixedproxy::testjson::JsonValue;
-using mixedproxy::testjson::parseJson;
+namespace json = mixedproxy::engine::json;
+using json::Value;
+
+/** Member @p key of @p v, or a null value when absent. */
+const Value &
+at(const Value &v, const std::string &key)
+{
+    static const Value null_value;
+    const Value *member = v.find(key);
+    return member ? *member : null_value;
+}
+
+bool
+has(const Value &v, const std::string &key)
+{
+    return v.find(key) != nullptr;
+}
 
 TEST(JsonEscape, EscapesSpecialCharacters)
 {
@@ -32,10 +47,10 @@ TEST(ChromeTrace, EmptyTracerIsValidJson)
 {
     Tracer tracer;
     std::string error;
-    auto doc = parseJson(chromeTraceJson(tracer), &error);
-    ASSERT_TRUE(doc.has_value()) << error;
-    EXPECT_TRUE(doc->at("traceEvents").isArray());
-    EXPECT_EQ(doc->at("traceEvents").array.size(), 0u);
+    auto doc = json::parse(chromeTraceJson(tracer), &error);
+    ASSERT_TRUE(doc) << error;
+    EXPECT_TRUE(at(*doc, "traceEvents").kind == Value::Kind::Array);
+    EXPECT_EQ(at(*doc, "traceEvents").array.size(), 0u);
 }
 
 TEST(ChromeTrace, EventsCarryChromeFields)
@@ -44,21 +59,21 @@ TEST(ChromeTrace, EventsCarryChromeFields)
     tracer.record({"check", 10.0, 250.5, 0});
     tracer.record({"check.derived", 20.0, 100.0, 1});
     std::string error;
-    auto doc = parseJson(chromeTraceJson(tracer), &error);
-    ASSERT_TRUE(doc.has_value()) << error;
-    EXPECT_EQ(doc->at("displayTimeUnit").string, "ms");
-    const auto &events = doc->at("traceEvents").array;
+    auto doc = json::parse(chromeTraceJson(tracer), &error);
+    ASSERT_TRUE(doc) << error;
+    EXPECT_EQ(at(*doc, "displayTimeUnit").string, "ms");
+    const auto &events = at(*doc, "traceEvents").array;
     ASSERT_EQ(events.size(), 2u);
-    const JsonValue &e = events[0];
-    EXPECT_EQ(e.at("name").string, "check");
-    EXPECT_EQ(e.at("ph").string, "X");
-    EXPECT_EQ(e.at("cat").string, "mixedproxy");
-    EXPECT_DOUBLE_EQ(e.at("pid").number, 0.0);
-    EXPECT_DOUBLE_EQ(e.at("tid").number, 0.0);
-    EXPECT_NEAR(e.at("ts").number, 10.0, 1e-6);
-    EXPECT_NEAR(e.at("dur").number, 250.5, 1e-6);
-    EXPECT_NEAR(e.at("args").at("depth").number, 0.0, 1e-9);
-    EXPECT_NEAR(events[1].at("args").at("depth").number, 1.0, 1e-9);
+    const Value &e = events[0];
+    EXPECT_EQ(at(e, "name").string, "check");
+    EXPECT_EQ(at(e, "ph").string, "X");
+    EXPECT_EQ(at(e, "cat").string, "mixedproxy");
+    EXPECT_DOUBLE_EQ(at(e, "pid").number, 0.0);
+    EXPECT_DOUBLE_EQ(at(e, "tid").number, 0.0);
+    EXPECT_NEAR(at(e, "ts").number, 10.0, 1e-6);
+    EXPECT_NEAR(at(e, "dur").number, 250.5, 1e-6);
+    EXPECT_NEAR(at(at(e, "args"), "depth").number, 0.0, 1e-9);
+    EXPECT_NEAR(at(at(events[1], "args"), "depth").number, 1.0, 1e-9);
 }
 
 TEST(ChromeTrace, EscapesEventNames)
@@ -66,9 +81,9 @@ TEST(ChromeTrace, EscapesEventNames)
     Tracer tracer;
     tracer.record({"weird\"name\n", 0.0, 1.0, 0});
     std::string error;
-    auto doc = parseJson(chromeTraceJson(tracer), &error);
-    ASSERT_TRUE(doc.has_value()) << error;
-    EXPECT_EQ(doc->at("traceEvents").array[0].at("name").string,
+    auto doc = json::parse(chromeTraceJson(tracer), &error);
+    ASSERT_TRUE(doc) << error;
+    EXPECT_EQ(at(at(*doc, "traceEvents").array[0], "name").string,
               "weird\"name\n");
 }
 
@@ -76,33 +91,34 @@ TEST(StatsJson, EmptyRegistryIsValidAndComplete)
 {
     MetricsRegistry reg;
     std::string error;
-    auto doc = parseJson(statsJson(reg), &error);
-    ASSERT_TRUE(doc.has_value()) << error;
-    EXPECT_EQ(doc->at("schema").string, "mixedproxy.stats.v2");
-    EXPECT_TRUE(doc->at("meta").isObject());
-    EXPECT_TRUE(doc->at("build").isObject());
-    EXPECT_TRUE(doc->at("counters").isObject());
-    EXPECT_TRUE(doc->at("gauges").isObject());
-    EXPECT_TRUE(doc->at("timers").isObject());
-    EXPECT_TRUE(doc->at("enum_profile").isObject());
+    auto doc = json::parse(statsJson(reg), &error);
+    ASSERT_TRUE(doc) << error;
+    EXPECT_EQ(at(*doc, "schema").string, "mixedproxy.stats.v2");
+    EXPECT_TRUE(at(*doc, "meta").isObject());
+    EXPECT_TRUE(at(*doc, "build").isObject());
+    EXPECT_TRUE(at(*doc, "counters").isObject());
+    EXPECT_TRUE(at(*doc, "gauges").isObject());
+    EXPECT_TRUE(at(*doc, "timers").isObject());
+    EXPECT_TRUE(at(*doc, "enum_profile").isObject());
     for (const char *section :
-         {"rejections", "depth_histogram", "branching", "sampled"}) {
-        EXPECT_TRUE(doc->at("enum_profile").at(section).isObject())
+         {"rejections", "depth_histogram", "branching"}) {
+        EXPECT_TRUE(at(at(*doc, "enum_profile"), section).isObject())
             << section;
     }
+    EXPECT_EQ(at(*doc, "enum_profile").object.size(), 3u);
 }
 
 TEST(StatsJson, BuildProvenanceHasAllFields)
 {
     MetricsRegistry reg;
     std::string error;
-    auto doc = parseJson(statsJson(reg), &error);
-    ASSERT_TRUE(doc.has_value()) << error;
-    const JsonValue &build = doc->at("build");
+    auto doc = json::parse(statsJson(reg), &error);
+    ASSERT_TRUE(doc) << error;
+    const Value &build = at(*doc, "build");
     for (const char *key : {"git_sha", "compiler", "build_type"}) {
-        ASSERT_TRUE(build.has(key)) << key;
-        EXPECT_TRUE(build.at(key).isString()) << key;
-        EXPECT_FALSE(build.at(key).string.empty()) << key;
+        ASSERT_TRUE(has(build, key)) << key;
+        EXPECT_TRUE(at(build, key).isString()) << key;
+        EXPECT_FALSE(at(build, key).string.empty()) << key;
     }
 }
 
@@ -116,30 +132,28 @@ TEST(StatsJson, EnumCountersAreLiftedIntoEnumProfile)
     reg.add("checker.enum.depth.overflow", 1);
     reg.add("checker.enum.rf.reads", 2);
     reg.add("checker.enum.co.orders", 6);
-    reg.add("checker.enum.sampled.candidates", 7);
     std::string error;
-    auto doc = parseJson(statsJson(reg), &error);
-    ASSERT_TRUE(doc.has_value()) << error;
+    auto doc = json::parse(statsJson(reg), &error);
+    ASSERT_TRUE(doc) << error;
 
-    const JsonValue &profile = doc->at("enum_profile");
-    EXPECT_DOUBLE_EQ(profile.at("rejections").at("causality_b").number,
+    const Value &profile = at(*doc, "enum_profile");
+    EXPECT_DOUBLE_EQ(at(at(profile, "rejections"), "causality_b").number,
                      3.0);
     EXPECT_DOUBLE_EQ(
-        profile.at("rejections").at("sc_per_location").number, 2.0);
-    EXPECT_DOUBLE_EQ(profile.at("depth_histogram").at("2").number, 5.0);
-    EXPECT_DOUBLE_EQ(profile.at("depth_histogram").at("overflow").number,
+        at(at(profile, "rejections"), "sc_per_location").number, 2.0);
+    EXPECT_DOUBLE_EQ(at(at(profile, "depth_histogram"), "2").number, 5.0);
+    EXPECT_DOUBLE_EQ(at(at(profile, "depth_histogram"), "overflow").number,
                      1.0);
-    EXPECT_DOUBLE_EQ(profile.at("branching").at("rf.reads").number, 2.0);
-    EXPECT_DOUBLE_EQ(profile.at("branching").at("co.orders").number,
+    EXPECT_DOUBLE_EQ(at(at(profile, "branching"), "rf.reads").number, 2.0);
+    EXPECT_DOUBLE_EQ(at(at(profile, "branching"), "co.orders").number,
                      6.0);
-    EXPECT_DOUBLE_EQ(profile.at("sampled").at("candidates").number, 7.0);
 
     // Lifted counters must not be duplicated in the flat section;
     // everything else stays where it was.
-    const JsonValue &counters = doc->at("counters");
-    EXPECT_FALSE(counters.has("checker.enum.reject.causality_b"));
-    EXPECT_FALSE(counters.has("checker.enum.depth.2"));
-    EXPECT_TRUE(counters.has("checker.candidates"));
+    const Value &counters = at(*doc, "counters");
+    EXPECT_FALSE(has(counters, "checker.enum.reject.causality_b"));
+    EXPECT_FALSE(has(counters, "checker.enum.depth.2"));
+    EXPECT_TRUE(has(counters, "checker.candidates"));
 }
 
 TEST(StatsJson, RendersAllMetricKindsAndMeta)
@@ -152,25 +166,25 @@ TEST(StatsJson, RendersAllMetricKindsAndMeta)
     std::map<std::string, std::string> meta{{"tool", "nvlitmus"},
                                             {"model", "ptx75"}};
     std::string error;
-    auto doc = parseJson(statsJson(reg, meta), &error);
-    ASSERT_TRUE(doc.has_value()) << error;
-    EXPECT_EQ(doc->at("meta").at("tool").string, "nvlitmus");
-    EXPECT_EQ(doc->at("meta").at("model").string, "ptx75");
-    EXPECT_DOUBLE_EQ(doc->at("counters").at("checker.candidates").number,
+    auto doc = json::parse(statsJson(reg, meta), &error);
+    ASSERT_TRUE(doc) << error;
+    EXPECT_EQ(at(at(*doc, "meta"), "tool").string, "nvlitmus");
+    EXPECT_EQ(at(at(*doc, "meta"), "model").string, "ptx75");
+    EXPECT_DOUBLE_EQ(at(at(*doc, "counters"), "checker.candidates").number,
                      64.0);
-    EXPECT_NEAR(doc->at("gauges").at("sim.mean_latency_cycles").number,
+    EXPECT_NEAR(at(at(*doc, "gauges"), "sim.mean_latency_cycles").number,
                 3.5, 1e-6);
-    const JsonValue &timer = doc->at("timers").at("check");
+    const Value &timer = at(at(*doc, "timers"), "check");
     ASSERT_TRUE(timer.isObject());
     for (const char *key : {"count", "total_ms", "min_ms", "mean_ms",
                             "p50_ms", "p95_ms", "max_ms"}) {
-        EXPECT_TRUE(timer.has(key)) << "missing timer key " << key;
+        EXPECT_TRUE(has(timer, key)) << "missing timer key " << key;
     }
-    EXPECT_DOUBLE_EQ(timer.at("count").number, 2.0);
-    EXPECT_NEAR(timer.at("total_ms").number, 6.0, 1e-3);
-    EXPECT_NEAR(timer.at("min_ms").number, 2.0, 1e-3);
-    EXPECT_NEAR(timer.at("max_ms").number, 4.0, 1e-3);
-    EXPECT_NEAR(timer.at("mean_ms").number, 3.0, 1e-3);
+    EXPECT_DOUBLE_EQ(at(timer, "count").number, 2.0);
+    EXPECT_NEAR(at(timer, "total_ms").number, 6.0, 1e-3);
+    EXPECT_NEAR(at(timer, "min_ms").number, 2.0, 1e-3);
+    EXPECT_NEAR(at(timer, "max_ms").number, 4.0, 1e-3);
+    EXPECT_NEAR(at(timer, "mean_ms").number, 3.0, 1e-3);
 }
 
 TEST(StatsJson, EscapesMetaAndNames)
@@ -179,10 +193,10 @@ TEST(StatsJson, EscapesMetaAndNames)
     reg.add("odd\"counter", 1);
     std::map<std::string, std::string> meta{{"k\"ey", "v\\alue"}};
     std::string error;
-    auto doc = parseJson(statsJson(reg, meta), &error);
-    ASSERT_TRUE(doc.has_value()) << error;
-    EXPECT_EQ(doc->at("meta").at("k\"ey").string, "v\\alue");
-    EXPECT_TRUE(doc->at("counters").has("odd\"counter"));
+    auto doc = json::parse(statsJson(reg, meta), &error);
+    ASSERT_TRUE(doc) << error;
+    EXPECT_EQ(at(at(*doc, "meta"), "k\"ey").string, "v\\alue");
+    EXPECT_TRUE(has(at(*doc, "counters"), "odd\"counter"));
 }
 
 TEST(TimingTable, ListsPhasesByTotalDescendingAndCounters)
@@ -214,14 +228,14 @@ TEST(ChromeTrace, RequestIdIsAnEventArgument)
     tracer.record({"engine.request", 1.0, 2.0, 0, 3, 42});
     tracer.record({"parse", 1.0, 2.0, 0, 0, 0});
     std::string error;
-    auto doc = parseJson(chromeTraceJson(tracer), &error);
-    ASSERT_TRUE(doc.has_value()) << error;
-    const auto &events = doc->at("traceEvents").array;
+    auto doc = json::parse(chromeTraceJson(tracer), &error);
+    ASSERT_TRUE(doc) << error;
+    const auto &events = at(*doc, "traceEvents").array;
     ASSERT_EQ(events.size(), 2u);
-    EXPECT_NEAR(events[0].at("args").at("request_id").number, 42.0,
+    EXPECT_NEAR(at(at(events[0], "args"), "request_id").number, 42.0,
                 1e-9);
     // Id zero means "not a daemon request" and is omitted entirely.
-    EXPECT_FALSE(events[1].at("args").has("request_id"));
+    EXPECT_FALSE(has(at(events[1], "args"), "request_id"));
 }
 
 TEST(EnumProfileTable, RendersEverySection)
@@ -246,21 +260,6 @@ TEST(EnumProfileTable, RendersEverySection)
     EXPECT_NE(table.find("(9/3)"), std::string::npos);
     EXPECT_NE(table.find("co orders per location"), std::string::npos);
     EXPECT_NE(table.find("fastpath hits"), std::string::npos);
-    // Without samples the table says how to get them.
-    EXPECT_NE(table.find("--profile-enum"), std::string::npos);
-}
-
-TEST(EnumProfileTable, SampledSectionShowsPerCandidateCost)
-{
-    MetricsRegistry reg;
-    reg.add("checker.enum.sampled.candidates", 4);
-    reg.add("checker.enum.sampled.co_build_ns", 8000);
-    reg.add("checker.enum.sampled.axiom.causality_b_ns", 4000);
-    std::string table = enumProfileTable(reg);
-    EXPECT_NE(table.find("sampled wall clock (4 candidates)"),
-              std::string::npos);
-    EXPECT_NE(table.find("co+fr build"), std::string::npos);
-    EXPECT_NE(table.find("axiom causality_b"), std::string::npos);
 }
 
 TEST(Prometheus, RendersAllMetricKindsAndBuildInfo)
