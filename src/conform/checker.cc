@@ -7,6 +7,7 @@
 #include <sstream>
 #include <utility>
 
+#include "conform/fence_order.hh"
 #include "litmus/types.hh"
 #include "obs/obs.hh"
 #include "relation/error.hh"
@@ -115,9 +116,9 @@ struct FenceSet
 
 struct StreamChecker::Impl
 {
-    // Validate the window before scGraph allocates window^2 bits.
+    // Validate the window before scOrder allocates window^2 bits.
     explicit Impl(ConformOptions opts)
-        : opts(opts), scGraph((checkWindow(opts.window), opts.window))
+        : opts(opts), scOrder((checkWindow(opts.window), opts.window))
     {
     }
 
@@ -191,10 +192,9 @@ struct StreamChecker::Impl
      * Forced SC-fence order (transitively closed) over fence ids,
      * stored as its converse: row f holds the fences forced before f.
      */
-    relation::WindowedRelation scGraph;
-    std::deque<FenceInfo> liveFences; ///< fid-dense, ascending
-    std::uint64_t nextFid = 0;
-    std::uint64_t fidFloor = 0; ///< fids below this were retired
+    FenceOrder scOrder;
+    /** fid-dense and ascending: fid f is at index f - fidFloor(). */
+    std::deque<FenceInfo> liveFences;
     std::vector<std::uint64_t> lastScFence; ///< per thread
     /** Per thread: fence ids owed an edge into its next SC fence. */
     std::vector<FenceSet> pendingRead;
@@ -393,16 +393,16 @@ struct StreamChecker::Impl
     addScEdge(std::uint64_t before, std::uint64_t after,
               std::uint64_t seq, const char *why)
     {
-        if (before == after || before < fidFloor || after < fidFloor)
+        if (before == after || before < fidFloor() || after < fidFloor())
             return;
-        const FenceInfo &fb = liveFences[before - fidFloorBase()];
-        const FenceInfo &fa = liveFences[after - fidFloorBase()];
+        const FenceInfo &fb = liveFences[before - fidFloor()];
+        const FenceInfo &fa = liveFences[after - fidFloor()];
         if (!scopeIncludes(fb.scope, fb.thread, fa.thread) ||
             !scopeIncludes(fa.scope, fa.thread, fb.thread))
             return;
-        if (scGraph.contains(after, before))
+        if (scOrder.contains(after, before))
             return;
-        if (scGraph.insertWouldCycle(after, before)) {
+        if (scOrder.insertWouldCycle(after, before)) {
             violation(ViolationKind::FenceSc, seq,
                       std::string("forced SC-fence order is cyclic (") +
                           why + " forces fence at seq " +
@@ -413,15 +413,11 @@ struct StreamChecker::Impl
                       {fb.seq, fa.seq});
             return;
         }
-        scGraph.insertClosure(after, before);
+        scOrder.insertClosure(after, before);
     }
 
-    std::uint64_t
-    fidFloorBase() const
-    {
-        // liveFences is fid-dense: index of fid f is f - fid of front.
-        return liveFences.empty() ? fidFloor : liveFences.front().fid;
-    }
+    /** Fence ids below this were retired. */
+    std::uint64_t fidFloor() const { return scOrder.front(); }
 
     void
     retireFences()
@@ -430,10 +426,9 @@ struct StreamChecker::Impl
         if (drop == 0)
             return;
         const std::uint64_t floor = liveFences[drop].fid;
-        scGraph.retireBelow(floor);
+        scOrder.retireBelow(floor);
         for (std::size_t i = 0; i < drop; i++)
             liveFences.pop_front();
-        fidFloor = floor;
         report.stats.retiredFences += drop;
     }
 
@@ -478,7 +473,7 @@ struct StreamChecker::Impl
             vc[ev.thread][ev.thread]++;
         w.clock = vc[ev.thread];
         if (lastScFence[ev.thread] != kNoFence &&
-            lastScFence[ev.thread] >= fidFloor)
+            lastScFence[ev.thread] >= fidFloor())
             w.fenceBefore = lastScFence[ev.thread];
         w.scBefore = scCount[ev.thread];
         writes.emplace(ev.uid, std::move(w));
@@ -606,10 +601,10 @@ struct StreamChecker::Impl
         if (w.thread != kNoThread && loc.co.size() >= 2) {
             const WriteInfo &prev = *loc.co[loc.co.size() - 2];
             if (prev.fenceBefore != kNoFence &&
-                prev.fenceBefore >= fidFloor)
+                prev.fenceBefore >= fidFloor())
                 pendingRead[w.thread].add(prev.fenceBefore);
             for (std::uint64_t fid : prev.readerFences.ids) {
-                if (fid >= fidFloor)
+                if (fid >= fidFloor())
                     pendingRead[w.thread].add(fid);
             }
         }
@@ -660,7 +655,7 @@ struct StreamChecker::Impl
         // write w', coherence-after w, already happens-before this read.
         // Fast path: reads of the coherence-latest write skip the scan.
         const std::uint64_t fenceA =
-            (lastScFence[t] != kNoFence && lastScFence[t] >= fidFloor)
+            (lastScFence[t] != kNoFence && lastScFence[t] >= fidFloor())
                 ? lastScFence[t]
                 : kNoFence;
         if (w && w->committed) {
@@ -713,7 +708,7 @@ struct StreamChecker::Impl
         // fence-SC via rf: the writer's preceding fence is forced before
         // this thread's next fence.
         if (w && w->fenceBefore != kNoFence &&
-            w->fenceBefore >= fidFloor)
+            w->fenceBefore >= fidFloor())
             pendingRead[t].add(w->fenceBefore);
 
         // The read itself advances this thread's clock.
@@ -754,19 +749,18 @@ struct StreamChecker::Impl
 
         if (liveFences.size() >= opts.window)
             retireFences();
-        const std::uint64_t fid = nextFid++;
-        scGraph.admit(fid);
+        const std::uint64_t fid = scOrder.admit();
         liveFences.push_back(FenceInfo{fid, ev.seq, t, ev.scope});
 
         // Program order chains this thread's SC fences.
         const std::uint64_t prevFid = lastScFence[t];
-        const bool prevLive = prevFid != kNoFence && prevFid >= fidFloor;
+        const bool prevLive = prevFid != kNoFence && prevFid >= fidFloor();
         if (prevLive)
             addScEdge(prevFid, fid, ev.seq, "program order");
         // Communication observed by this thread forces earlier fences
         // before this one.
         for (std::uint64_t before : pendingRead[t].ids) {
-            if (before >= fidFloor)
+            if (before >= fidFloor())
                 addScEdge(before, fid, ev.seq, "communication");
         }
         pendingRead[t].clear();
@@ -788,7 +782,7 @@ struct StreamChecker::Impl
         DirtyWrites &d = dirty[t];
         const bool rescan =
             !prevLive || d.overflowed ||
-            liveFences[prevFid - fidFloorBase()].scope < ev.scope;
+            liveFences[prevFid - fidFloor()].scope < ev.scope;
         if (rescan) {
             for (const LocationState &loc : locState) {
                 for (const WriteInfo *w : loc.co) {

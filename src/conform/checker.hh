@@ -19,13 +19,13 @@
  * bounded memory. Coherence needs no graph: a location's commit order
  * is a deque of pointers to its live writes, and per-thread clock
  * maxima over every commit answer the coherence axiom in O(threads).
- * Fence-SC is a relation::WindowedRelation over live fence ids stored
- * as predecessor sets (row f = the fences forced before f), so an edge
- * into the newest fence ORs one row instead of broadcasting into every
- * ancestor row. An SC fence revisits only the writes of its thread
- * whose co-predecessor evidence changed since the thread's previous SC
- * fence; everything else already reaches the new fence through that
- * program-order edge. An event thus costs O(threads) amortized, plus,
+ * Fence-SC is a FenceOrder (fence_order.hh): a closed bit matrix over
+ * the live fence ids, stored as predecessor sets (row f = the fences
+ * forced before f), so an edge into the newest fence ORs one row
+ * instead of broadcasting into every ancestor row. An SC fence
+ * revisits only the writes of its thread whose co-predecessor evidence
+ * changed since the thread's previous SC fence; everything else
+ * already reaches the new fence through that program-order edge. An event thus costs O(threads) amortized, plus,
  * per new fence-SC edge, one row OR and one bit test per live fence.
  * Memory is O(locations x window) for live writes plus window^2 / 8
  * bytes of fence graph (about 34 MB at kMaxWindow).
@@ -54,7 +54,6 @@
 
 #include "conform/trace.hh"
 #include "litmus/outcome.hh"
-#include "relation/relation.hh"
 
 namespace mixedproxy::conform {
 

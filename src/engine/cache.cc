@@ -155,7 +155,7 @@ class Sha256
 };
 
 /** Disk-entry format tag; bump on any layout change. */
-constexpr const char *kEntryFormat = "mixedproxy.verdict.v4";
+constexpr const char *kEntryFormat = "mixedproxy.verdict.v5";
 
 json::Value
 encodeOutcome(const litmus::Outcome &outcome)
@@ -334,6 +334,9 @@ encodeVerdictEntry(const std::string &key, const CachedVerdict &verdict)
         outcomes.array.push_back(encodeOutcome(outcome));
     entry.object["outcomes"] = std::move(outcomes);
     entry.object["stats"] = encodeStats(verdict.stats);
+    // The digest covers every other member, so a flipped byte anywhere
+    // in the entry is a miss rather than a different verdict.
+    entry.object["digest"] = json::Value::makeString(sha256Hex(entry.dump()));
     return entry.dump();
 }
 
@@ -349,6 +352,12 @@ decodeVerdictEntry(const std::string &text, const std::string &key,
     // The embedded key is the collision guard: a filename collision
     // (or a truncated/foreign file) must degrade to a miss.
     if (doc->stringOr("key", "") != key)
+        return false;
+    // Re-serializing the parsed members reproduces the bytes the digest
+    // was taken over: members are key-sorted and numbers are integers.
+    const std::string digest = doc->stringOr("digest", "");
+    doc->object.erase("digest");
+    if (sha256Hex(doc->dump()) != digest)
         return false;
 
     CachedVerdict verdict;

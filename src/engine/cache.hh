@@ -14,8 +14,9 @@
  * Two tiers: a bounded in-memory LRU, always on, and an optional
  * on-disk store (one JSON file per fingerprint, named by its SHA-256)
  * that survives the process and makes cold-vs-warm CI runs meaningful.
- * Disk entries embed their full fingerprint and are verified on load,
- * so a hash collision degrades to a miss, never to a wrong verdict.
+ * Disk entries embed their full fingerprint and a SHA-256 digest of
+ * their contents, both verified on load, so a hash collision or a
+ * corrupted file degrades to a miss, never to a wrong verdict.
  *
  * Concurrency: lookupOrCompute() coalesces in-flight duplicates — the
  * first requester computes while concurrent requesters for the same
@@ -165,8 +166,9 @@ class VerdictCache
 };
 
 /**
- * Serialize / parse the "mixedproxy.verdict.v1" disk-entry format.
- * Exposed for the disk-store round-trip tests.
+ * Serialize / parse the "mixedproxy.verdict.v5" disk-entry format.
+ * Decoding fails (a cache miss) on a foreign key, another format tag
+ * or a digest mismatch. Exposed for the disk-store round-trip tests.
  */
 std::string encodeVerdictEntry(const std::string &key,
                                const CachedVerdict &verdict);

@@ -1,17 +1,11 @@
 /**
  * @file
- * A set of event identifiers, parameterized over a storage policy.
+ * A set of event identifiers.
  *
  * Events in a candidate execution are numbered 0..size-1; an EventSet is
- * a bitset over that universe. This is the "set" half of the relational
- * algebra used to transliterate the Alloy-style memory model definitions.
- *
- * BasicEventSet is generic over the set-storage policies in storage.hh:
- * the `EventSet` alias is the historical dense bitset (byte-identical
- * behavior and layout), while `WindowedEventSet` is the O(live-window)
- * sliding backend used by the streaming conformance checker. Dense-only
- * operations (full()) are constrained to contiguous storages; windowed
- * sets additionally expose admit()/retireBelow() to slide the window.
+ * a dense bitset over that universe, backed by kernel::WordStore. This
+ * is the "set" half of the relational algebra used to transliterate the
+ * Alloy-style memory model definitions.
  */
 
 #ifndef MIXEDPROXY_RELATION_EVENT_SET_HH
@@ -19,7 +13,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <initializer_list>
 #include <sstream>
 #include <string>
@@ -27,7 +20,6 @@
 
 #include "error.hh"
 #include "kernel.hh"
-#include "storage.hh"
 #include "word_store.hh"
 
 namespace mixedproxy::relation {
@@ -35,86 +27,53 @@ namespace mixedproxy::relation {
 /** Identifier of an event within one candidate execution. */
 using EventId = std::size_t;
 
-/**
- * A subset of the event universe {0, ..., size()-1}, stored as a bitset
- * whose geometry is owned by the @p Storage policy.
- */
-template <class Storage>
-class BasicEventSet
+/** A subset of the event universe {0, ..., size()-1}. */
+class EventSet
 {
   public:
-    using StorageType = Storage;
-
-    /**
-     * Construct the empty set. For dense storage @p size is the
-     * universe size; for windowed storage it is the live-window
-     * capacity (the universe starts empty and grows via admit()).
-     */
-    explicit BasicEventSet(std::size_t size = 0) : store(size) {}
+    /** Construct the empty set over a universe of @p size ids. */
+    explicit EventSet(std::size_t size = 0)
+        : n(size), words(kernel::wordsFor(size))
+    {}
 
     /** Construct from an explicit list of members. */
-    BasicEventSet(std::size_t size, std::initializer_list<EventId> members)
-        : BasicEventSet(size)
+    EventSet(std::size_t size, std::initializer_list<EventId> members)
+        : EventSet(size)
     {
         for (EventId id : members)
             insert(id);
     }
 
     /** The full set over a universe of @p universe_size ids. */
-    static BasicEventSet
+    static EventSet
     full(std::size_t universe_size)
-        requires(Storage::kContiguousFromZero)
     {
-        BasicEventSet s(universe_size);
-        const std::size_t count = s.store.wordCount();
+        EventSet s(universe_size);
+        const std::size_t count = s.words.size();
         for (std::size_t i = 0; i < count; i++)
-            s.store.data()[i] = ~std::uint64_t{0};
+            s.words.data()[i] = ~std::uint64_t{0};
         // Clear bits beyond the universe in the last word.
         std::size_t tail = universe_size % kernel::kBitsPerWord;
-        if (tail != 0 && count != 0) {
-            s.store.data()[count - 1] &=
-                (std::uint64_t{1} << tail) - 1;
-        }
+        if (tail != 0 && count != 0)
+            s.words.data()[count - 1] &= (std::uint64_t{1} << tail) - 1;
         return s;
     }
 
     /** Number of ids in the universe (not the cardinality). */
-    std::size_t universeSize() const { return store.universeSize(); }
-
-    /** First live id (0 for dense storage). */
-    std::size_t liveBegin() const { return store.bitBegin(); }
+    std::size_t universeSize() const { return n; }
 
     /** Number of members. */
     std::size_t
     count() const
     {
-        return kernel::popcount(store.data(), store.wordCount());
+        return kernel::popcount(words.data(), words.size());
     }
 
     /** True if the set has no members (any-bit word scan). */
     bool
     empty() const
     {
-        return !kernel::anyBit(store.data(), store.wordCount());
-    }
-
-    /**
-     * Extend the universe so @p id is live (windowed storage only; ids
-     * must be admitted in ascending order).
-     */
-    void
-    admit(EventId id)
-        requires(!Storage::kContiguousFromZero)
-    {
-        store.admit(id);
-    }
-
-    /** Retire every id below @p id (windowed storage only). */
-    void
-    retireBelow(EventId id)
-        requires(!Storage::kContiguousFromZero)
-    {
-        store.retireBelow(id);
+        return !kernel::anyBit(words.data(), words.size());
     }
 
     /** Add @p id to the set. */
@@ -122,7 +81,7 @@ class BasicEventSet
     insert(EventId id)
     {
         checkId(id);
-        kernel::setBit(store.data(), id - store.bitBase());
+        kernel::setBit(words.data(), id);
     }
 
     /** Remove @p id from the set. */
@@ -130,87 +89,84 @@ class BasicEventSet
     erase(EventId id)
     {
         checkId(id);
-        kernel::clearBit(store.data(), id - store.bitBase());
+        kernel::clearBit(words.data(), id);
     }
 
     /** True if @p id is a member. */
     bool
     contains(EventId id) const
     {
-        if (id >= store.universeSize() || id < store.bitBegin())
+        if (id >= n)
             return false;
-        return kernel::testBit(store.data(), id - store.bitBase());
+        return kernel::testBit(words.data(), id);
     }
 
     /** Set union. */
-    BasicEventSet
-    operator|(const BasicEventSet &other) const
+    EventSet
+    operator|(const EventSet &other) const
     {
-        BasicEventSet r(*this);
+        EventSet r(*this);
         r |= other;
         return r;
     }
 
     /** Set intersection. */
-    BasicEventSet
-    operator&(const BasicEventSet &other) const
+    EventSet
+    operator&(const EventSet &other) const
     {
-        BasicEventSet r(*this);
+        EventSet r(*this);
         r &= other;
         return r;
     }
 
     /** Set difference. */
-    BasicEventSet
-    operator-(const BasicEventSet &other) const
+    EventSet
+    operator-(const EventSet &other) const
     {
-        BasicEventSet r(*this);
+        EventSet r(*this);
         r -= other;
         return r;
     }
 
-    BasicEventSet &
-    operator|=(const BasicEventSet &other)
+    EventSet &
+    operator|=(const EventSet &other)
     {
         checkUniverse(other, "union");
-        kernel::orInto(store.data(), other.store.data(),
-                       store.wordCount());
+        kernel::orInto(words.data(), other.words.data(), words.size());
         return *this;
     }
 
-    BasicEventSet &
-    operator&=(const BasicEventSet &other)
+    EventSet &
+    operator&=(const EventSet &other)
     {
         checkUniverse(other, "intersection");
-        kernel::andInto(store.data(), other.store.data(),
-                        store.wordCount());
+        kernel::andInto(words.data(), other.words.data(), words.size());
         return *this;
     }
 
-    BasicEventSet &
-    operator-=(const BasicEventSet &other)
+    EventSet &
+    operator-=(const EventSet &other)
     {
         checkUniverse(other, "difference");
-        kernel::andNotInto(store.data(), other.store.data(),
-                           store.wordCount());
+        kernel::andNotInto(words.data(), other.words.data(),
+                           words.size());
         return *this;
     }
 
     bool
-    operator==(const BasicEventSet &other) const
+    operator==(const EventSet &other) const
     {
-        return store == other.store;
+        return n == other.n && words == other.words;
     }
-    bool operator!=(const BasicEventSet &other) const = default;
+    bool operator!=(const EventSet &other) const = default;
 
     /** True if this set is a subset of @p other. */
     bool
-    subsetOf(const BasicEventSet &other) const
+    subsetOf(const EventSet &other) const
     {
         checkUniverse(other, "subsetOf");
-        const std::size_t count = store.wordCount();
-        for (std::size_t i = 0; i < count; i++) {
-            if (store.data()[i] & ~other.store.data()[i])
+        for (std::size_t i = 0; i < words.size(); i++) {
+            if (words.data()[i] & ~other.words.data()[i])
                 return false;
         }
         return true;
@@ -230,31 +186,15 @@ class BasicEventSet
     void
     forEach(Fn &&fn) const
     {
-        const std::size_t base = store.bitBase();
-        const std::size_t begin = store.bitBegin();
-        kernel::forEachSetBit(store.data(), store.wordCount(),
-                              [&](std::size_t local) {
-                                  const EventId id = local + base;
-                                  if (id >= begin)
-                                      fn(id);
-                              });
-    }
-
-    /** std::function wrapper for ABI-stable callers. */
-    void
-    forEach(const std::function<void(EventId)> &fn) const
-    {
-        // Delegates to the templated overload.
-        forEach<const std::function<void(EventId)> &>(fn);
+        kernel::forEachSetBit(words.data(), words.size(), fn);
     }
 
     /** Keep only members satisfying @p pred. */
     template <typename Pred>
-    BasicEventSet
+    EventSet
     filter(Pred &&pred) const
-        requires(Storage::kContiguousFromZero)
     {
-        BasicEventSet r(store.universeSize());
+        EventSet r(n);
         forEach([&](EventId id) {
             if (pred(id))
                 r.insert(id);
@@ -262,17 +202,8 @@ class BasicEventSet
         return r;
     }
 
-    /** std::function wrapper for ABI-stable callers. */
-    BasicEventSet
-    filter(const std::function<bool(EventId)> &pred) const
-        requires(Storage::kContiguousFromZero)
-    {
-        // Delegates to the templated overload.
-        return filter<const std::function<bool(EventId)> &>(pred);
-    }
-
     /** Raw membership words (kernel.hh layout), for row masking. */
-    const std::uint64_t *wordData() const { return store.data(); }
+    const std::uint64_t *wordData() const { return words.data(); }
 
     /** Render as "{0, 3, 5}" for diagnostics. */
     std::string
@@ -295,39 +226,22 @@ class BasicEventSet
     void
     checkId(EventId id) const
     {
-        if (id >= store.universeSize() || id < store.bitBegin()) {
-            panic("EventSet id ", id, " out of universe ",
-                  store.universeSize());
-        }
+        if (id >= n)
+            panic("EventSet id ", id, " out of universe ", n);
     }
 
     void
-    checkUniverse(const BasicEventSet &other, const char *op) const
+    checkUniverse(const EventSet &other, const char *op) const
     {
-        if (other.store.universeSize() != store.universeSize()) {
-            panic("EventSet ", op, ": universe mismatch ",
-                  store.universeSize(), " vs ",
-                  other.store.universeSize());
-        }
-        if constexpr (!Storage::kContiguousFromZero) {
-            if (other.store.bitBegin() != store.bitBegin() ||
-                other.store.wordCount() != store.wordCount()) {
-                panic("EventSet ", op, ": window geometry mismatch");
-            }
+        if (other.n != n) {
+            panic("EventSet ", op, ": universe mismatch ", n, " vs ",
+                  other.n);
         }
     }
 
-    Storage store;
+    std::size_t n = 0;
+    kernel::WordStore words;
 };
-
-/** The historical dense bitset over {0..n-1}. */
-using EventSet = BasicEventSet<DenseSetStorage>;
-
-/** Sliding-window bitset for streaming workloads (src/conform/). */
-using WindowedEventSet = BasicEventSet<WindowedSetStorage>;
-
-extern template class BasicEventSet<DenseSetStorage>;
-extern template class BasicEventSet<WindowedSetStorage>;
 
 } // namespace mixedproxy::relation
 

@@ -10,11 +10,11 @@
  * allocate nothing, and avoid per-bit branching beyond set-bit
  * iteration.
  *
- * The tail of the header lifts the delta-closure maintenance ops
+ * The tail of the header holds the delta-closure maintenance ops
  * (closureInsert / closureWouldCycle) and the semi-naive frontier
- * closure to templates over the matrix-storage concept (storage.hh), so
- * the dense litmus-scale backend and the windowed streaming backend
- * share one implementation of the incremental algorithms.
+ * closure. They work on raw rows with an explicit row count, so the
+ * conformance checker's Fence-SC order (src/conform/fence_order.hh)
+ * runs the same delta ops as Relation over its live rows only.
  */
 
 #ifndef MIXEDPROXY_RELATION_KERNEL_HH
@@ -143,87 +143,77 @@ forEachSetBit(const std::uint64_t *p, std::size_t words, Fn &&fn)
     }
 }
 
-/**
- * Incremental acyclicity probe against any matrix-storage backend:
- * true when adding (a, b) to a transitively closed, acyclic relation
- * would create a cycle (b already reaches a, or a == b). Both ids must
- * be live in the storage's window.
+/*
+ * Delta-closure maintenance over a raw bit matrix: @p rows points at
+ * @p rowCount rows of @p words words each (row r at rows + r * words),
+ * and column bit c of a row stands for id c. Relation passes its whole
+ * universe; the conformance checker's fence order passes only its live
+ * rows.
  */
-template <typename Storage>
+
+/**
+ * Incremental acyclicity probe: true when adding (a, b) to a
+ * transitively closed, acyclic relation would create a cycle (b
+ * already reaches a, or a == b).
+ */
 inline bool
-closureWouldCycle(const Storage &s, std::size_t a, std::size_t b)
+closureWouldCycle(const std::uint64_t *rows, std::size_t words,
+                  std::size_t a, std::size_t b)
 {
-    return a == b || testBit(s.row(b), a - s.colBitBase());
+    return a == b || testBit(rows + b * words, a);
 }
 
 /**
- * Delta closure maintenance against any matrix-storage backend: add
- * the pair (a, b) to an already transitively closed relation and
+ * Add the pair (a, b) to an already transitively closed relation and
  * restore closure by broadcasting reach(b) = {b} ∪ succ(b) into every
- * live row that reaches a (and a itself). Both ids must be live.
+ * row that reaches a (and a itself). Scans the first @p rowCount rows.
  */
-template <typename Storage>
 inline void
-closureInsert(Storage &s, std::size_t a, std::size_t b)
+closureInsert(std::uint64_t *rows, std::size_t rowCount, std::size_t words,
+              std::size_t a, std::size_t b)
 {
-    const std::size_t words = s.wordsPerRow();
-    const std::size_t colBase = s.colBitBase();
     WordStore breach(words);
-    const std::uint64_t *brow = s.row(b);
+    const std::uint64_t *brow = rows + b * words;
     std::copy(brow, brow + words, breach.data());
-    setBit(breach.data(), b - colBase);
-    const std::size_t localA = a - colBase;
-    for (std::size_t x = s.rowBegin(); x < s.rowEnd(); x++) {
-        if (x == a || testBit(s.row(x), localA))
-            orInto(s.row(x), breach.data(), words);
+    setBit(breach.data(), b);
+    for (std::size_t x = 0; x < rowCount; x++) {
+        std::uint64_t *row = rows + x * words;
+        if (x == a || testBit(row, a))
+            orInto(row, breach.data(), words);
     }
 }
 
 /**
- * Close the stored relation transitively, in place, by semi-naive
- * delta-frontier propagation over the live window: each vertex carries
- * the bits newly added to its successor row since it was last
- * propagated; a delta is pushed word-wise into the rows of the
- * vertex's direct predecessors, and only vertices whose rows grew
- * re-enter the worklist. Pairs with retired endpoints are ignored.
+ * Close the relation transitively, in place, by semi-naive
+ * delta-frontier propagation: each vertex carries the bits newly added
+ * to its successor row since it was last propagated; a delta is pushed
+ * word-wise into the rows of the vertex's direct predecessors, and only
+ * vertices whose rows grew re-enter the worklist.
  */
-template <typename Storage>
 inline void
-frontierClosure(Storage &s)
+frontierClosure(std::uint64_t *rows, std::size_t rowCount, std::size_t words)
 {
-    const std::size_t begin = s.rowBegin();
-    const std::size_t end = s.rowEnd();
-    if (begin >= end)
+    if (rowCount == 0)
         return;
-    const std::size_t words = s.wordsPerRow();
-    const std::size_t colBase = s.colBitBase();
-    const std::size_t live = end - begin;
 
-    // Transposed adjacency over the live window: preds row of x lists
-    // x's direct predecessors (as column bits in the same geometry).
-    WordStore preds(live * words);
-    for (std::size_t a = begin; a < end; a++) {
-        forEachSetBit(s.row(a), words, [&](std::size_t localB) {
-            const std::size_t b = localB + colBase;
-            if (b >= begin && b < end) {
-                setBit(preds.data() + (b - begin) * words,
-                       a - colBase);
-            }
+    // Transposed adjacency: preds row of x lists x's direct
+    // predecessors as column bits.
+    WordStore preds(rowCount * words);
+    for (std::size_t a = 0; a < rowCount; a++) {
+        forEachSetBit(rows + a * words, words, [&](std::size_t b) {
+            setBit(preds.data() + b * words, a);
         });
     }
 
-    WordStore pending(live * words); // unpropagated deltas
-    for (std::size_t x = begin; x < end; x++) {
-        const std::uint64_t *r = s.row(x);
-        std::copy(r, r + words,
-                  pending.data() + (x - begin) * words);
-    }
-    std::vector<char> queued(live, 0);
+    // Unpropagated deltas start as the rows themselves.
+    WordStore pending(rowCount * words);
+    std::copy(rows, rows + rowCount * words, pending.data());
+    std::vector<char> queued(rowCount, 0);
     std::vector<std::size_t> worklist;
-    worklist.reserve(live);
-    for (std::size_t x = begin; x < end; x++) {
-        if (anyBit(pending.data() + (x - begin) * words, words)) {
-            queued[x - begin] = 1;
+    worklist.reserve(rowCount);
+    for (std::size_t x = 0; x < rowCount; x++) {
+        if (anyBit(pending.data() + x * words, words)) {
+            queued[x] = 1;
             worklist.push_back(x);
         }
     }
@@ -232,30 +222,26 @@ frontierClosure(Storage &s)
     while (!worklist.empty()) {
         const std::size_t x = worklist.back();
         worklist.pop_back();
-        queued[x - begin] = 0;
-        std::uint64_t *pend = pending.data() + (x - begin) * words;
+        queued[x] = 0;
+        std::uint64_t *pend = pending.data() + x * words;
         std::copy(pend, pend + words, delta.data());
         std::fill(pend, pend + words, 0);
-        forEachSetBit(
-            preds.data() + (x - begin) * words, words,
-            [&](std::size_t localP) {
-                // row(p) |= delta; newly set bits become p's delta.
-                const std::size_t p = localP + colBase;
-                std::uint64_t *prow = s.row(p);
-                std::uint64_t *ppend =
-                    pending.data() + (p - begin) * words;
-                std::uint64_t grew = 0;
-                for (std::size_t wi = 0; wi < words; wi++) {
-                    std::uint64_t add = delta[wi] & ~prow[wi];
-                    prow[wi] |= add;
-                    ppend[wi] |= add;
-                    grew |= add;
-                }
-                if (grew != 0 && !queued[p - begin]) {
-                    queued[p - begin] = 1;
-                    worklist.push_back(p);
-                }
-            });
+        forEachSetBit(preds.data() + x * words, words, [&](std::size_t p) {
+            // row(p) |= delta; newly set bits become p's delta.
+            std::uint64_t *prow = rows + p * words;
+            std::uint64_t *ppend = pending.data() + p * words;
+            std::uint64_t grew = 0;
+            for (std::size_t wi = 0; wi < words; wi++) {
+                std::uint64_t add = delta[wi] & ~prow[wi];
+                prow[wi] |= add;
+                ppend[wi] |= add;
+                grew |= add;
+            }
+            if (grew != 0 && !queued[p]) {
+                queued[p] = 1;
+                worklist.push_back(p);
+            }
+        });
     }
 }
 

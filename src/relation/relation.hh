@@ -1,7 +1,6 @@
 /**
  * @file
- * A finite binary relation over the event universe, parameterized over
- * a storage policy.
+ * A finite binary relation over the event universe.
  *
  * This class provides the relational-algebra operators that Alloy-style
  * axiomatic memory model definitions are written in: union, intersection,
@@ -9,32 +8,18 @@
  * closure, plus the acyclicity/irreflexivity checks the model axioms are
  * phrased as.
  *
- * The representation is an adjacency bit-matrix whose geometry is owned
- * by the @p Storage policy (storage.hh):
- *
- *  - `Relation` (= BasicRelation<DenseStorage>) is the historical dense
- *    matrix over {0..n-1} — exact and fast for litmus-scale universes
- *    (tens of events); the checker, pre-solver, and synthesizer all use
- *    it unchanged, with byte-identical output.
- *
- *  - `WindowedRelation` (= BasicRelation<WindowedStorage>) is the
- *    O(live-window) sliding backend of the streaming conformance
- *    checker: ids are admitted in ascending order and retired as the
- *    window slides; memory is bounded by the window capacity no matter
- *    how many events the trace carries. Dense-only operations (those
- *    whose geometry requires rows anchored at id 0) are constrained to
- *    contiguous storages and fail to compile if called on a windowed
- *    relation.
+ * The representation is a dense adjacency bit-matrix over {0..n-1}:
+ * n rows of kernel::wordsFor(n) words, backed by kernel::WordStore so
+ * litmus-scale relations (tens of events) live inline. The checker,
+ * pre-solver and synthesizer all build on it.
  *
  * Hot-path operations are built on the word-level kernels in kernel.hh
- * and accept templated callables directly; the std::function overloads
- * remain as thin delegating wrappers for ABI-stable callers. The delta
- * operations (insertClosure, unionClosure, insertWouldCycle) let an
- * already-closed relation be *extended* edge by edge without recomputing
- * the closure from scratch — the substrate of the checker's incremental
- * enumeration core and of the streaming checker's online cycle
- * detection. They are implemented once, storage-generically, in
- * kernel.hh (closureInsert / closureWouldCycle / frontierClosure).
+ * and accept any callable. The delta operations (insertClosure,
+ * unionClosure, insertWouldCycle) let an already-closed relation be
+ * *extended* edge by edge without recomputing the closure from scratch —
+ * the substrate of the checker's incremental enumeration core. Their
+ * row-level kernel (kernel.hh closureInsert) also maintains the
+ * streaming checker's Fence-SC order (src/conform/fence_order.hh).
  */
 
 #ifndef MIXEDPROXY_RELATION_RELATION_HH
@@ -45,6 +30,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -54,7 +40,6 @@
 #include "error.hh"
 #include "event_set.hh"
 #include "kernel.hh"
-#include "storage.hh"
 #include "word_store.hh"
 
 namespace mixedproxy::relation {
@@ -62,59 +47,47 @@ namespace mixedproxy::relation {
 /** An ordered pair within a relation. */
 using EventPair = std::pair<EventId, EventId>;
 
-/**
- * A binary relation on the universe {0, ..., size()-1}, as a bit-matrix
- * whose layout is owned by the @p Storage policy.
- */
-template <class Storage>
-class BasicRelation
+/** A binary relation on the universe {0, ..., size()-1}. */
+class Relation
 {
   public:
-    using StorageType = Storage;
-
-    /**
-     * Construct the empty relation. For dense storage @p size is the
-     * universe size; for windowed storage it is the live-window
-     * capacity (the universe starts empty and grows via admit()).
-     */
-    explicit BasicRelation(std::size_t size = 0) : store(size) {}
+    /** Construct the empty relation over a universe of @p size ids. */
+    explicit Relation(std::size_t size = 0)
+        : n(size), words(size * kernel::wordsFor(size))
+    {}
 
     /** Construct from an explicit pair list. */
-    BasicRelation(std::size_t size,
-                  std::initializer_list<EventPair> pairList)
-        : BasicRelation(size)
+    Relation(std::size_t size, std::initializer_list<EventPair> pairList)
+        : Relation(size)
     {
         for (const auto &[a, b] : pairList)
             insert(a, b);
     }
 
     /** The identity relation over a universe of @p n ids. */
-    static BasicRelation
+    static Relation
     identity(std::size_t n)
-        requires(Storage::kContiguousFromZero)
     {
-        BasicRelation r(n);
+        Relation r(n);
         for (EventId i = 0; i < n; i++)
             r.insert(i, i);
         return r;
     }
 
     /** The full (complete) relation over a universe of @p n ids. */
-    static BasicRelation
+    static Relation
     full(std::size_t n)
-        requires(Storage::kContiguousFromZero)
     {
         return product(EventSet::full(n), EventSet::full(n));
     }
 
     /** Cartesian product of two sets (must share a universe). */
-    static BasicRelation
+    static Relation
     product(const EventSet &from, const EventSet &to)
-        requires(Storage::kContiguousFromZero)
     {
         if (from.universeSize() != to.universeSize())
             panic("Relation::product: universe mismatch");
-        BasicRelation r(from.universeSize());
+        Relation r(from.universeSize());
         from.forEach([&](EventId a) {
             to.forEach([&](EventId b) { r.insert(a, b); });
         });
@@ -128,11 +101,10 @@ class BasicRelation
      * @param pred Returns true when (a, b) should be in the relation.
      */
     template <typename Pred>
-    static BasicRelation
+    static Relation
     fromPredicate(std::size_t n, Pred &&pred)
-        requires(Storage::kContiguousFromZero)
     {
-        BasicRelation r(n);
+        Relation r(n);
         for (EventId a = 0; a < n; a++) {
             for (EventId b = 0; b < n; b++) {
                 if (pred(a, b))
@@ -142,61 +114,21 @@ class BasicRelation
         return r;
     }
 
-    /** std::function wrapper for ABI-stable callers. */
-    static BasicRelation
-    fromPredicate(std::size_t n,
-                  const std::function<bool(EventId, EventId)> &pred)
-        requires(Storage::kContiguousFromZero)
-    {
-        // Delegates to the templated overload.
-        return fromPredicate<
-            const std::function<bool(EventId, EventId)> &>(n, pred);
-    }
-
     /** Number of ids in the universe. */
-    std::size_t universeSize() const { return store.universeSize(); }
-
-    /** First live id (0 for dense storage). */
-    std::size_t liveBegin() const { return store.rowBegin(); }
+    std::size_t universeSize() const { return n; }
 
     /** Number of pairs in the relation. */
     std::size_t
     pairCount() const
     {
-        return kernel::popcount(store.data(), store.wordCount());
+        return kernel::popcount(words.data(), words.size());
     }
 
     /** True if the relation has no pairs (any-bit word scan). */
     bool
     empty() const
     {
-        return !kernel::anyBit(store.data(), store.wordCount());
-    }
-
-    /**
-     * Extend the universe so @p id is live (windowed storage only; ids
-     * must be admitted in ascending order).
-     */
-    void
-    admit(EventId id)
-        requires(!Storage::kContiguousFromZero)
-    {
-        store.admit(id);
-    }
-
-    /** Retire every id below @p id (windowed storage only). */
-    void
-    retireBelow(EventId id)
-        requires(!Storage::kContiguousFromZero)
-    {
-        store.retireBelow(id);
-    }
-
-    /** Number of live (non-retired) ids. */
-    std::size_t
-    liveCount() const
-    {
-        return store.rowEnd() - store.rowBegin();
+        return !kernel::anyBit(words.data(), words.size());
     }
 
     /** Add the pair (a, b). */
@@ -205,7 +137,7 @@ class BasicRelation
     {
         checkId(a);
         checkId(b);
-        kernel::setBit(store.row(a), b - store.colBitBase());
+        kernel::setBit(row(a), b);
     }
 
     /** Remove the pair (a, b). */
@@ -214,151 +146,137 @@ class BasicRelation
     {
         checkId(a);
         checkId(b);
-        kernel::clearBit(store.row(a), b - store.colBitBase());
+        kernel::clearBit(row(a), b);
     }
 
     /** True if the pair (a, b) is present. */
     bool
     contains(EventId a, EventId b) const
     {
-        if (a >= store.universeSize() || b >= store.universeSize() ||
-            a < store.rowBegin() || b < store.rowBegin())
+        if (a >= n || b >= n)
             return false;
-        return kernel::testBit(store.row(a), b - store.colBitBase());
+        return kernel::testBit(row(a), b);
     }
 
     /** Relation union. */
-    BasicRelation
-    operator|(const BasicRelation &other) const
+    Relation
+    operator|(const Relation &other) const
     {
-        BasicRelation r(*this);
+        Relation r(*this);
         r |= other;
         return r;
     }
 
     /** Relation intersection. */
-    BasicRelation
-    operator&(const BasicRelation &other) const
+    Relation
+    operator&(const Relation &other) const
     {
-        BasicRelation r(*this);
+        Relation r(*this);
         r &= other;
         return r;
     }
 
     /** Relation difference. */
-    BasicRelation
-    operator-(const BasicRelation &other) const
+    Relation
+    operator-(const Relation &other) const
     {
-        BasicRelation r(*this);
+        Relation r(*this);
         r -= other;
         return r;
     }
 
-    BasicRelation &
-    operator|=(const BasicRelation &other)
+    Relation &
+    operator|=(const Relation &other)
     {
         checkUniverse(other, "union");
-        kernel::orInto(store.data(), other.store.data(),
-                       store.wordCount());
+        kernel::orInto(words.data(), other.words.data(), words.size());
         return *this;
     }
 
-    BasicRelation &
-    operator&=(const BasicRelation &other)
+    Relation &
+    operator&=(const Relation &other)
     {
         checkUniverse(other, "intersection");
-        kernel::andInto(store.data(), other.store.data(),
-                        store.wordCount());
+        kernel::andInto(words.data(), other.words.data(), words.size());
         return *this;
     }
 
-    BasicRelation &
-    operator-=(const BasicRelation &other)
+    Relation &
+    operator-=(const Relation &other)
     {
         checkUniverse(other, "difference");
-        kernel::andNotInto(store.data(), other.store.data(),
-                           store.wordCount());
+        kernel::andNotInto(words.data(), other.words.data(),
+                           words.size());
         return *this;
     }
 
     bool
-    operator==(const BasicRelation &other) const
+    operator==(const Relation &other) const
     {
-        return store == other.store;
+        return n == other.n && words == other.words;
     }
-    bool operator!=(const BasicRelation &other) const = default;
+    bool operator!=(const Relation &other) const = default;
 
     /** Relational composition: (a, c) iff exists b: (a,b) and (b,c). */
-    BasicRelation
-    compose(const BasicRelation &other) const
+    Relation
+    compose(const Relation &other) const
     {
         checkUniverse(other, "compose");
-        BasicRelation r = emptyLike();
-        const std::size_t words = store.wordsPerRow();
-        const std::size_t colBase = store.colBitBase();
-        const std::size_t begin = store.rowBegin();
-        for (EventId a = begin; a < store.rowEnd(); a++) {
-            std::uint64_t *out = r.store.row(a);
+        Relation r(n);
+        const std::size_t rowWords = wordsPerRow();
+        for (EventId a = 0; a < n; a++) {
+            std::uint64_t *out = r.row(a);
             // Row-broadcast join: OR the successor row of every mid
             // into a's output row.
-            kernel::forEachSetBit(
-                store.row(a), words, [&](std::size_t local) {
-                    const std::size_t mid = local + colBase;
-                    if (mid >= begin) {
-                        kernel::orInto(out, other.store.row(mid),
-                                       words);
-                    }
-                });
+            kernel::forEachSetBit(row(a), rowWords, [&](std::size_t mid) {
+                kernel::orInto(out, other.row(mid), rowWords);
+            });
         }
         return r;
     }
 
     /** The inverse relation: (b, a) for every (a, b). */
-    BasicRelation
+    Relation
     inverse() const
     {
-        BasicRelation r = emptyLike();
+        Relation r(n);
         forEach([&r](EventId a, EventId b) { r.insert(b, a); });
         return r;
     }
 
     /** Irreflexive transitive closure (Alloy ^r). */
-    BasicRelation
+    Relation
     transitiveClosure() const
     {
         // Semi-naive delta-frontier propagation (kernel.hh
         // frontierClosure), with a single-word in-place Floyd-Warshall
-        // fast path for contiguous universes of up to 64 ids: O(n^2)
-        // word ORs with no allocation or worklist bookkeeping — far
-        // below the semi-naive path's constant factor at litmus scale.
-        // The closure is unique, so the paths agree bit for bit.
-        BasicRelation r(*this);
-        const std::size_t n = store.universeSize();
+        // fast path for universes of up to 64 ids: O(n^2) word ORs with
+        // no allocation or worklist bookkeeping — far below the
+        // semi-naive path's constant factor at litmus scale. The
+        // closure is unique, so the paths agree bit for bit.
+        Relation r(*this);
         if (n == 0)
             return r;
-        if constexpr (Storage::kContiguousFromZero) {
-            if (r.store.wordsPerRow() == 1) {
-                std::uint64_t *rows = r.store.data();
-                for (EventId k = 0; k < n; k++) {
-                    const std::uint64_t krow = rows[k];
-                    for (EventId i = 0; i < n; i++) {
-                        if ((rows[i] >> k) & 1)
-                            rows[i] |= krow;
-                    }
+        if (wordsPerRow() == 1) {
+            std::uint64_t *rows = r.words.data();
+            for (EventId k = 0; k < n; k++) {
+                const std::uint64_t krow = rows[k];
+                for (EventId i = 0; i < n; i++) {
+                    if ((rows[i] >> k) & 1)
+                        rows[i] |= krow;
                 }
-                return r;
             }
+            return r;
         }
-        kernel::frontierClosure(r.store);
+        kernel::frontierClosure(r.words.data(), n, wordsPerRow());
         return r;
     }
 
     /** Reflexive transitive closure (Alloy *r). */
-    BasicRelation
+    Relation
     reflexiveTransitiveClosure() const
-        requires(Storage::kContiguousFromZero)
     {
-        return transitiveClosure() | identity(store.universeSize());
+        return transitiveClosure() | identity(n);
     }
 
     /**
@@ -374,7 +292,7 @@ class BasicRelation
     {
         checkId(a);
         checkId(b);
-        kernel::closureInsert(store, a, b);
+        kernel::closureInsert(words.data(), n, wordsPerRow(), a, b);
     }
 
     /**
@@ -394,7 +312,7 @@ class BasicRelation
      * pairs already present).
      */
     void
-    unionClosure(const BasicRelation &delta)
+    unionClosure(const Relation &delta)
     {
         checkUniverse(delta, "unionClosure");
         delta.forEach([&](EventId a, EventId b) {
@@ -404,53 +322,48 @@ class BasicRelation
     }
 
     /** Restrict both sides to @p s: s <: r :> s. */
-    BasicRelation
+    Relation
     restrict(const EventSet &s) const
-        requires(Storage::kContiguousFromZero)
     {
         return restrictDomain(s).restrictRange(s);
     }
 
     /** Restrict the domain to @p s (Alloy s <: r). */
-    BasicRelation
+    Relation
     restrictDomain(const EventSet &s) const
-        requires(Storage::kContiguousFromZero)
     {
-        if (s.universeSize() != store.universeSize())
+        if (s.universeSize() != n)
             panic("Relation::restrictDomain: universe mismatch");
-        BasicRelation r(store.universeSize());
-        const std::size_t words = store.wordsPerRow();
+        Relation r(n);
+        const std::size_t rowWords = wordsPerRow();
         s.forEach([&](EventId a) {
-            const std::uint64_t *src = store.row(a);
-            std::uint64_t *dst = r.store.row(a);
-            std::copy(src, src + words, dst);
+            const std::uint64_t *src = row(a);
+            std::copy(src, src + rowWords, r.row(a));
         });
         return r;
     }
 
     /** Restrict the range to @p s (Alloy r :> s). */
-    BasicRelation
+    Relation
     restrictRange(const EventSet &s) const
-        requires(Storage::kContiguousFromZero)
     {
-        if (s.universeSize() != store.universeSize())
+        if (s.universeSize() != n)
             panic("Relation::restrictRange: universe mismatch");
         // Mask every row with s's membership words.
-        BasicRelation r(*this);
-        const std::size_t words = store.wordsPerRow();
+        Relation r(*this);
+        const std::size_t rowWords = wordsPerRow();
         const std::uint64_t *mask = s.wordData();
-        for (EventId a = 0; a < store.universeSize(); a++)
-            kernel::andInto(r.store.row(a), mask, words);
+        for (EventId a = 0; a < n; a++)
+            kernel::andInto(r.row(a), mask, rowWords);
         return r;
     }
 
     /** Keep only pairs satisfying @p pred. */
     template <typename Pred>
-    BasicRelation
+    Relation
     filter(Pred &&pred) const
-        requires(Storage::kContiguousFromZero)
     {
-        BasicRelation r(store.universeSize());
+        Relation r(n);
         forEach([&](EventId a, EventId b) {
             if (pred(a, b))
                 r.insert(a, b);
@@ -458,24 +371,14 @@ class BasicRelation
         return r;
     }
 
-    /** std::function wrapper for ABI-stable callers. */
-    BasicRelation
-    filter(const std::function<bool(EventId, EventId)> &pred) const
-        requires(Storage::kContiguousFromZero)
-    {
-        // Delegates to the templated overload.
-        return filter<const std::function<bool(EventId, EventId)> &>(
-            pred);
-    }
-
     /** Set of ids appearing on the left of some pair. */
     EventSet
     domain() const
     {
-        EventSet s(store.universeSize());
-        const std::size_t words = store.wordsPerRow();
-        for (EventId a = store.rowBegin(); a < store.rowEnd(); a++) {
-            if (kernel::anyBit(store.row(a), words))
+        EventSet s(n);
+        const std::size_t rowWords = wordsPerRow();
+        for (EventId a = 0; a < n; a++) {
+            if (kernel::anyBit(row(a), rowWords))
                 s.insert(a);
         }
         return s;
@@ -485,17 +388,13 @@ class BasicRelation
     EventSet
     range() const
     {
-        EventSet s(store.universeSize());
-        const std::size_t words = store.wordsPerRow();
-        const std::size_t colBase = store.colBitBase();
-        const std::size_t begin = store.rowBegin();
-        kernel::WordStore acc(words);
-        for (EventId a = begin; a < store.rowEnd(); a++)
-            kernel::orInto(acc.data(), store.row(a), words);
-        kernel::forEachSetBit(acc.data(), words, [&](std::size_t b) {
-            if (b + colBase >= begin)
-                s.insert(b + colBase);
-        });
+        EventSet s(n);
+        const std::size_t rowWords = wordsPerRow();
+        kernel::WordStore acc(rowWords);
+        for (EventId a = 0; a < n; a++)
+            kernel::orInto(acc.data(), row(a), rowWords);
+        kernel::forEachSetBit(acc.data(), rowWords,
+                              [&](std::size_t b) { s.insert(b); });
         return s;
     }
 
@@ -504,14 +403,9 @@ class BasicRelation
     successors(EventId a) const
     {
         checkId(a);
-        EventSet s(store.universeSize());
-        const std::size_t colBase = store.colBitBase();
-        const std::size_t begin = store.rowBegin();
-        kernel::forEachSetBit(store.row(a), store.wordsPerRow(),
-                              [&](std::size_t b) {
-                                  if (b + colBase >= begin)
-                                      s.insert(b + colBase);
-                              });
+        EventSet s(n);
+        kernel::forEachSetBit(row(a), wordsPerRow(),
+                              [&](std::size_t b) { s.insert(b); });
         return s;
     }
 
@@ -520,8 +414,8 @@ class BasicRelation
     predecessors(EventId b) const
     {
         checkId(b);
-        EventSet s(store.universeSize());
-        for (EventId a = store.rowBegin(); a < store.rowEnd(); a++) {
+        EventSet s(n);
+        for (EventId a = 0; a < n; a++) {
             if (contains(a, b))
                 s.insert(a);
         }
@@ -532,7 +426,7 @@ class BasicRelation
     bool
     irreflexive() const
     {
-        for (EventId i = store.rowBegin(); i < store.rowEnd(); i++) {
+        for (EventId i = 0; i < n; i++) {
             if (contains(i, i))
                 return false;
         }
@@ -555,12 +449,11 @@ class BasicRelation
 
     /** True if this relation is a subset of @p other. */
     bool
-    subsetOf(const BasicRelation &other) const
+    subsetOf(const Relation &other) const
     {
         checkUniverse(other, "subsetOf");
-        const std::size_t count = store.wordCount();
-        for (std::size_t i = 0; i < count; i++) {
-            if (store.data()[i] & ~other.store.data()[i])
+        for (std::size_t i = 0; i < words.size(); i++) {
+            if (words.data()[i] & ~other.words.data()[i])
                 return false;
         }
         return true;
@@ -573,7 +466,7 @@ class BasicRelation
     bool
     totalOn(const EventSet &s) const
     {
-        if (s.universeSize() != store.universeSize())
+        if (s.universeSize() != n)
             panic("Relation::totalOn: universe mismatch");
         auto ids = s.members();
         for (std::size_t i = 0; i < ids.size(); i++) {
@@ -600,25 +493,11 @@ class BasicRelation
     void
     forEach(Fn &&fn) const
     {
-        const std::size_t words = store.wordsPerRow();
-        const std::size_t colBase = store.colBitBase();
-        const std::size_t begin = store.rowBegin();
-        for (EventId a = begin; a < store.rowEnd(); a++) {
-            kernel::forEachSetBit(store.row(a), words,
-                                  [&](std::size_t local) {
-                                      const EventId b = local + colBase;
-                                      if (b >= begin)
-                                          fn(a, b);
-                                  });
+        const std::size_t rowWords = wordsPerRow();
+        for (EventId a = 0; a < n; a++) {
+            kernel::forEachSetBit(row(a), rowWords,
+                                  [&](std::size_t b) { fn(a, b); });
         }
-    }
-
-    /** std::function wrapper for ABI-stable callers. */
-    void
-    forEach(const std::function<void(EventId, EventId)> &fn) const
-    {
-        // Delegates to the templated overload.
-        forEach<const std::function<void(EventId, EventId)> &>(fn);
     }
 
     /**
@@ -631,7 +510,6 @@ class BasicRelation
     {
         checkId(a);
         checkId(b);
-        const std::size_t n = store.universeSize();
         // BFS, recording parents.
         std::vector<EventId> parent(n, n);
         std::vector<EventId> queue;
@@ -640,7 +518,7 @@ class BasicRelation
         seen[a] = true;
         for (std::size_t head = 0; head < queue.size(); head++) {
             EventId cur = queue[head];
-            for (EventId next = store.rowBegin(); next < n; next++) {
+            for (EventId next = 0; next < n; next++) {
                 if (!contains(cur, next) || seen[next])
                     continue;
                 parent[next] = cur;
@@ -666,7 +544,6 @@ class BasicRelation
      */
     std::optional<std::vector<EventId>>
     topologicalOrder(const EventSet &s) const
-        requires(Storage::kContiguousFromZero)
     {
         std::vector<EventId> out;
         if (!topologicalOrderInto(s, out))
@@ -683,13 +560,11 @@ class BasicRelation
     bool
     topologicalOrderInto(const EventSet &s,
                          std::vector<EventId> &out) const
-        requires(Storage::kContiguousFromZero)
     {
-        const std::size_t n = store.universeSize();
         if (s.universeSize() != n)
             panic("Relation::topologicalOrder: universe mismatch");
         out.clear();
-        if (store.wordsPerRow() == 1 && n != 0) {
+        if (wordsPerRow() == 1 && n != 0) {
             // Single-word universe: Kahn's algorithm on row masks with
             // a stack-local ready stack — same LIFO visit order as the
             // general path below, zero scratch allocation. The checker
@@ -697,7 +572,7 @@ class BasicRelation
             // path's restrict() copy and members() vector dominated
             // its profile.
             const std::uint64_t mask = s.wordData()[0];
-            const std::uint64_t *rows = store.data();
+            const std::uint64_t *rows = words.data();
             std::uint8_t indeg[64] = {};
             for (std::uint64_t m = mask; m != 0; m &= m - 1) {
                 const auto a =
@@ -733,7 +608,7 @@ class BasicRelation
         }
         auto ids = s.members();
         std::vector<std::size_t> indegree(n, 0);
-        BasicRelation sub = restrict(s);
+        Relation sub = restrict(s);
         sub.forEach([&](EventId, EventId b) { indegree[b]++; });
         std::vector<EventId> ready;
         for (EventId id : ids) {
@@ -770,57 +645,34 @@ class BasicRelation
     }
 
   private:
-    /** An empty relation sharing this one's universe geometry. */
-    BasicRelation
-    emptyLike() const
+    std::size_t wordsPerRow() const { return kernel::wordsFor(n); }
+
+    std::uint64_t *row(EventId a) { return words.data() + a * wordsPerRow(); }
+    const std::uint64_t *
+    row(EventId a) const
     {
-        if constexpr (Storage::kContiguousFromZero) {
-            return BasicRelation(store.universeSize());
-        } else {
-            BasicRelation r(*this);
-            std::fill(r.store.data(),
-                      r.store.data() + r.store.wordCount(), 0);
-            return r;
-        }
+        return words.data() + a * wordsPerRow();
     }
 
     void
-    checkUniverse(const BasicRelation &other, const char *op) const
+    checkUniverse(const Relation &other, const char *op) const
     {
-        if (other.store.universeSize() != store.universeSize()) {
-            panic("Relation ", op, ": universe mismatch ",
-                  store.universeSize(), " vs ",
-                  other.store.universeSize());
-        }
-        if constexpr (!Storage::kContiguousFromZero) {
-            if (other.store.rowBegin() != store.rowBegin() ||
-                other.store.colBitBase() != store.colBitBase() ||
-                other.store.wordsPerRow() != store.wordsPerRow()) {
-                panic("Relation ", op, ": window geometry mismatch");
-            }
+        if (other.n != n) {
+            panic("Relation ", op, ": universe mismatch ", n, " vs ",
+                  other.n);
         }
     }
 
     void
     checkId(EventId id) const
     {
-        if (id >= store.universeSize() || id < store.rowBegin()) {
-            panic("Relation id ", id, " out of universe ",
-                  store.universeSize());
-        }
+        if (id >= n)
+            panic("Relation id ", id, " out of universe ", n);
     }
 
-    Storage store;
+    std::size_t n = 0;
+    kernel::WordStore words;
 };
-
-/** The historical dense bit-matrix relation over {0..n-1}. */
-using Relation = BasicRelation<DenseStorage>;
-
-/** Sliding-window banded relation for streaming workloads. */
-using WindowedRelation = BasicRelation<WindowedStorage>;
-
-extern template class BasicRelation<DenseStorage>;
-extern template class BasicRelation<WindowedStorage>;
 
 namespace detail {
 

@@ -1,8 +1,11 @@
 /**
  * @file
  * Golden suite for the streaming conformance checker: seeded generated
- * traces, checked at windows 2, 3, 8, 64 and 1024, must reproduce the
- * checked-in ConformReport::summary() transcript byte-for-byte. The
+ * traces, checked at windows 2, 3, 8, 64, 100, 130 and 1024, must
+ * reproduce the checked-in ConformReport::summary() transcript
+ * byte-for-byte. Windows 100 and 130 retire 50 and 65 fences at a
+ * time, so the fence matrix's column shift spans two and three words.
+ * The
  * traces mix CTA/GPU placements, cta/gpu/sys (and unscoped) SC fences,
  * stale reads, RMWs and out-of-order commits, so the transcript pins
  * every verdict, violation detail and counter the checker's windowed
@@ -490,7 +493,7 @@ transcript()
 {
     std::ostringstream os;
     for (const auto &[name, trace] : goldenTraces()) {
-        for (std::size_t window : {2, 3, 8, 64, 1024}) {
+        for (std::size_t window : {2, 3, 8, 64, 100, 130, 1024}) {
             conform::ConformOptions opts;
             opts.window = window;
             std::istringstream in(trace);

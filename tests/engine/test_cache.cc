@@ -2,7 +2,7 @@
  * @file
  * Tests for the two-tier verdict cache: LRU behavior, fingerprint
  * sensitivity, in-flight coalescing, disk round trips, and the
- * collision guard on disk entries.
+ * collision and corruption guards on disk entries.
  */
 
 #include <unistd.h>
@@ -19,6 +19,8 @@
 #include <gtest/gtest.h>
 
 #include "engine/cache.hh"
+#include "engine/json.hh"
+#include "nvlitmus/driver.hh"
 #include "obs/obs.hh"
 
 namespace {
@@ -366,16 +368,15 @@ TEST(VerdictCache, CorruptDiskEntryDegradesToAMiss)
 
 TEST(VerdictCache, PreviousFormatDiskEntryIsAMiss)
 {
-    // v3 entries predate the per-assignment budget cutoff, so a cached
-    // over-budget verdict from them could disagree with a fresh check.
-    // An otherwise valid entry under the old format tag must be
-    // recomputed, and the recomputation replaces it.
+    // v4 entries carry no digest, so a corrupted one could serve a
+    // wrong verdict. An otherwise valid entry under the old format tag
+    // must be recomputed, and the recomputation replaces it.
     CachedVerdict stale = sampleVerdict(3);
     std::string text = encodeVerdictEntry("k", stale);
-    const std::string current = "mixedproxy.verdict.v4";
+    const std::string current = "mixedproxy.verdict.v5";
     const std::size_t at = text.find(current);
     ASSERT_NE(at, std::string::npos) << text;
-    text.replace(at, current.size(), "mixedproxy.verdict.v3");
+    text.replace(at, current.size(), "mixedproxy.verdict.v4");
     CachedVerdict decoded;
     EXPECT_FALSE(decodeVerdictEntry(text, "k", decoded));
 
@@ -403,6 +404,84 @@ TEST(VerdictCache, PreviousFormatDiskEntryIsAMiss)
     std::ostringstream stored;
     stored << in.rdbuf();
     EXPECT_NE(stored.str().find(current), std::string::npos);
+}
+
+std::string
+readFile(const std::filesystem::path &path)
+{
+    std::ifstream in(path);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
+/**
+ * Check fig9_message_passing through the CLI with a --cache-dir, then
+ * replace @p from with @p to (one byte) in the entry it wrote. A second
+ * run must miss, recompute, rewrite the entry byte for byte and print
+ * what the cold run printed.
+ */
+void
+expectCorruptedEntryIsRecomputed(const std::string &from,
+                                 const std::string &to)
+{
+    ASSERT_EQ(from.size(), to.size());
+    TempDir dir;
+    const std::string cacheDir = (dir.path / "verdicts").string();
+    const std::filesystem::path stats = dir.path / "stats.json";
+    auto run = [&](std::vector<std::string> args) {
+        std::ostringstream out;
+        std::ostringstream err;
+        const int code = nvlitmus::runCli(args, out, err);
+        EXPECT_EQ(code, 0) << err.str();
+        return out.str();
+    };
+
+    // Both runs collect stats: that fills counters the entry stores.
+    const std::string cold =
+        run({"--cache-dir", cacheDir, "--stats-json", stats.string(),
+             "fig9_message_passing"});
+    std::vector<std::filesystem::path> entries;
+    for (const auto &file : std::filesystem::directory_iterator(cacheDir))
+        entries.push_back(file.path());
+    ASSERT_EQ(entries.size(), 1u);
+    const std::string stored = readFile(entries[0]);
+    const std::size_t at = stored.find(from);
+    ASSERT_NE(at, std::string::npos) << stored;
+    std::string corrupted = stored;
+    corrupted.replace(at, from.size(), to);
+    std::ofstream(entries[0]) << corrupted;
+
+    const std::string warm =
+        run({"--cache-dir", cacheDir, "--stats-json", stats.string(),
+             "fig9_message_passing"});
+    EXPECT_EQ(warm, cold);
+    EXPECT_EQ(readFile(entries[0]), stored);
+    const auto doc = engine::json::parse(readFile(stats));
+    ASSERT_TRUE(doc);
+    const engine::json::Value *counters = doc->find("counters");
+    ASSERT_TRUE(counters);
+    EXPECT_EQ(counters->uintOr("engine.cache.miss", 0), 1u);
+    EXPECT_EQ(counters->uintOr("engine.cache.hit", 0), 0u);
+    EXPECT_EQ(counters->uintOr("engine.cache.disk_store", 0), 1u);
+}
+
+TEST(VerdictCache, FlippedOutcomeNameIsAMissAndRewritten)
+{
+    // Once a crash: the name no longer maps back to the test.
+    expectCorruptedEntryIsRecomputed("\"t0.r1\"", "\"t0.r9\"");
+}
+
+TEST(VerdictCache, FlippedOutcomeValueIsAMissAndRewritten)
+{
+    // Once a silently different outcome set.
+    expectCorruptedEntryIsRecomputed("\"t0.r1\":42", "\"t0.r1\":43");
+}
+
+TEST(VerdictCache, FlippedStatsCounterIsAMissAndRewritten)
+{
+    expectCorruptedEntryIsRecomputed("\"candidate_executions\":4",
+                                     "\"candidate_executions\":5");
 }
 
 } // namespace

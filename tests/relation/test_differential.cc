@@ -288,31 +288,6 @@ TEST(RelationDifferential, UnionClosureMatchesFromScratch)
     }
 }
 
-TEST(RelationDifferential, TemplatedHotPathsMatchWrappers)
-{
-    // The std::function wrappers must behave identically to the
-    // templated fast paths they delegate to.
-    std::mt19937 rng(0x7E3713);
-    Sample s = randomRelation(rng, 40, 0.2);
-    auto pred = [](EventId a, EventId b) { return (a + b) % 3 == 0; };
-    std::function<bool(EventId, EventId)> fpred = pred;
-    EXPECT_EQ(Relation::fromPredicate(40, pred),
-              Relation::fromPredicate(40, fpred));
-    EXPECT_EQ(s.rel.filter(pred), s.rel.filter(fpred));
-
-    PairSet via_template;
-    s.rel.forEach(
-        [&](EventId a, EventId b) { via_template.insert({a, b}); });
-    PairSet via_wrapper;
-    std::function<void(EventId, EventId)> ffn = [&](EventId a,
-                                                    EventId b) {
-        via_wrapper.insert({a, b});
-    };
-    s.rel.forEach(ffn);
-    EXPECT_EQ(via_template, via_wrapper);
-    EXPECT_EQ(via_template, s.pairs);
-}
-
 TEST(EventSetDifferential, EmptyAndFilterMatchOracle)
 {
     std::mt19937 rng(0x5E7000);

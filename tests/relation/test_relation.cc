@@ -156,6 +156,10 @@ TEST(Relation, FromPredicate)
     EXPECT_EQ(lt.pairCount(), 6u);
     EXPECT_TRUE(lt.acyclic());
     EXPECT_TRUE(lt.totalOn(EventSet::full(4)));
+    // filter keeps exactly the pairs fromPredicate would build.
+    EXPECT_EQ(Relation::full(4).filter(
+                  [](EventId a, EventId b) { return a < b; }),
+              lt);
 }
 
 TEST(Relation, TotalOn)
