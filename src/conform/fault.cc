@@ -1,7 +1,7 @@
 #include "fault.hh"
 
+#include <algorithm>
 #include <random>
-#include <sstream>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -64,20 +64,19 @@ std::vector<ParsedLine>
 parseLines(const std::string &trace)
 {
     std::vector<ParsedLine> lines;
-    std::istringstream in(trace);
-    std::string text;
-    while (std::getline(in, text)) {
+    TraceLine line;
+    std::string error;
+    for (std::size_t pos = 0; pos < trace.size();) {
+        const std::size_t end = std::min(trace.find('\n', pos), trace.size());
         ParsedLine parsed;
-        parsed.text = std::move(text);
-        std::istringstream one(parsed.text);
-        TraceReader reader(one);
-        TraceLine line;
-        if (reader.next(line) == TraceReader::Status::Ok &&
+        parsed.text = trace.substr(pos, end - pos);
+        if (parseTraceLine(parsed.text, line, error) &&
             line.kind == TraceLine::Kind::Event) {
             parsed.isEvent = true;
             parsed.event = line.event;
         }
         lines.push_back(std::move(parsed));
+        pos = end + 1;
     }
     return lines;
 }

@@ -1,33 +1,13 @@
 #include "trace.hh"
 
 #include <charconv>
-#include <istream>
 #include <ostream>
 #include <string_view>
+#include <utility>
+
+#include "json/reader.hh"
 
 namespace mixedproxy::conform {
-
-std::string
-toString(TraceOp op)
-{
-    switch (op) {
-    case TraceOp::Store:
-        return "st";
-    case TraceOp::Commit:
-        return "commit";
-    case TraceOp::Load:
-        return "ld";
-    case TraceOp::Rmw:
-        return "atom";
-    case TraceOp::Fence:
-        return "fence";
-    case TraceOp::FenceProxy:
-        return "fence_proxy";
-    case TraceOp::Barrier:
-        return "bar";
-    }
-    return "?";
-}
 
 namespace {
 
@@ -89,22 +69,33 @@ appendAccess(std::string &line, std::size_t thread, std::size_t location,
         appendField(line, "proxy", litmus::toString(proxy));
 }
 
-std::optional<litmus::ProxyKind>
-proxyKindFromToken(std::string_view token)
+/** The value @p token names in @p table, if any. */
+template <typename T, std::size_t N>
+std::optional<T>
+lookup(const std::pair<std::string_view, T> (&table)[N],
+       std::string_view token)
 {
-    using litmus::ProxyKind;
-    if (token == "generic")
-        return ProxyKind::Generic;
-    if (token == "texture")
-        return ProxyKind::Texture;
-    if (token == "constant")
-        return ProxyKind::Constant;
-    if (token == "surface")
-        return ProxyKind::Surface;
-    if (token == "async")
-        return ProxyKind::Async;
+    for (const auto &[name, value] : table) {
+        if (name == token)
+            return value;
+    }
     return std::nullopt;
 }
+
+constexpr std::pair<std::string_view, litmus::ProxyKind> kProxyKinds[] = {
+    {"generic", litmus::ProxyKind::Generic},
+    {"texture", litmus::ProxyKind::Texture},
+    {"constant", litmus::ProxyKind::Constant},
+    {"surface", litmus::ProxyKind::Surface},
+    {"async", litmus::ProxyKind::Async},
+};
+
+constexpr std::pair<std::string_view, TraceOp> kTraceOps[] = {
+    {"st", TraceOp::Store},   {"commit", TraceOp::Commit},
+    {"ld", TraceOp::Load},    {"atom", TraceOp::Rmw},
+    {"fence", TraceOp::Fence}, {"fence_proxy", TraceOp::FenceProxy},
+    {"bar", TraceOp::Barrier},
+};
 
 } // namespace
 
@@ -118,24 +109,19 @@ TraceWriter::header(const TraceHeader &hdr)
     line += hdr.test;
     line += "\",\"threads\":[";
     for (std::size_t i = 0; i < hdr.threads.size(); i++) {
-        if (i)
-            line += ',';
-        line += "{\"name\":\"";
+        line += i ? ",{\"name\":\"" : "{\"name\":\"";
         line += hdr.threads[i].name;
-        line += "\",\"cta\":";
-        appendUint(line, (std::uint64_t)hdr.threads[i].cta);
-        line += ",\"gpu\":";
-        appendUint(line, (std::uint64_t)hdr.threads[i].gpu);
+        line += '"';
+        appendField(line, "cta", (std::uint64_t)hdr.threads[i].cta);
+        appendField(line, "gpu", (std::uint64_t)hdr.threads[i].gpu);
         line += '}';
     }
     line += "],\"locations\":[";
     for (std::size_t i = 0; i < hdr.locations.size(); i++) {
-        if (i)
-            line += ',';
-        line += "{\"name\":\"";
+        line += i ? ",{\"name\":\"" : "{\"name\":\"";
         line += hdr.locations[i].name;
-        line += "\",\"init\":";
-        appendUint(line, hdr.locations[i].init);
+        line += '"';
+        appendField(line, "init", hdr.locations[i].init);
         line += '}';
     }
     line += "]}\n";
@@ -249,27 +235,19 @@ TraceWriter::barrier(std::size_t thread, unsigned id)
 void
 TraceWriter::finish(const litmus::Outcome &outcome)
 {
-    std::string line = "{\"ev\":\"finish\",\"registers\":{";
-    bool first = true;
-    for (const auto &[reg, value] : outcome.registers) {
-        if (!first)
-            line += ',';
-        first = false;
-        line += '"';
-        line += reg;
-        line += "\":";
-        appendUint(line, value);
-    }
-    line += "},\"memory\":{";
-    first = true;
-    for (const auto &[loc, value] : outcome.memory) {
-        if (!first)
-            line += ',';
-        first = false;
-        line += '"';
-        line += loc;
-        line += "\":";
-        appendUint(line, value);
+    std::string line = "{\"ev\":\"finish\"";
+    for (const auto &[field, values] :
+         {std::pair{",\"registers\":{", &outcome.registers},
+          {"},\"memory\":{", &outcome.memory}}) {
+        line += field;
+        for (const auto &[name, value] : *values) {
+            if (line.back() != '{')
+                line += ',';
+            line += '"';
+            line += name;
+            line += "\":";
+            appendUint(line, value);
+        }
     }
     line += "}}\n";
     *out << line;
@@ -277,411 +255,217 @@ TraceWriter::finish(const litmus::Outcome &outcome)
 
 namespace {
 
-/**
- * Single-pass cursor over one JSONL line. Methods return false on
- * malformed input and leave an explanation in @p error.
- */
-class Cursor
-{
-  public:
-    Cursor(std::string_view text, std::string &error)
-        : p(text.data()), end(text.data() + text.size()), error(error)
-    {
-    }
-
-    void
-    skipWs()
-    {
-        while (p != end &&
-               (*p == ' ' || *p == '\t' || *p == '\r' || *p == '\n'))
-            p++;
-    }
-
-    bool
-    atEnd()
-    {
-        skipWs();
-        return p == end;
-    }
-
-    char
-    peek()
-    {
-        skipWs();
-        return p == end ? '\0' : *p;
-    }
-
-    bool
-    expect(char c)
-    {
-        skipWs();
-        if (p == end || *p != c) {
-            error = std::string("expected '") + c + "'";
-            return false;
-        }
-        p++;
-        return true;
-    }
-
-    /** Consume @p c if present; false (no error) otherwise. */
-    bool
-    accept(char c)
-    {
-        skipWs();
-        if (p == end || *p != c)
-            return false;
-        p++;
-        return true;
-    }
-
-    /** Parse "..." (no escapes: trace strings are identifiers). */
-    bool
-    string(std::string_view &sv)
-    {
-        if (!expect('"'))
-            return false;
-        const char *start = p;
-        while (p != end && *p != '"') {
-            if (*p == '\\') {
-                error = "escape sequences unsupported in trace strings";
-                return false;
-            }
-            p++;
-        }
-        if (p == end) {
-            error = "unterminated string";
-            return false;
-        }
-        sv = std::string_view(start, (std::size_t)(p - start));
-        p++;
-        return true;
-    }
-
-    bool
-    uint(std::uint64_t &value)
-    {
-        skipWs();
-        auto [next, ec] = std::from_chars(p, end, value);
-        if (ec != std::errc{}) {
-            error = "expected unsigned integer";
-            return false;
-        }
-        p = next;
-        return true;
-    }
-
-    /** Skip one value of any JSON type (for unknown fields). */
-    bool
-    skipValue()
-    {
-        skipWs();
-        if (p == end) {
-            error = "expected value";
-            return false;
-        }
-        switch (*p) {
-        case '"': {
-            std::string_view sv;
-            return string(sv);
-        }
-        case '[':
-        case '{': {
-            // Balanced-bracket skip; trace strings have no escapes.
-            int depth = 0;
-            bool inString = false;
-            for (; p != end; p++) {
-                if (inString) {
-                    if (*p == '"')
-                        inString = false;
-                    continue;
-                }
-                if (*p == '"')
-                    inString = true;
-                else if (*p == '[' || *p == '{')
-                    depth++;
-                else if (*p == ']' || *p == '}') {
-                    if (--depth == 0) {
-                        p++;
-                        return true;
-                    }
-                }
-            }
-            error = "unterminated array or object";
-            return false;
-        }
-        default: {
-            // Number / literal: consume until a delimiter.
-            while (p != end && *p != ',' && *p != '}' && *p != ']')
-                p++;
-            return true;
-        }
-        }
-    }
-
-  private:
-    const char *p;
-    const char *end;
-
-  public:
-    std::string &error;
-};
-
-/** Parse {"name":...,"k":v,...} object lists in the header. */
+/** Read a header list: [{"name":"x","cta":0,...},...]. */
 bool
-parseHeaderList(Cursor &cur, bool threads, TraceHeader &hdr)
+readHeaderList(json::Reader &in, bool threads, TraceHeader &hdr)
 {
-    if (!cur.expect('['))
+    if (!in.beginArray())
         return false;
-    if (cur.accept(']'))
-        return true;
-    do {
-        if (!cur.expect('{'))
-            return false;
+    while (in.nextElement()) {
         TraceThread thread;
         TraceLocation location;
-        if (!cur.accept('}')) {
-            do {
-                std::string_view key;
-                if (!cur.string(key) || !cur.expect(':'))
-                    return false;
-                std::uint64_t num = 0;
-                if (key == "name") {
-                    std::string_view sv;
-                    if (!cur.string(sv))
-                        return false;
-                    (threads ? thread.name : location.name) = sv;
-                } else if (key == "cta" && threads) {
-                    if (!cur.uint(num))
-                        return false;
-                    thread.cta = (int)num;
-                } else if (key == "gpu" && threads) {
-                    if (!cur.uint(num))
-                        return false;
-                    thread.gpu = (int)num;
-                } else if (key == "init" && !threads) {
-                    if (!cur.uint(location.init))
-                        return false;
-                } else if (!cur.skipValue()) {
-                    return false;
-                }
-            } while (cur.accept(','));
-            if (!cur.expect('}'))
+        std::string_view key;
+        if (!in.beginObject())
+            return false;
+        while (in.nextMember(key)) {
+            std::string_view name;
+            std::uint64_t num = 0;
+            bool ok = true;
+            if (key == "name") {
+                ok = in.readString(name);
+                (threads ? thread.name : location.name) = name;
+            } else if (key == "cta" && threads) {
+                ok = in.readUint(num);
+                thread.cta = (int)num;
+            } else if (key == "gpu" && threads) {
+                ok = in.readUint(num);
+                thread.gpu = (int)num;
+            } else if (key == "init" && !threads) {
+                ok = in.readUint(location.init);
+            } else {
+                ok = in.skipValue();
+            }
+            if (!ok)
                 return false;
         }
+        if (in.failed())
+            return false;
         if (threads)
             hdr.threads.push_back(std::move(thread));
         else
             hdr.locations.push_back(std::move(location));
-    } while (cur.accept(','));
-    return cur.expect(']');
+    }
+    return !in.failed();
 }
 
-/** Parse {"key":uint,...} maps in the footer. */
+/** Read a footer map: {"key":uint,...}. */
 bool
-parseValueMap(Cursor &cur, std::map<std::string, std::uint64_t> &map)
+readValueMap(json::Reader &in, std::map<std::string, std::uint64_t> &map)
 {
-    if (!cur.expect('{'))
+    if (!in.beginObject())
         return false;
-    if (cur.accept('}'))
-        return true;
-    do {
-        std::string_view key;
+    std::string_view key;
+    while (in.nextMember(key)) {
         std::uint64_t value = 0;
-        if (!cur.string(key) || !cur.expect(':') || !cur.uint(value))
+        if (!in.readUint(value))
             return false;
         map.emplace(std::string(key), value);
-    } while (cur.accept(','));
-    return cur.expect('}');
-}
-
-std::optional<TraceOp>
-traceOpFromToken(std::string_view token)
-{
-    if (token == "st")
-        return TraceOp::Store;
-    if (token == "commit")
-        return TraceOp::Commit;
-    if (token == "ld")
-        return TraceOp::Load;
-    if (token == "atom")
-        return TraceOp::Rmw;
-    if (token == "fence")
-        return TraceOp::Fence;
-    if (token == "fence_proxy")
-        return TraceOp::FenceProxy;
-    if (token == "bar")
-        return TraceOp::Barrier;
-    return std::nullopt;
+    }
+    return !in.failed();
 }
 
 } // namespace
+
+bool
+parseTraceLine(std::string_view text, TraceLine &line, std::string &error)
+{
+    line = TraceLine{};
+    json::Reader in(text);
+    auto syntaxError = [&] {
+        error = in.error();
+        return false;
+    };
+    auto reject = [&](std::string message) {
+        error = std::move(message);
+        return false;
+    };
+
+    // Accumulate fields; classify once the line is fully read. Event
+    // keys come first in the dispatch: they are nearly every line.
+    bool sawSchema = false;
+    std::string ev;
+    TraceHeader &hdr = line.header;
+    TraceEvent &event = line.event;
+    std::string_view key;
+    if (!in.beginObject())
+        return syntaxError();
+    while (in.nextMember(key)) {
+        std::string_view sv;
+        std::uint64_t num = 0;
+        bool ok = true;
+        if (key == "seq") {
+            ok = in.readUint(event.seq);
+        } else if (key == "ev") {
+            ok = in.readString(sv);
+            ev = sv;
+        } else if (key == "t") {
+            ok = in.readUint(num);
+            event.thread = (std::size_t)num;
+        } else if (key == "loc") {
+            ok = in.readUint(num);
+            event.location = (std::size_t)num;
+        } else if (key == "val") {
+            ok = in.readUint(event.value);
+        } else if (key == "old") {
+            ok = in.readUint(event.oldValue);
+        } else if (key == "uid") {
+            ok = in.readUint(event.uid);
+        } else if (key == "rf") {
+            ok = in.readUint(event.rf);
+        } else if (key == "bar") {
+            ok = in.readUint(num);
+            event.barrier = (unsigned)num;
+        } else if (key == "rd") {
+            ok = in.readString(sv);
+            event.destReg = sv;
+        } else if (key == "sem") {
+            if (!in.readString(sv))
+                return syntaxError();
+            auto sem = litmus::semanticsFromToken(std::string(sv));
+            if (!sem)
+                return reject("unknown semantics \"" + std::string(sv) + '"');
+            event.sem = *sem;
+        } else if (key == "scope") {
+            if (!in.readString(sv))
+                return syntaxError();
+            auto scope = sv == "none"
+                             ? std::optional(litmus::Scope::None)
+                             : litmus::scopeFromToken(std::string(sv));
+            if (!scope)
+                return reject("unknown scope \"" + std::string(sv) + '"');
+            event.scope = *scope;
+        } else if (key == "proxy") {
+            if (!in.readString(sv))
+                return syntaxError();
+            auto proxy = lookup(kProxyKinds, sv);
+            if (!proxy)
+                return reject("unknown proxy \"" + std::string(sv) + '"');
+            event.proxy = *proxy;
+        } else if (key == "kind") {
+            if (!in.readString(sv))
+                return syntaxError();
+            auto kind = litmus::proxyFenceKindFromToken(std::string(sv));
+            if (!kind) {
+                return reject("unknown proxy fence kind \"" +
+                              std::string(sv) + '"');
+            }
+            event.proxyFence = *kind;
+        } else if (key == "schema") {
+            if (!in.readString(sv))
+                return syntaxError();
+            if (sv != kTraceSchema) {
+                return reject("unsupported trace schema \"" +
+                              std::string(sv) + '"');
+            }
+            sawSchema = true;
+        } else if (key == "test") {
+            ok = in.readString(sv);
+            hdr.test = sv;
+        } else if (key == "threads" || key == "locations") {
+            ok = readHeaderList(in, key == "threads", hdr);
+        } else if (key == "registers") {
+            ok = readValueMap(in, line.footer.registers);
+        } else if (key == "memory") {
+            ok = readValueMap(in, line.footer.memory);
+        } else {
+            ok = in.skipValue();
+        }
+        if (!ok)
+            return syntaxError();
+    }
+    if (in.failed())
+        return syntaxError();
+    if (!in.atEnd())
+        return reject("trailing content after line object");
+
+    if (sawSchema) {
+        line.kind = TraceLine::Kind::Header;
+        return true;
+    }
+    if (ev == "finish") {
+        line.kind = TraceLine::Kind::Footer;
+        return true;
+    }
+    auto op = lookup(kTraceOps, ev);
+    if (!op) {
+        return reject(ev.empty() ? "event line missing \"ev\""
+                                 : "unknown event \"" + ev + '"');
+    }
+    line.kind = TraceLine::Kind::Event;
+    event.op = *op;
+    return true;
+}
 
 TraceReader::Status
 TraceReader::next(TraceLine &line)
 {
     // Skip blank lines; EOF is only reported when no content remains.
+    json::LineStatus status;
     do {
         _line++;
-        if (!std::getline(*in, buf))
+        status = json::readLine(*in, buf);
+        if (status == json::LineStatus::Eof)
             return Status::Eof;
-    } while (buf.find_first_not_of(" \t\r") == std::string::npos);
+    } while (status == json::LineStatus::Line &&
+             buf.find_first_not_of(" \t\r") == std::string::npos);
 
-    line = TraceLine{};
     _error.clear();
-    Cursor cur(buf, _error);
-    if (!cur.expect('{'))
-        return Status::Error;
-
-    // Accumulate fields; classify once the line is fully scanned.
-    bool sawSchema = false;
-    std::string_view ev;
-    TraceHeader &hdr = line.header;
-    TraceEvent &event = line.event;
-    if (!cur.accept('}')) {
-        do {
-            std::string_view key;
-            if (!cur.string(key) || !cur.expect(':'))
-                return Status::Error;
-            if (key == "schema") {
-                std::string_view sv;
-                if (!cur.string(sv))
-                    return Status::Error;
-                if (sv != kTraceSchema) {
-                    _error = "unsupported trace schema \"" +
-                             std::string(sv) + '"';
-                    return Status::Error;
-                }
-                sawSchema = true;
-            } else if (key == "test") {
-                std::string_view sv;
-                if (!cur.string(sv))
-                    return Status::Error;
-                hdr.test = sv;
-            } else if (key == "threads") {
-                if (!parseHeaderList(cur, true, hdr))
-                    return Status::Error;
-            } else if (key == "locations") {
-                if (!parseHeaderList(cur, false, hdr))
-                    return Status::Error;
-            } else if (key == "ev") {
-                if (!cur.string(ev))
-                    return Status::Error;
-            } else if (key == "registers") {
-                if (!parseValueMap(cur, line.footer.registers))
-                    return Status::Error;
-            } else if (key == "memory") {
-                if (!parseValueMap(cur, line.footer.memory))
-                    return Status::Error;
-            } else if (key == "seq") {
-                if (!cur.uint(event.seq))
-                    return Status::Error;
-            } else if (key == "t") {
-                std::uint64_t t = 0;
-                if (!cur.uint(t))
-                    return Status::Error;
-                event.thread = (std::size_t)t;
-            } else if (key == "loc") {
-                std::uint64_t loc = 0;
-                if (!cur.uint(loc))
-                    return Status::Error;
-                event.location = (std::size_t)loc;
-            } else if (key == "val") {
-                if (!cur.uint(event.value))
-                    return Status::Error;
-            } else if (key == "old") {
-                if (!cur.uint(event.oldValue))
-                    return Status::Error;
-            } else if (key == "uid") {
-                if (!cur.uint(event.uid))
-                    return Status::Error;
-            } else if (key == "rf") {
-                if (!cur.uint(event.rf))
-                    return Status::Error;
-            } else if (key == "bar") {
-                std::uint64_t id = 0;
-                if (!cur.uint(id))
-                    return Status::Error;
-                event.barrier = (unsigned)id;
-            } else if (key == "rd") {
-                std::string_view sv;
-                if (!cur.string(sv))
-                    return Status::Error;
-                event.destReg = sv;
-            } else if (key == "sem") {
-                std::string_view sv;
-                if (!cur.string(sv))
-                    return Status::Error;
-                auto sem = litmus::semanticsFromToken(std::string(sv));
-                if (!sem) {
-                    _error =
-                        "unknown semantics \"" + std::string(sv) + '"';
-                    return Status::Error;
-                }
-                event.sem = *sem;
-            } else if (key == "scope") {
-                std::string_view sv;
-                if (!cur.string(sv))
-                    return Status::Error;
-                auto scope = sv == "none"
-                                 ? std::optional(litmus::Scope::None)
-                                 : litmus::scopeFromToken(
-                                       std::string(sv));
-                if (!scope) {
-                    _error = "unknown scope \"" + std::string(sv) + '"';
-                    return Status::Error;
-                }
-                event.scope = *scope;
-            } else if (key == "proxy") {
-                std::string_view sv;
-                if (!cur.string(sv))
-                    return Status::Error;
-                auto proxy = proxyKindFromToken(sv);
-                if (!proxy) {
-                    _error = "unknown proxy \"" + std::string(sv) + '"';
-                    return Status::Error;
-                }
-                event.proxy = *proxy;
-            } else if (key == "kind") {
-                std::string_view sv;
-                if (!cur.string(sv))
-                    return Status::Error;
-                auto kind =
-                    litmus::proxyFenceKindFromToken(std::string(sv));
-                if (!kind) {
-                    _error = "unknown proxy fence kind \"" +
-                             std::string(sv) + '"';
-                    return Status::Error;
-                }
-                event.proxyFence = *kind;
-            } else if (!cur.skipValue()) {
-                return Status::Error;
-            }
-        } while (cur.accept(','));
-        if (!cur.expect('}'))
-            return Status::Error;
-    }
-    if (!cur.atEnd()) {
-        _error = "trailing content after line object";
+    if (status == json::LineStatus::TooLong) {
+        _error = "line longer than " +
+                 std::to_string(json::kMaxLineBytes) + " bytes";
         return Status::Error;
     }
-
-    if (sawSchema) {
-        line.kind = TraceLine::Kind::Header;
-        return Status::Ok;
-    }
-    if (ev == "finish") {
-        line.kind = TraceLine::Kind::Footer;
-        return Status::Ok;
-    }
-    auto op = traceOpFromToken(ev);
-    if (!op) {
-        _error = ev.empty() ? "event line missing \"ev\""
-                            : "unknown event \"" + std::string(ev) + '"';
-        return Status::Error;
-    }
-    line.kind = TraceLine::Kind::Event;
-    event.op = *op;
-    return Status::Ok;
+    return parseTraceLine(buf, line, _error) ? Status::Ok : Status::Error;
 }
 
 } // namespace mixedproxy::conform

@@ -50,6 +50,7 @@
 #include <iosfwd>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "litmus/outcome.hh"
@@ -99,8 +100,6 @@ enum class TraceOp {
     FenceProxy, ///< "fence_proxy": a proxy fence executed
     Barrier,    ///< "bar": a thread passed a CTA execution barrier
 };
-
-std::string toString(TraceOp op);
 
 /** One parsed event line. Fields are valid per the op's line shape. */
 struct TraceEvent
@@ -204,13 +203,23 @@ struct TraceLine
 };
 
 /**
- * Streaming JSONL parser for `mixedproxy.trace.v1`.
+ * Parse one trace line (without its newline) into @p line.
  *
- * Built for the conformance checker's throughput target: one pass per
- * line, no intermediate DOM, field dispatch on fixed keys. Accepts
- * fields in any order; unknown fields are skipped (forward
- * compatibility). String values must not contain escapes (names in
- * this format are identifiers). Blank lines are ignored.
+ * Built for the conformance checker's throughput target: one pass over
+ * the line with the shared JSON pull reader (json/reader.hh), no
+ * intermediate DOM, field dispatch on fixed keys. Accepts fields in
+ * any order; unknown fields must hold valid JSON and are skipped
+ * (forward compatibility). Strings may use JSON escapes.
+ *
+ * @return false with a description in @p error for a malformed line.
+ */
+bool parseTraceLine(std::string_view text, TraceLine &line,
+                    std::string &error);
+
+/**
+ * Streaming JSONL reader for `mixedproxy.trace.v1`: parseTraceLine()
+ * over each line of a stream. Blank lines are ignored; a line longer
+ * than json::kMaxLineBytes is discarded and reported as an error.
  */
 class TraceReader
 {

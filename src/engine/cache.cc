@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "engine/json.hh"
 #include "obs/obs.hh"
@@ -160,153 +161,100 @@ constexpr const char *kEntryFormat = "mixedproxy.verdict.v5";
 json::Value
 encodeOutcome(const litmus::Outcome &outcome)
 {
-    json::Value registers = json::Value::makeObject();
-    for (const auto &[name, value] : outcome.registers)
-        registers.object[name] = json::Value::makeUint(value);
-    json::Value memory = json::Value::makeObject();
-    for (const auto &[name, value] : outcome.memory)
-        memory.object[name] = json::Value::makeUint(value);
-
     json::Value entry = json::Value::makeObject();
-    entry.object["registers"] = std::move(registers);
-    entry.object["memory"] = std::move(memory);
+    for (const auto &[field, values] :
+         {std::pair{"registers", &outcome.registers},
+          {"memory", &outcome.memory}}) {
+        json::Value &map = entry.object[field] = json::Value::makeObject();
+        for (const auto &[name, value] : *values)
+            map.object[name] = json::Value::makeUint(value);
+    }
     return entry;
 }
 
 bool
 decodeOutcome(const json::Value &value, litmus::Outcome &out)
 {
-    const json::Value *registers = value.find("registers");
-    const json::Value *memory = value.find("memory");
-    if (!registers || !registers->isObject() || !memory ||
-        !memory->isObject()) {
-        return false;
-    }
-    for (const auto &[name, member] : registers->object) {
-        if (member.kind != json::Value::Kind::Number ||
-            !member.isInteger) {
+    for (const auto &[field, values] :
+         {std::pair{"registers", &out.registers}, {"memory", &out.memory}}) {
+        const json::Value *map = value.find(field);
+        if (!map || !map->isObject())
             return false;
+        for (const auto &[name, member] : map->object) {
+            if (!member.isInteger)
+                return false;
+            (*values)[name] = member.integer;
         }
-        out.registers[name] = member.integer;
-    }
-    for (const auto &[name, member] : memory->object) {
-        if (member.kind != json::Value::Kind::Number ||
-            !member.isInteger) {
-            return false;
-        }
-        out.memory[name] = member.integer;
     }
     return true;
 }
+
+/**
+ * The CheckStats counters an entry carries, by member name. All are
+ * deterministic per (test, options): the enumeration-profiler (v2) and
+ * layered-engine (v3) counters included, so replaying them on a cache
+ * hit keeps stats reports jobs- and cache-invariant. Sampled
+ * wall-clock numbers never enter CheckStats.
+ */
+constexpr std::pair<const char *, std::uint64_t model::CheckStats::*>
+    kStatFields[] = {
+        {"rf_assignments", &model::CheckStats::rfAssignments},
+        {"candidate_executions", &model::CheckStats::candidateExecutions},
+        {"consistent_executions",
+         &model::CheckStats::consistentExecutions},
+        {"fast_path_hits", &model::CheckStats::fastPathHits},
+        {"fast_path_misses", &model::CheckStats::fastPathMisses},
+        {"fixpoint_iterations", &model::CheckStats::fixpointIterations},
+        {"bcause_edges", &model::CheckStats::bcauseEdges},
+        {"ppbc_edges", &model::CheckStats::ppbcEdges},
+        {"cause_edges", &model::CheckStats::causeEdges},
+        {"reject_no_thin_air", &model::CheckStats::rejectNoThinAir},
+        {"reject_value_infeasible",
+         &model::CheckStats::rejectValueInfeasible},
+        {"reject_causality_a", &model::CheckStats::rejectCausalityA},
+        {"reject_coherence_unembeddable",
+         &model::CheckStats::rejectCoherenceUnembeddable},
+        {"reject_causality_b", &model::CheckStats::rejectCausalityB},
+        {"reject_sc_per_location", &model::CheckStats::rejectScPerLocation},
+        {"reject_atomicity", &model::CheckStats::rejectAtomicity},
+        {"reject_fence_sc", &model::CheckStats::rejectFenceSc},
+        {"enum_reads", &model::CheckStats::enumReads},
+        {"enum_source_slots", &model::CheckStats::enumSourceSlots},
+        {"co_locations", &model::CheckStats::coLocations},
+        {"co_orders", &model::CheckStats::coOrders},
+        {"layer_base_reuse", &model::CheckStats::layerBaseReuse},
+        {"layer_rf_delta", &model::CheckStats::layerRfDelta},
+        {"layer_rf_prefix_reject", &model::CheckStats::layerRfPrefixReject},
+        {"layer_co_prefix_reject", &model::CheckStats::layerCoPrefixReject},
+};
 
 json::Value
 encodeStats(const model::CheckStats &stats)
 {
     json::Value entry = json::Value::makeObject();
-    entry.object["rf_assignments"] =
-        json::Value::makeUint(stats.rfAssignments);
-    entry.object["candidate_executions"] =
-        json::Value::makeUint(stats.candidateExecutions);
-    entry.object["consistent_executions"] =
-        json::Value::makeUint(stats.consistentExecutions);
-    entry.object["fast_path_hits"] =
-        json::Value::makeUint(stats.fastPathHits);
-    entry.object["fast_path_misses"] =
-        json::Value::makeUint(stats.fastPathMisses);
-    entry.object["fixpoint_iterations"] =
-        json::Value::makeUint(stats.fixpointIterations);
-    entry.object["bcause_edges"] =
-        json::Value::makeUint(stats.bcauseEdges);
-    entry.object["ppbc_edges"] = json::Value::makeUint(stats.ppbcEdges);
-    entry.object["cause_edges"] =
-        json::Value::makeUint(stats.causeEdges);
-    // Enumeration-profiler counters (v2): deterministic, so replaying
-    // them on a cache hit keeps stats reports jobs- and cache-
-    // invariant. Sampled wall-clock numbers are deliberately absent —
-    // they never enter CheckStats.
-    entry.object["reject_no_thin_air"] =
-        json::Value::makeUint(stats.rejectNoThinAir);
-    entry.object["reject_value_infeasible"] =
-        json::Value::makeUint(stats.rejectValueInfeasible);
-    entry.object["reject_causality_a"] =
-        json::Value::makeUint(stats.rejectCausalityA);
-    entry.object["reject_coherence_unembeddable"] =
-        json::Value::makeUint(stats.rejectCoherenceUnembeddable);
-    entry.object["reject_causality_b"] =
-        json::Value::makeUint(stats.rejectCausalityB);
-    entry.object["reject_sc_per_location"] =
-        json::Value::makeUint(stats.rejectScPerLocation);
-    entry.object["reject_atomicity"] =
-        json::Value::makeUint(stats.rejectAtomicity);
-    entry.object["reject_fence_sc"] =
-        json::Value::makeUint(stats.rejectFenceSc);
+    for (const auto &[name, field] : kStatFields)
+        entry.object[name] = json::Value::makeUint(stats.*field);
     json::Value depth = json::Value::makeArray();
     for (std::uint64_t bucket : stats.depthHistogram)
         depth.array.push_back(json::Value::makeUint(bucket));
     entry.object["depth_histogram"] = std::move(depth);
-    entry.object["enum_reads"] = json::Value::makeUint(stats.enumReads);
-    entry.object["enum_source_slots"] =
-        json::Value::makeUint(stats.enumSourceSlots);
-    entry.object["co_locations"] =
-        json::Value::makeUint(stats.coLocations);
-    entry.object["co_orders"] = json::Value::makeUint(stats.coOrders);
-    // Layered-engine counters (v3): deterministic per (test, core), so
-    // they round-trip like the other profiler counters.
-    entry.object["layer_base_reuse"] =
-        json::Value::makeUint(stats.layerBaseReuse);
-    entry.object["layer_rf_delta"] =
-        json::Value::makeUint(stats.layerRfDelta);
-    entry.object["layer_rf_prefix_reject"] =
-        json::Value::makeUint(stats.layerRfPrefixReject);
-    entry.object["layer_co_prefix_reject"] =
-        json::Value::makeUint(stats.layerCoPrefixReject);
     return entry;
 }
 
 void
 decodeStats(const json::Value &value, model::CheckStats &out)
 {
-    out.rfAssignments = value.uintOr("rf_assignments", 0);
-    out.candidateExecutions = value.uintOr("candidate_executions", 0);
-    out.consistentExecutions = value.uintOr("consistent_executions", 0);
-    out.fastPathHits = value.uintOr("fast_path_hits", 0);
-    out.fastPathMisses = value.uintOr("fast_path_misses", 0);
-    out.fixpointIterations = value.uintOr("fixpoint_iterations", 0);
-    out.bcauseEdges = value.uintOr("bcause_edges", 0);
-    out.ppbcEdges = value.uintOr("ppbc_edges", 0);
-    out.causeEdges = value.uintOr("cause_edges", 0);
-    out.rejectNoThinAir = value.uintOr("reject_no_thin_air", 0);
-    out.rejectValueInfeasible =
-        value.uintOr("reject_value_infeasible", 0);
-    out.rejectCausalityA = value.uintOr("reject_causality_a", 0);
-    out.rejectCoherenceUnembeddable =
-        value.uintOr("reject_coherence_unembeddable", 0);
-    out.rejectCausalityB = value.uintOr("reject_causality_b", 0);
-    out.rejectScPerLocation = value.uintOr("reject_sc_per_location", 0);
-    out.rejectAtomicity = value.uintOr("reject_atomicity", 0);
-    out.rejectFenceSc = value.uintOr("reject_fence_sc", 0);
-    if (const json::Value *depth = value.find("depth_histogram")) {
-        if (depth->kind == json::Value::Kind::Array) {
-            const std::size_t limit = std::min(
-                depth->array.size(), out.depthHistogram.size());
-            for (std::size_t d = 0; d < limit; d++) {
-                const json::Value &bucket = depth->array[d];
-                if (bucket.kind == json::Value::Kind::Number &&
-                    bucket.isInteger) {
-                    out.depthHistogram[d] =
-                        static_cast<std::uint64_t>(bucket.integer);
-                }
-            }
-        }
+    for (const auto &[name, field] : kStatFields)
+        out.*field = value.uintOr(name, 0);
+    const json::Value *depth = value.find("depth_histogram");
+    if (!depth || depth->kind != json::Value::Kind::Array)
+        return;
+    const std::size_t limit =
+        std::min(depth->array.size(), out.depthHistogram.size());
+    for (std::size_t d = 0; d < limit; d++) {
+        if (depth->array[d].isInteger)
+            out.depthHistogram[d] = depth->array[d].integer;
     }
-    out.enumReads = value.uintOr("enum_reads", 0);
-    out.enumSourceSlots = value.uintOr("enum_source_slots", 0);
-    out.coLocations = value.uintOr("co_locations", 0);
-    out.coOrders = value.uintOr("co_orders", 0);
-    out.layerBaseReuse = value.uintOr("layer_base_reuse", 0);
-    out.layerRfDelta = value.uintOr("layer_rf_delta", 0);
-    out.layerRfPrefixReject = value.uintOr("layer_rf_prefix_reject", 0);
-    out.layerCoPrefixReject = value.uintOr("layer_co_prefix_reject", 0);
 }
 
 } // namespace

@@ -1,15 +1,16 @@
 /**
  * @file
- * A minimal strict JSON reader/writer for the engine's wire surfaces:
- * the daemon's line-delimited request/response protocol
- * (engine/service.hh) and the on-disk verdict store (engine/cache.hh).
+ * The JSON document model for the engine's wire surfaces: the daemon's
+ * line-delimited request/response protocol (engine/service.hh), the
+ * on-disk verdict store (engine/cache.hh) and stats files (perfcmp).
  *
- * This is the one place the library parses JSON; everything else only
- * emits (obs/report.hh). Hand-rolled to keep the zero-dependency
- * constraint. The grammar is RFC 8259 minus surrogate-pair decoding
- * (\uXXXX escapes outside the BMP round-trip as-is); numbers retain a
- * uint64 view when the token is a plain non-negative integer, so
- * 64-bit counters survive the trip.
+ * parse() builds the document on the one JSON reader
+ * (json/reader.hh), which the trace parser (conform/trace.hh) also
+ * reads with: that reader is the one place the library parses JSON,
+ * and it holds the nesting and line-size limits. dump() writes with
+ * obs::jsonEscape, the escaper the stats and trace reports use.
+ * Numbers retain a uint64 view when the token is a plain non-negative
+ * integer that fits, so 64-bit counters survive the trip.
  */
 
 #ifndef MIXEDPROXY_ENGINE_JSON_HH
@@ -21,7 +22,17 @@
 #include <string>
 #include <vector>
 
-namespace mixedproxy::engine::json {
+#include "json/reader.hh"
+
+namespace mixedproxy {
+
+namespace engine {
+/** The document model lives beside the reader it is built on, in
+ *  json::; engine code names that namespace engine::json. */
+namespace json = mixedproxy::json;
+} // namespace engine
+
+namespace json {
 
 /** One JSON value; a tree of these is a parsed document. */
 struct Value
@@ -32,13 +43,14 @@ struct Value
     bool boolean = false;
     double number = 0.0;
 
-    /** Exact value when the source token was a non-negative integer. */
+    /** Exact value when the source token was a non-negative integer
+     *  within uint64. */
     std::uint64_t integer = 0;
     bool isInteger = false;
 
-    std::string string;
-    std::vector<Value> array;
-    std::map<std::string, Value> object;
+    std::string string{};
+    std::vector<Value> array{};
+    std::map<std::string, Value> object{};
 
     bool isNull() const { return kind == Kind::Null; }
     bool isObject() const { return kind == Kind::Object; }
@@ -54,27 +66,36 @@ struct Value
     /** Member boolean value with a default. */
     bool boolOr(const std::string &name, bool fallback) const;
 
-    /** Member unsigned-integer value with a default. */
+    /** Member unsigned-integer value with a default; any other number
+     *  (negative, fractional, above 2^64-1) gives the default too. */
     std::uint64_t uintOr(const std::string &name,
                          std::uint64_t fallback) const;
 
     /** Serialize (stable member order; no insignificant whitespace). */
     std::string dump() const;
 
-    static Value makeString(std::string text);
-    static Value makeBool(bool value);
-    static Value makeUint(std::uint64_t value);
-    static Value makeDouble(double value);
-    static Value makeObject();
-    static Value makeArray();
+    static Value makeString(std::string text)
+    {
+        return {.kind = Kind::String, .string = std::move(text)};
+    }
+    static Value makeBool(bool value)
+    {
+        return {.kind = Kind::Bool, .boolean = value};
+    }
+    static Value makeUint(std::uint64_t value)
+    {
+        return {.kind = Kind::Number,
+                .number = static_cast<double>(value),
+                .integer = value,
+                .isInteger = true};
+    }
+    static Value makeDouble(double value)
+    {
+        return {.kind = Kind::Number, .number = value};
+    }
+    static Value makeObject() { return {.kind = Kind::Object}; }
+    static Value makeArray() { return {.kind = Kind::Array}; }
 };
-
-/**
- * Deepest array/object nesting parse() accepts. The parser recurses
- * once per level, so an unbounded depth would let one request line
- * overflow the stack; no protocol message comes close to this.
- */
-constexpr std::size_t kMaxDepth = 256;
 
 /**
  * Parse one complete JSON document.
@@ -88,6 +109,7 @@ constexpr std::size_t kMaxDepth = 256;
 std::unique_ptr<Value> parse(const std::string &text,
                              std::string *error = nullptr);
 
-} // namespace mixedproxy::engine::json
+} // namespace json
+} // namespace mixedproxy
 
 #endif // MIXEDPROXY_ENGINE_JSON_HH

@@ -26,15 +26,61 @@ namespace mixedproxy::engine {
 
 namespace {
 
+/** A response object echoing the request's @p id, "ok" = @p ok. */
 json::Value
-errorResponse(const json::Value *id, const std::string &message)
+reply(const json::Value *id, bool ok)
 {
     json::Value response = json::Value::makeObject();
     if (id)
         response.object["id"] = *id;
-    response.object["ok"] = json::Value::makeBool(false);
-    response.object["error"] = json::Value::makeString(message);
+    response.object["ok"] = json::Value::makeBool(ok);
     return response;
+}
+
+/** Record a failed request in @p result; returns its response line. */
+std::string
+failure(RequestOutcome &result, const json::Value *id,
+        const std::string &message)
+{
+    result.op = "error";
+    result.ok = false;
+    result.error = message;
+    json::Value response = reply(id, false);
+    response.object["error"] = json::Value::makeString(message);
+    return response.dump();
+}
+
+/** Request field @p name, @p fallback when absent; present, it must be
+ *  a non-negative integer within uint64 (else a FatalError). */
+std::uint64_t
+uintField(const json::Value &doc, const char *name,
+          std::uint64_t fallback)
+{
+    const json::Value *member = doc.find(name);
+    if (member && !member->isInteger)
+        fatal("'", name, "' must be a non-negative integer");
+    return member ? member->integer : fallback;
+}
+
+/** Boolean request field @p name, false when absent. */
+bool
+boolField(const json::Value &doc, const char *name)
+{
+    const json::Value *member = doc.find(name);
+    if (member && member->kind != json::Value::Kind::Bool)
+        fatal("'", name, "' must be a boolean");
+    return member && member->boolean;
+}
+
+/** String request field @p name, @p fallback when absent. */
+std::string
+stringField(const json::Value &doc, const char *name,
+            const std::string &fallback)
+{
+    const json::Value *member = doc.find(name);
+    if (member && !member->isString())
+        fatal("'", name, "' must be a string");
+    return member ? member->string : fallback;
 }
 
 /**
@@ -139,10 +185,15 @@ serveStream(Engine &engine, const ServeOptions &options,
         runtime::ThreadPool pool(std::max<std::size_t>(1, options.jobs));
         std::uint64_t seq = 0;
         std::string line;
+        json::LineStatus status;
         while (!shutdown.load(std::memory_order_relaxed) &&
-               std::getline(in, line)) {
-            if (line.empty())
+               (status = json::readLine(in, line)) !=
+                   json::LineStatus::Eof) {
+            if (status == json::LineStatus::Line && line.empty())
                 continue;
+            // An over-cap line was discarded unread; it still takes its
+            // turn in the response order, as an error.
+            const bool tooLong = status == json::LineStatus::TooLong;
             const std::uint64_t mySeq = seq++;
             // Request ids are monotonic across a daemon's lifetime
             // (serveSocket threads one counter through every
@@ -150,7 +201,7 @@ serveStream(Engine &engine, const ServeOptions &options,
             const std::uint64_t requestId = ++*nextRequestId;
             pool.submit([&engine, &writer, &shutdown, &mergeMutex,
                          &state, parent, log, mySeq, requestId,
-                         myLine = line] {
+                         tooLong, myLine = std::move(line)] {
                 state.requestStarted();
                 if (log) {
                     log->log("info", "request.start",
@@ -176,9 +227,16 @@ serveStream(Engine &engine, const ServeOptions &options,
                 const auto begin = std::chrono::steady_clock::now();
                 {
                     obs::ScopedSession bind(&session);
-                    response = handleRequestLine(engine, myLine,
-                                                 &wantsShutdown, &state,
-                                                 &outcome);
+                    response =
+                        tooLong
+                            ? failure(outcome, nullptr,
+                                      "bad request: line longer than " +
+                                          std::to_string(
+                                              json::kMaxLineBytes) +
+                                          " bytes")
+                            : handleRequestLine(engine, myLine,
+                                                &wantsShutdown, &state,
+                                                &outcome);
                 }
                 const double seconds =
                     std::chrono::duration<double>(
@@ -245,21 +303,14 @@ handleRequestLine(Engine &engine, const std::string &line,
 {
     RequestOutcome localOutcome;
     RequestOutcome &result = outcome ? *outcome : localOutcome;
-    auto failed = [&result](const json::Value *id,
-                            const std::string &message) {
-        result.op = "error";
-        result.ok = false;
-        result.error = message;
-        return errorResponse(id, message).dump();
-    };
 
     std::string parseError;
     std::unique_ptr<json::Value> doc = json::parse(line, &parseError);
     if (!doc || !doc->isObject()) {
-        return failed(nullptr, "bad request: " +
-                                   (parseError.empty()
-                                        ? "not a JSON object"
-                                        : parseError));
+        return failure(result, nullptr,
+                       "bad request: " + (parseError.empty()
+                                              ? "not a JSON object"
+                                              : parseError));
     }
     const json::Value *id = doc->find("id");
 
@@ -271,10 +322,7 @@ handleRequestLine(Engine &engine, const std::string &line,
     if (cmd == "ping") {
         result.op = "ping";
         result.ok = true;
-        json::Value response = json::Value::makeObject();
-        if (id)
-            response.object["id"] = *id;
-        response.object["ok"] = json::Value::makeBool(true);
+        json::Value response = reply(id, true);
         response.object["pong"] = json::Value::makeBool(true);
         return response.dump();
     }
@@ -283,24 +331,19 @@ handleRequestLine(Engine &engine, const std::string &line,
             *shutdown = true;
         result.op = "shutdown";
         result.ok = true;
-        json::Value response = json::Value::makeObject();
-        if (id)
-            response.object["id"] = *id;
-        response.object["ok"] = json::Value::makeBool(true);
+        json::Value response = reply(id, true);
         response.object["shutdown"] = json::Value::makeBool(true);
         return response.dump();
     }
     if (cmd == "metrics") {
         if (!state)
-            return failed(id, "metrics not available on this transport");
+            return failure(result, id,
+                           "metrics not available on this transport");
         result.op = "metrics";
         result.ok = true;
         ServiceSnapshot snap = state->snapshot();
 
-        json::Value response = json::Value::makeObject();
-        if (id)
-            response.object["id"] = *id;
-        response.object["ok"] = json::Value::makeBool(true);
+        json::Value response = reply(id, true);
         response.object["uptime_ms"] =
             json::Value::makeDouble(snap.uptimeMs);
         response.object["requests_total"] =
@@ -334,16 +377,10 @@ handleRequestLine(Engine &engine, const std::string &line,
             obs::TimerSummary t = snap.metrics.timer(name);
             json::Value summary = json::Value::makeObject();
             summary.object["count"] = json::Value::makeUint(t.count);
-            summary.object["total_ms"] =
-                json::Value::makeDouble(t.total * 1e3);
-            summary.object["mean_ms"] =
-                json::Value::makeDouble(t.mean * 1e3);
-            summary.object["p50_ms"] =
-                json::Value::makeDouble(t.p50 * 1e3);
-            summary.object["p95_ms"] =
-                json::Value::makeDouble(t.p95 * 1e3);
-            summary.object["max_ms"] =
-                json::Value::makeDouble(t.max * 1e3);
+            for (const auto &[key, seconds] :
+                 {std::pair{"total_ms", t.total}, {"mean_ms", t.mean},
+                  {"p50_ms", t.p50}, {"p95_ms", t.p95}, {"max_ms", t.max}})
+                summary.object[key] = json::Value::makeDouble(seconds * 1e3);
             ops.object[name.substr(prefix.size())] = std::move(summary);
         }
         response.object["ops"] = std::move(ops);
@@ -368,24 +405,18 @@ handleRequestLine(Engine &engine, const std::string &line,
                 fatal("conform needs 'path' (trace file) or 'trace' "
                       "(inline JSONL)");
             }
-            if (const json::Value *window = doc->find("window")) {
-                if (!window->isInteger)
-                    fatal("'window' must be a non-negative integer");
-                conform::checkWindow(window->integer, "'window'");
-                request.conform.window = window->integer;
-            }
+            request.conform.window =
+                uintField(*doc, "window", request.conform.window);
+            conform::checkWindow(request.conform.window, "'window'");
             request.conform.maxViolations = static_cast<std::size_t>(
-                doc->uintOr("max_violations",
-                            request.conform.maxViolations));
+                uintField(*doc, "max_violations",
+                          request.conform.maxViolations));
 
             Verdict verdict = engine.submit(request);
             const conform::ConformReport &report = *verdict.conform;
             result.op = "conform";
             result.ok = true;
-            json::Value response = json::Value::makeObject();
-            if (id)
-                response.object["id"] = *id;
-            response.object["ok"] = json::Value::makeBool(true);
+            json::Value response = reply(id, true);
             response.object["conformant"] =
                 json::Value::makeBool(report.conformant());
             response.object["test"] =
@@ -407,11 +438,11 @@ handleRequestLine(Engine &engine, const std::string &line,
                 renderReport(request, verdict));
             return response.dump();
         } catch (const FatalError &e) {
-            return failed(id, e.what());
+            return failure(result, id, e.what());
         }
     }
     if (!cmd.empty())
-        return failed(id, "unknown cmd '" + cmd + "'");
+        return failure(result, id, "unknown cmd '" + cmd + "'");
 
     Request request;
     try {
@@ -430,7 +461,7 @@ handleRequestLine(Engine &engine, const std::string &line,
                   "(built-in name)");
         }
 
-        const std::string mode = doc->stringOr("mode", "ptx75");
+        const std::string mode = stringField(*doc, "mode", "ptx75");
         if (mode == "ptx75") {
             request.check.mode = model::ProxyMode::Ptx75;
         } else if (mode == "ptx60") {
@@ -439,33 +470,30 @@ handleRequestLine(Engine &engine, const std::string &line,
             fatal("unknown model '", mode, "'");
         }
 
-        request.check.showWitnesses = doc->boolOr("witness", false);
-        request.check.dot = doc->boolOr("dot", false);
-        request.check.compareModels = doc->boolOr("compare", false);
-        request.check.maxExecutions = doc->uintOr(
-            "max_executions", request.check.maxExecutions);
-        const std::string presolve = doc->stringOr("presolve", "off");
+        request.check.showWitnesses = boolField(*doc, "witness");
+        request.check.dot = boolField(*doc, "dot");
+        request.check.compareModels = boolField(*doc, "compare");
+        request.check.maxExecutions = uintField(
+            *doc, "max_executions", request.check.maxExecutions);
+        const std::string presolve = stringField(*doc, "presolve", "off");
         if (auto policy = model::presolvePolicyFromString(presolve)) {
             request.check.presolve = *policy;
         } else {
             fatal("unknown presolve policy '", presolve,
                   "' (want off|on|only)");
         }
-        request.lint.enabled = doc->boolOr("lint", false);
-        request.lint.lintOnly = doc->boolOr("lint_only", false);
-        request.sim.enabled = doc->boolOr("sim", false);
-        request.sim.iterations = static_cast<std::size_t>(doc->uintOr(
-            "sim_iterations", request.sim.iterations));
+        request.lint.enabled = boolField(*doc, "lint");
+        request.lint.lintOnly = boolField(*doc, "lint_only");
+        request.sim.enabled = boolField(*doc, "sim");
+        request.sim.iterations = static_cast<std::size_t>(uintField(
+            *doc, "sim_iterations", request.sim.iterations));
 
         Verdict verdict = engine.submit(request);
 
         result.op = "check";
         result.ok = true;
         result.cacheHit = verdict.cacheHit;
-        json::Value response = json::Value::makeObject();
-        if (id)
-            response.object["id"] = *id;
-        response.object["ok"] = json::Value::makeBool(true);
+        json::Value response = reply(id, true);
         response.object["passed"] =
             json::Value::makeBool(verdict.passed());
         response.object["cache_hit"] =
@@ -474,7 +502,7 @@ handleRequestLine(Engine &engine, const std::string &line,
             json::Value::makeString(renderReport(request, verdict));
         return response.dump();
     } catch (const FatalError &e) {
-        return failed(id, e.what());
+        return failure(result, id, e.what());
     }
 }
 

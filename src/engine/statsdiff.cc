@@ -18,20 +18,6 @@ endsWith(const std::string &text, const std::string &suffix)
                         suffix) == 0;
 }
 
-double
-memberNumber(const json::Value &value, const std::string &name,
-             bool *found)
-{
-    const json::Value *member = value.find(name);
-    if (!member || member->kind != json::Value::Kind::Number) {
-        *found = false;
-        return 0.0;
-    }
-    *found = true;
-    return member->isInteger ? static_cast<double>(member->integer)
-                             : member->number;
-}
-
 /** Collect name -> milliseconds series from one stats document. */
 std::vector<std::pair<std::string, double>>
 collectSeries(const json::Value &doc, std::vector<std::string> &notes,
@@ -41,10 +27,9 @@ collectSeries(const json::Value &doc, std::vector<std::string> &notes,
     const json::Value *timers = doc.find("timers");
     if (timers && timers->isObject()) {
         for (const auto &[name, summary] : timers->object) {
-            bool found = false;
-            double total = memberNumber(summary, "total_ms", &found);
-            if (found)
-                series.emplace_back("timer:" + name, total);
+            const json::Value *total = summary.find("total_ms");
+            if (total && total->kind == json::Value::Kind::Number)
+                series.emplace_back("timer:" + name, total->number);
         }
     } else {
         notes.push_back(std::string(label) + ": no \"timers\" section");
@@ -56,10 +41,7 @@ collectSeries(const json::Value &doc, std::vector<std::string> &notes,
                 value.kind != json::Value::Kind::Number) {
                 continue;
             }
-            series.emplace_back("gauge:" + name,
-                                value.isInteger
-                                    ? static_cast<double>(value.integer)
-                                    : value.number);
+            series.emplace_back("gauge:" + name, value.number);
         }
     }
     return series;

@@ -12,34 +12,24 @@ namespace mixedproxy::obs {
 std::string
 jsonEscape(std::string_view text)
 {
+    static constexpr std::string_view kSpecial = "\"\\\b\f\n\r\t";
+    static constexpr std::string_view kShort = "\"\\bfnrt";
     std::string out;
     out.reserve(text.size() + 2);
     for (char c : text) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(c) & 0xff);
-                out += buf;
-            } else {
-                out += c;
-            }
+        const bool plain =
+            static_cast<unsigned char>(c) >= 0x20 && c != '"' && c != '\\';
+        if (plain) {
+            out += c;
+        } else if (const std::size_t i = kSpecial.find(c);
+                   i != kSpecial.npos) {
+            out += '\\';
+            out += kShort[i];
+        } else {
+            char buf[8];
+            std::snprintf(buf, sizeof(buf), "\\u%04x",
+                          static_cast<unsigned>(c) & 0xff);
+            out += buf;
         }
     }
     return out;

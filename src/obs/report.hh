@@ -22,7 +22,11 @@
 
 namespace mixedproxy::obs {
 
-/** JSON-escape @p text (quotes, backslashes, control characters). */
+/**
+ * JSON-escape @p text (quotes, backslashes, control characters; the
+ * short forms where JSON has one). The one escaper: the stats and
+ * trace reports and engine::json's dump() all write strings with it.
+ */
 std::string jsonEscape(std::string_view text);
 
 /**

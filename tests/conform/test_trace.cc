@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "conform/trace.hh"
+#include "json/reader.hh"
 
 namespace {
 
@@ -206,6 +207,85 @@ TEST(TraceReader, RejectsUnsupportedSchema)
     TraceLine line;
     EXPECT_EQ(reader.next(line), TraceReader::Status::Error);
     EXPECT_NE(reader.error().find("schema"), std::string::npos);
+}
+
+TEST(TraceReader, AcceptsEscapedStrings)
+{
+    std::stringstream ss;
+    ss << R"({"seq":0,"ev":"l\u0064","t":0,"loc":0,"val":0,"rf":0,)"
+       << R"("rd":"r\u0030","sem":"rel\u0061xed","scope":"gpu"})" << '\n';
+    TraceReader reader(ss);
+    TraceLine line;
+    ASSERT_EQ(reader.next(line), TraceReader::Status::Ok) << reader.error();
+    EXPECT_EQ(line.event.op, TraceOp::Load);
+    EXPECT_EQ(line.event.destReg, "r0");
+    EXPECT_EQ(line.event.sem, litmus::Semantics::Relaxed);
+}
+
+TEST(TraceReader, SyntaxErrorsComeFromTheSharedReader)
+{
+    // Unknown fields must hold valid JSON; syntax errors carry the
+    // shared reader's text and offset, and the next line still parses.
+    std::stringstream ss;
+    ss << R"({"seq":0,"ev":"commit","uid":2,"future":garbage})" << '\n'
+       << R"({"seq":1,"ev":"commit","uid":-2})" << '\n'
+       << R"({"seq":2,"ev":"commit","uid":3,"x":[1,}]})" << '\n'
+       << R"({"seq":3,"ev":"bar","t":0,"bar":1})" << '\n';
+    TraceReader reader(ss);
+    TraceLine line;
+    ASSERT_EQ(reader.next(line), TraceReader::Status::Error);
+    EXPECT_EQ(reader.error(), "malformed number at offset 40");
+    ASSERT_EQ(reader.next(line), TraceReader::Status::Error);
+    EXPECT_EQ(reader.error(), "expected unsigned integer at offset 29");
+    ASSERT_EQ(reader.next(line), TraceReader::Status::Error);
+    EXPECT_EQ(reader.error(), "malformed number at offset 38");
+    ASSERT_EQ(reader.next(line), TraceReader::Status::Ok);
+    EXPECT_EQ(line.event.op, TraceOp::Barrier);
+    EXPECT_EQ(reader.lineNumber(), 4u);
+}
+
+TEST(TraceReader, TraceLevelErrorTextsAreUnchanged)
+{
+    const std::pair<const char *, const char *> cases[] = {
+        {R"({"seq":0})", "event line missing \"ev\""},
+        {R"({"seq":0,"ev":"jump"})", "unknown event \"jump\""},
+        {R"({"ev":"ld","sem":"firm"})", "unknown semantics \"firm\""},
+        {R"({"ev":"ld","scope":"galaxy"})", "unknown scope \"galaxy\""},
+        {R"({"ev":"ld","proxy":"psychic"})", "unknown proxy \"psychic\""},
+        {R"({"ev":"fence_proxy","kind":"odd"})",
+         "unknown proxy fence kind \"odd\""},
+        {R"({"ev":"bar"} {})", "trailing content after line object"},
+        {R"({"schema":"mixedproxy.trace.v0"})",
+         "unsupported trace schema \"mixedproxy.trace.v0\""},
+    };
+    for (const auto &[text, message] : cases) {
+        TraceLine line;
+        std::string error;
+        EXPECT_FALSE(conform::parseTraceLine(text, line, error)) << text;
+        EXPECT_EQ(error, message) << text;
+    }
+}
+
+TEST(TraceReader, OverCapLineIsMalformedAndReadingContinues)
+{
+    // One byte over the line cap: the line is discarded unread and
+    // reported; the following line is read as usual.
+    std::string text = R"({"seq":0,"ev":"commit","uid":2})";
+    text.resize(json::kMaxLineBytes + 1, ' ');
+    text += "\n";
+    text += R"({"seq":1,"ev":"bar","t":0,"bar":1})";
+    text += "\n";
+    std::istringstream ss(std::move(text));
+    TraceReader reader(ss);
+    TraceLine line;
+    ASSERT_EQ(reader.next(line), TraceReader::Status::Error);
+    EXPECT_EQ(reader.error(), "line longer than " +
+                                  std::to_string(json::kMaxLineBytes) +
+                                  " bytes");
+    ASSERT_EQ(reader.next(line), TraceReader::Status::Ok);
+    EXPECT_EQ(line.event.op, TraceOp::Barrier);
+    EXPECT_EQ(reader.lineNumber(), 2u);
+    EXPECT_EQ(reader.next(line), TraceReader::Status::Eof);
 }
 
 } // namespace

@@ -35,6 +35,27 @@ TEST(Json, PreservesUint64Exactly)
     EXPECT_FALSE(json::parse("3e2")->isInteger);
 }
 
+TEST(Json, IntegerOverflowIsADoubleNotSaturated)
+{
+    // One past UINT64_MAX used to read back as UINT64_MAX with
+    // isInteger set; it is a plain double now, and uintOr ignores it.
+    auto doc = json::parse("{\"n\":18446744073709551616}");
+    ASSERT_TRUE(doc);
+    const json::Value *n = doc->find("n");
+    EXPECT_FALSE(n->isInteger);
+    EXPECT_DOUBLE_EQ(n->number, 18446744073709551616.0);
+    EXPECT_EQ(doc->uintOr("n", 7u), 7u);
+    EXPECT_EQ(json::parse("{\"n\":1e30}")->uintOr("n", 7u), 7u);
+    EXPECT_EQ(json::parse("{\"n\":-1}")->uintOr("n", 7u), 7u);
+    EXPECT_EQ(json::parse("{\"n\":2.5}")->uintOr("n", 7u), 7u);
+
+    // A double beyond the finite range has no spelling to dump back.
+    std::string error;
+    EXPECT_FALSE(json::parse("[1e999]", &error));
+    EXPECT_EQ(error, "number out of range at offset 1");
+    EXPECT_DOUBLE_EQ(json::parse("1e-400")->number, 0.0);
+}
+
 TEST(Json, ObjectAndArrayRoundTrip)
 {
     const std::string text =
@@ -85,7 +106,13 @@ TEST(Json, RejectsMalformedInput)
     EXPECT_FALSE(json::parse("nan", &error)); // not a JSON number
     EXPECT_FALSE(json::parse("[NaN]", &error));
     EXPECT_FALSE(json::parse("{\"a\":1,\"a\":2}", &error));
-    EXPECT_NE(error.find("duplicate member"), std::string::npos) << error;
+    EXPECT_EQ(error, "duplicate member \"a\" at offset 12");
+    EXPECT_FALSE(json::parse("{\"a\" 1}", &error));
+    EXPECT_EQ(error, "expected ':' at offset 5");
+    EXPECT_FALSE(json::parse("[1 2]", &error));
+    EXPECT_EQ(error, "expected ',' or ']' at offset 3");
+    EXPECT_FALSE(json::parse("{\"a\":\"\\x\"}", &error));
+    EXPECT_EQ(error, "unknown escape at offset 8");
 }
 
 TEST(Json, NestingDepthIsBounded)

@@ -149,6 +149,80 @@ TEST(Service, ModeAndOptionKnobsAreHonored)
     EXPECT_FALSE(witness->boolOr("cache_hit", true));
 }
 
+TEST(Service, MistypedRequestFieldsAreErrorsNamingTheField)
+{
+    Engine engine;
+    // A known field with the wrong type, a negative, fractional or
+    // out-of-range number is an error, not a silent default: 1e30 once
+    // cast to a garbage budget and answered ok with 0 outcomes.
+    const std::string uintError = "must be a non-negative integer";
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {"\"max_executions\":1e30", "'max_executions' " + uintError},
+        {"\"max_executions\":18446744073709551616",
+         "'max_executions' " + uintError},
+        {"\"max_executions\":-1", "'max_executions' " + uintError},
+        {"\"max_executions\":2.5", "'max_executions' " + uintError},
+        {"\"max_executions\":\"3\"", "'max_executions' " + uintError},
+        {"\"sim_iterations\":1e3", "'sim_iterations' " + uintError},
+        {"\"witness\":\"yes\"", "'witness' must be a boolean"},
+        {"\"lint_only\":1", "'lint_only' must be a boolean"},
+        {"\"mode\":60", "'mode' must be a string"},
+        {"\"presolve\":true", "'presolve' must be a string"},
+    };
+    for (const auto &[field, message] : cases) {
+        auto reply = response(
+            engine, "{\"test\":\"fig9_message_passing\",\"id\":5," +
+                        field + "}");
+        EXPECT_FALSE(reply->boolOr("ok", true)) << field;
+        EXPECT_EQ(reply->uintOr("id", 0), 5u) << field;
+        EXPECT_EQ(reply->stringOr("error", ""), message) << field;
+    }
+    auto conform = response(
+        engine, "{\"cmd\":\"conform\",\"path\":\"unused.trace\","
+                "\"max_violations\":-3}");
+    EXPECT_FALSE(conform->boolOr("ok", true));
+    EXPECT_EQ(conform->stringOr("error", ""),
+              "'max_violations' " + uintError);
+
+    // The same fields, well typed, are honored.
+    auto fine = response(engine,
+                         "{\"test\":\"fig9_message_passing\","
+                         "\"max_executions\":18446744073709551615,"
+                         "\"witness\":false,\"mode\":\"ptx75\","
+                         "\"presolve\":\"off\"}");
+    EXPECT_TRUE(fine->boolOr("ok", false));
+}
+
+TEST(Service, OverCapLineIsAnErrorAndServingContinues)
+{
+    Engine engine;
+    // A ping padded to one byte over the line cap: discarded unread,
+    // answered in its turn with an error, and the next line is served.
+    std::string input = "{\"cmd\":\"ping\",\"id\":0}";
+    input.resize(json::kMaxLineBytes + 1, ' ');
+    input += "\n{\"cmd\":\"ping\",\"id\":1}\n";
+    std::istringstream in(std::move(input));
+    std::ostringstream out;
+    std::ostringstream err;
+    ServeOptions options;
+    options.jobs = 1;
+    ASSERT_EQ(serve(engine, options, in, out, err), 0);
+
+    std::istringstream lines(out.str());
+    std::string first, second;
+    ASSERT_TRUE(std::getline(lines, first));
+    ASSERT_TRUE(std::getline(lines, second));
+    auto bad = json::parse(first);
+    auto pong = json::parse(second);
+    ASSERT_TRUE(bad && pong) << first << "\n" << second;
+    EXPECT_FALSE(bad->boolOr("ok", true));
+    EXPECT_EQ(bad->stringOr("error", ""),
+              "bad request: line longer than " +
+                  std::to_string(json::kMaxLineBytes) + " bytes");
+    EXPECT_TRUE(pong->boolOr("pong", false));
+    EXPECT_EQ(pong->uintOr("id", 0), 1u);
+}
+
 TEST(Service, ServeStreamsResponsesInRequestOrder)
 {
     Engine engine;

@@ -41,6 +41,9 @@ TEST(JsonEscape, EscapesSpecialCharacters)
     EXPECT_EQ(jsonEscape("a\\b"), "a\\\\b");
     EXPECT_EQ(jsonEscape("a\nb\tc\rd"), "a\\nb\\tc\\rd");
     EXPECT_EQ(jsonEscape(std::string("a\x01")), "a\\u0001");
+    // The JSON short forms, not \u0008 / \u000c: daemon responses are
+    // escaped by this function too.
+    EXPECT_EQ(jsonEscape("a\bb\fc"), "a\\bb\\fc");
 }
 
 TEST(ChromeTrace, EmptyTracerIsValidJson)
