@@ -128,27 +128,22 @@ Engine::submit(const Request &request)
     Verdict verdict;
 
     if (request.kind == RequestKind::Synth) {
-        synth::SynthOptions opts = request.synth;
-        verdict.synth = synth::Synthesizer(opts).run();
+        verdict.synth = synth::Synthesizer(request.synth).run();
         return verdict;
     }
 
     if (request.kind == RequestKind::Conform) {
-        conform::ConformOptions opts = request.conform;
         if (!request.conform.path.empty()) {
-            verdict.conform =
-                conform::checkTraceFile(request.conform.path, opts);
+            verdict.conform = conform::checkTraceFile(request.conform.path,
+                                                      request.conform);
         } else {
             std::istringstream in(request.conform.traceText);
-            verdict.conform = conform::checkTrace(in, opts);
+            verdict.conform = conform::checkTrace(in, request.conform);
         }
         return verdict;
     }
 
-    const bool lintOnly =
-        request.kind == RequestKind::Lint || request.lint.lintOnly;
-
-    if (lintOnly) {
+    if (request.kind == RequestKind::Lint) {
         verdict.lint = analysis::analyze(request.test);
         return verdict;
     }
@@ -171,10 +166,8 @@ Engine::submit(const Request &request)
     if (request.lint.enabled)
         verdict.lint = analysis::analyze(request.test);
 
-    if (request.sim.enabled) {
-        microarch::SimOptions opts = request.sim;
-        verdict.sim = microarch::Simulator(opts).run(request.test);
-    }
+    if (request.sim.enabled)
+        verdict.sim = microarch::Simulator(request.sim).run(request.test);
 
     return verdict;
 }
@@ -202,10 +195,8 @@ renderReport(const Request &request, const Verdict &verdict)
         return os.str();
     }
 
-    if (request.kind == RequestKind::Lint ||
-        (request.lint.lintOnly && verdict.lint)) {
+    if (request.kind == RequestKind::Lint)
         return verdict.lint->render();
-    }
 
     const litmus::LitmusTest &test = request.test;
     const model::CheckResult &result = verdict.check;

@@ -1,15 +1,18 @@
 /**
  * @file
  * engine::Engine — the long-lived checking service behind every front
- * end (the api_redesign of ISSUE 6).
+ * end.
  *
  * One Engine owns one verdict cache (engine/cache.hh) and serves any
  * number of Requests, concurrently, from any thread: the CLI batch
- * runner, the --serve daemon, benches, and tests all call submit() and
- * nothing else. A submit is pure with respect to the engine — all
- * observability flows into the request's (or ambient) obs::Session,
- * and the only shared mutable state is the cache, which is internally
- * synchronized and coalesces duplicate in-flight work.
+ * runner, the --serve daemon, benches, and tests check programs through
+ * submit(). The exceptions sit below the engine: the synthesizer and
+ * synth::shrink construct model::Checker directly for their many
+ * internal checks (a synthesis job itself is one submit()), so those
+ * checks bypass the verdict cache. A submit is pure with respect to the
+ * engine — all observability flows into the request's (or ambient)
+ * obs::Session, and the only shared mutable state is the cache, which
+ * is internally synchronized and coalesces duplicate in-flight work.
  *
  * Cache discipline: a check whose canonical form, model, fast-path
  * flag, and budget match a previous check is answered from the stored

@@ -14,11 +14,12 @@
  * what lets the daemon, the CLI, benches, and tests share one code
  * path.
  *
- * Each block converts implicitly to the subsystem struct it subsumes,
- * so model::Checker, synth::Synthesizer, and microarch::Simulator all
- * accept the engine blocks directly. (The deprecated per-subsystem
- * alias names were kept for one release after the engine API landed
- * and have been removed.)
+ * The sim, synth and conform blocks are the subsystems' own option
+ * structs (plus an on/off bit or the trace subject), so the engine
+ * hands them to microarch::Simulator, synth::Synthesizer and the
+ * conformance checker as they are. Only CheckBlock is a view of its
+ * own: it converts to model::CheckOptions, and the engine binds the
+ * mode, witness and pre-solver fields per check.
  */
 
 #ifndef MIXEDPROXY_ENGINE_REQUEST_HH
@@ -93,59 +94,17 @@ struct CheckBlock
     }
 };
 
-/** Static-analyzer options. */
+/** Static-analyzer options of a check (a Lint request runs it alone). */
 struct LintBlock
 {
     /** Append the analyzer's findings to the verdict. */
     bool enabled = false;
-
-    /** Run only the analyzer — no exhaustive checking. */
-    bool lintOnly = false;
 };
 
-/** Operational-simulator options. */
-struct SimBlock
+/** Operational-simulator options, plus whether to run it at all. */
+struct SimBlock : microarch::SimOptions
 {
     bool enabled = false;
-    std::size_t iterations = 2000;
-    microarch::CoherenceMode mode = microarch::CoherenceMode::Proxy;
-
-    operator microarch::SimOptions() const
-    {
-        microarch::SimOptions opts;
-        opts.iterations = iterations;
-        opts.mode = mode;
-        return opts;
-    }
-};
-
-/** Synthesis-job options (RequestKind::Synth; the test is unused). */
-struct SynthBlock
-{
-    /** Instructions per synthesized program. */
-    std::size_t instructions = 3;
-
-    /** Directory to write the interesting tests into ("" = don't). */
-    std::string outDir;
-
-    /** Classify fence-minimality (expensive; off above 3 instrs). */
-    bool classifyFenceMinimal = true;
-
-    /** See synth::SynthOptions::presolve (CLI --presolve=off). */
-    bool presolve = true;
-
-    /** Worker threads for enumeration and classification. */
-    std::size_t jobs = 1;
-
-    operator synth::SynthOptions() const
-    {
-        synth::SynthOptions opts;
-        opts.instructions = instructions;
-        opts.classifyFenceMinimal = classifyFenceMinimal;
-        opts.presolve = presolve;
-        opts.jobs = jobs;
-        return opts;
-    }
 };
 
 /**
@@ -156,27 +115,13 @@ struct SynthBlock
  * are never cached: a trace is one concrete execution, not a
  * canonicalizable program, and checking it is a single linear pass.
  */
-struct ConformBlock
+struct ConformBlock : conform::ConformOptions
 {
     /** Trace file to check ("" = use traceText). */
     std::string path;
 
     /** Inline trace text (used when path is empty). */
     std::string traceText;
-
-    /** See conform::ConformOptions::window. */
-    std::size_t window = 1024;
-
-    /** See conform::ConformOptions::maxViolations. */
-    std::size_t maxViolations = 16;
-
-    operator conform::ConformOptions() const
-    {
-        conform::ConformOptions opts;
-        opts.window = window;
-        opts.maxViolations = maxViolations;
-        return opts;
-    }
 };
 
 /** Observability routing for one request. */
@@ -203,7 +148,10 @@ struct Request
     CheckBlock check;
     LintBlock lint;
     SimBlock sim;
-    SynthBlock synth;
+
+    /** The synthesis job (RequestKind::Synth; the test is unused). */
+    synth::SynthOptions synth;
+
     ConformBlock conform;
     ObsBlock obs;
 
@@ -220,8 +168,6 @@ struct Request
         Request request;
         request.kind = RequestKind::Lint;
         request.test = std::move(subject);
-        request.lint.enabled = true;
-        request.lint.lintOnly = true;
         return request;
     }
 
@@ -245,13 +191,13 @@ struct Request
 /** The complete structured answer to one Request. */
 struct Verdict
 {
-    /** The axiomatic check (RequestKind::Check, unless lintOnly). */
+    /** The axiomatic check (RequestKind::Check). */
     model::CheckResult check;
 
     /** The other model's result, when CheckBlock::compareModels. */
     std::optional<model::CheckResult> comparison;
 
-    /** Analyzer findings, when LintBlock::enabled (or Lint kind). */
+    /** Analyzer findings (RequestKind::Lint, or LintBlock::enabled). */
     std::optional<analysis::AnalysisResult> lint;
 
     /** Simulation campaign, when SimBlock::enabled. */

@@ -483,7 +483,8 @@ handleRequestLine(Engine &engine, const std::string &line,
                   "' (want off|on|only)");
         }
         request.lint.enabled = boolField(*doc, "lint");
-        request.lint.lintOnly = boolField(*doc, "lint_only");
+        if (boolField(*doc, "lint_only"))
+            request.kind = RequestKind::Lint;
         request.sim.enabled = boolField(*doc, "sim");
         request.sim.iterations = static_cast<std::size_t>(uintField(
             *doc, "sim_iterations", request.sim.iterations));

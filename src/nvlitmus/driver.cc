@@ -1,5 +1,6 @@
 #include "driver.hh"
 
+#include <charconv>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -141,6 +142,18 @@ DriverOptions
 parseArgs(const std::vector<std::string> &args)
 {
     DriverOptions opts;
+    engine::Request &request = opts.request;
+    // Strict unsigned value: digits only — no sign, space or suffix —
+    // and in range; anything else throws "<bad> '<value>'".
+    auto count_value = [](const std::string &value,
+                          const char *bad) -> std::size_t {
+        std::size_t n = 0;
+        const char *end = value.data() + value.size();
+        auto [ptr, ec] = std::from_chars(value.data(), end, n);
+        if (ec != std::errc() || ptr != end)
+            fatal(bad, " '", value, "'");
+        return n;
+    };
     for (std::size_t i = 0; i < args.size(); i++) {
         const std::string &arg = args[i];
         // Matches "--flag VALUE" and "--flag=VALUE", and nothing else:
@@ -172,26 +185,26 @@ parseArgs(const std::vector<std::string> &args)
         } else if (arg == "--all") {
             opts.all = true;
         } else if (arg == "--compare") {
-            opts.compareModels = true;
+            request.check.compareModels = true;
         } else if (arg == "--witness") {
-            opts.showWitnesses = true;
+            request.check.showWitnesses = true;
         } else if (arg == "--dot") {
-            opts.dot = true;
+            request.check.dot = true;
         } else if (arg == "--timing") {
             opts.timing = true;
         } else if (arg == "--lint-only") {
-            opts.lintOnly = true;
+            request.kind = engine::RequestKind::Lint;
         } else if (arg == "--lint") {
-            opts.lint = true;
+            request.lint.enabled = true;
         } else if (arg == "--presolve-diff") {
             opts.presolveDiff = true;
         } else if (arg == "--presolve") {
-            opts.presolve = model::PresolvePolicy::On;
+            request.check.presolve = model::PresolvePolicy::On;
             opts.presolveSet = true;
         } else if (arg.rfind("--presolve=", 0) == 0) {
             value = arg.substr(11);
             if (auto policy = model::presolvePolicyFromString(value)) {
-                opts.presolve = *policy;
+                request.check.presolve = *policy;
                 opts.presolveSet = true;
             } else {
                 fatal("unknown presolve policy '", value,
@@ -205,45 +218,18 @@ parseArgs(const std::vector<std::string> &args)
             opts.serve = true;
         } else if (value_flag("--cache-dir", &opts.cacheDir)) {
         } else if (value_flag("--cache-size", &value)) {
-            bool digits = !value.empty() &&
-                          value.find_first_not_of("0123456789") ==
-                              std::string::npos;
-            if (!digits)
-                fatal("bad --cache-size '", value, "'");
-            try {
-                opts.cacheSize = std::stoul(value);
-            } catch (const std::exception &) {
-                fatal("bad --cache-size '", value, "'");
-            }
+            opts.cacheSize = count_value(value, "bad --cache-size");
         } else if (value_flag("--jobs", &value)) {
-            // Strict: digits only, at least 1 — "--jobs 0", "--jobs x",
-            // and an empty value are usage errors (exit 2).
-            bool digits = !value.empty() &&
-                          value.find_first_not_of("0123456789") ==
-                              std::string::npos;
-            if (!digits)
-                fatal("bad --jobs count '", value, "'");
-            try {
-                opts.jobs = std::stoul(value);
-            } catch (const std::exception &) {
-                fatal("bad --jobs count '", value, "'");
-            }
+            opts.jobs = count_value(value, "bad --jobs count");
             if (opts.jobs < 1)
                 fatal("--jobs must be at least 1");
         } else if (value_flag("--conform", &value)) {
             opts.conformTraces.push_back(value);
         } else if (value_flag("--conform-window", &value)) {
-            bool digits = !value.empty() &&
-                          value.find_first_not_of("0123456789") ==
-                              std::string::npos;
-            if (!digits)
-                fatal("bad --conform-window '", value, "'");
-            try {
-                opts.conformWindow = std::stoul(value);
-            } catch (const std::exception &) {
-                fatal("bad --conform-window '", value, "'");
-            }
-            conform::checkWindow(opts.conformWindow, "--conform-window");
+            request.conform.window =
+                count_value(value, "bad --conform-window");
+            conform::checkWindow(request.conform.window,
+                                 "--conform-window");
         } else if (value_flag("--sim-trace-out", &opts.simTraceOut)) {
         } else if (value_flag("--trace-out", &opts.traceOut)) {
         } else if (value_flag("--stats-json", &opts.statsJsonOut)) {
@@ -255,45 +241,37 @@ parseArgs(const std::vector<std::string> &args)
         } else if (value_flag("--shrink", &opts.shrinkCondition)) {
         } else if (value_flag("--model", &value)) {
             if (value == "ptx75") {
-                opts.mode = model::ProxyMode::Ptx75;
+                request.check.mode = model::ProxyMode::Ptx75;
             } else if (value == "ptx60") {
-                opts.mode = model::ProxyMode::Ptx60;
+                request.check.mode = model::ProxyMode::Ptx60;
             } else {
                 fatal("unknown model '", value, "'");
             }
         } else if (value_flag("--sim-mode", &value)) {
             if (value == "proxy") {
-                opts.simMode = microarch::CoherenceMode::Proxy;
+                request.sim.mode = microarch::CoherenceMode::Proxy;
             } else if (value == "coherent") {
-                opts.simMode = microarch::CoherenceMode::FullyCoherent;
+                request.sim.mode = microarch::CoherenceMode::FullyCoherent;
             } else if (value == "fence-reuse") {
-                opts.simMode = microarch::CoherenceMode::FenceReuse;
+                request.sim.mode = microarch::CoherenceMode::FenceReuse;
             } else {
                 fatal("unknown sim mode '", value, "'");
             }
         } else if (arg == "--synth") {
             fatal("--synth requires =N");
         } else if (arg.rfind("--synth=", 0) == 0) {
-            value = arg.substr(8);
-            try {
-                opts.synthInstructions = std::stoul(value);
-            } catch (const std::exception &) {
-                fatal("bad --synth count '", value, "'");
-            }
+            opts.synthInstructions =
+                count_value(arg.substr(8), "bad --synth count");
             if (opts.synthInstructions < 1 ||
                 opts.synthInstructions > 6) {
                 fatal("--synth size must be 1..6");
             }
         } else if (arg == "--simulate") {
-            opts.simulate = true;
+            request.sim.enabled = true;
         } else if (arg.rfind("--simulate=", 0) == 0) {
-            opts.simulate = true;
-            value = arg.substr(11);
-            try {
-                opts.simIterations = std::stoul(value);
-            } catch (const std::exception &) {
-                fatal("bad --simulate count '", value, "'");
-            }
+            request.sim.enabled = true;
+            request.sim.iterations =
+                count_value(arg.substr(11), "bad --simulate count");
         } else if (arg.size() > 1 && arg[0] == '-') {
             // "-" alone still means stdin.
             fatal("unknown option '", arg, "'");
@@ -342,24 +320,6 @@ engineConfigOf(const DriverOptions &options)
     return config;
 }
 
-/** The engine request one `nvlitmus <input>` report describes. */
-engine::Request
-checkRequestOf(const litmus::LitmusTest &test,
-               const DriverOptions &options)
-{
-    engine::Request request = engine::Request::forCheck(test);
-    request.check.mode = options.mode;
-    request.check.showWitnesses = options.showWitnesses;
-    request.check.dot = options.dot;
-    request.check.compareModels = options.compareModels;
-    request.check.presolve = options.presolve;
-    request.lint.enabled = options.lint;
-    request.sim.enabled = options.simulate;
-    request.sim.iterations = options.simIterations;
-    request.sim.mode = options.simMode;
-    return request;
-}
-
 /**
  * The --presolve-diff harness (docs/static_solver.md): for every test,
  * run the pre-solver alone (PresolvePolicy::Only) and full enumeration
@@ -380,11 +340,11 @@ runPresolveDiff(const DriverOptions &opts, engine::Engine &eng,
 
     for (const litmus::LitmusTest &test : tests) {
         engine::Request static_only = engine::Request::forCheck(test);
-        static_only.check.mode = opts.mode;
+        static_only.check.mode = opts.request.check.mode;
         static_only.check.presolve = model::PresolvePolicy::Only;
 
         engine::Request enumerated = engine::Request::forCheck(test);
-        enumerated.check.mode = opts.mode;
+        enumerated.check.mode = opts.request.check.mode;
 
         model::CheckResult sr, er;
         try {
@@ -442,25 +402,82 @@ runPresolveDiff(const DriverOptions &opts, engine::Engine &eng,
     return disagreements == 0 ? 0 : 1;
 }
 
-} // namespace
+/** Renders one finished request's part of a batch transcript. */
+using Render = std::string (*)(const engine::Request &,
+                               const engine::Verdict &);
 
+/** The full report of one request, then a blank line. */
 std::string
-report(const litmus::LitmusTest &test, const DriverOptions &options,
-       bool *passed)
+renderWithBlankLine(const engine::Request &request,
+                    const engine::Verdict &verdict)
 {
-    // One-shot adapter: a fresh engine per call keeps the historical
-    // stateless semantics for library callers; the CLI batch paths
-    // share one engine (and thus one verdict cache) across the whole
-    // run instead (runParsed below).
-    engine::Engine eng(engineConfigOf(options));
-    engine::Request request = checkRequestOf(test, options);
-    engine::Verdict verdict = eng.submit(request);
-    if (passed)
-        *passed = verdict.passed();
-    return engine::renderReport(request, verdict);
+    return engine::renderReport(request, verdict) + "\n";
 }
 
-namespace {
+/** One row of the --all verdict table (plus a failing check's summary). */
+std::string
+renderTableLine(const engine::Request &request,
+                const engine::Verdict &verdict)
+{
+    std::ostringstream os;
+    os << (verdict.passed() ? "PASS" : "FAIL") << "  "
+       << request.test.name() << "  (" << verdict.check.outcomes.size()
+       << " outcomes)\n";
+    if (!verdict.passed())
+        os << verdict.check.summary();
+    return os.str();
+}
+
+/**
+ * The one ordered batch runner behind the per-input reports,
+ * --lint-only, the --all table and --conform. Every request is
+ * submitted on @p jobs workers and rendered into its own slot; the
+ * slots fold in index order, so the transcript is byte-identical for
+ * any worker count. The first slot (in index order) whose request threw
+ * prints `nvlitmus: <subject>: <error>` after the slots before it and
+ * makes the exit status 2; otherwise it is 0 when every verdict
+ * passed, 1 when any did not.
+ */
+int
+runBatch(engine::Engine &eng, const std::vector<engine::Request> &requests,
+         std::size_t jobs, Render render, std::ostream &out,
+         std::ostream &err)
+{
+    struct Slot
+    {
+        bool passed = false;
+        std::string text;
+        std::string error;
+    };
+    std::vector<Slot> slots(requests.size());
+    runtime::ParallelOptions par;
+    par.jobs = jobs;
+    runtime::parallelFor(
+        requests.size(), par, [&](std::size_t i, obs::Session *) {
+            try {
+                engine::Verdict verdict = eng.submit(requests[i]);
+                slots[i].passed = verdict.passed();
+                slots[i].text = render(requests[i], verdict);
+            } catch (const FatalError &e) {
+                slots[i].error = e.what();
+            }
+        });
+    bool all_passed = true;
+    for (std::size_t i = 0; i < slots.size(); i++) {
+        if (!slots[i].error.empty()) {
+            const engine::Request &request = requests[i];
+            err << "nvlitmus: "
+                << (request.kind == engine::RequestKind::Conform
+                        ? request.conform.path
+                        : request.test.name())
+                << ": " << slots[i].error << "\n";
+            return 2;
+        }
+        out << slots[i].text;
+        all_passed &= slots[i].passed;
+    }
+    return all_passed ? 0 : 1;
+}
 
 /** The work of runCli once options are parsed and obs is attached. */
 int
@@ -496,45 +513,15 @@ runParsed(const DriverOptions &opts, engine::Engine &eng,
                    "itself, not litmus inputs\n";
             return 2;
         }
-        // One engine request per trace; each renders into its own slot
-        // and the slots fold in index order, so the transcript is
-        // byte-identical for any --jobs value.
-        runtime::ParallelOptions par;
-        par.jobs = opts.jobs;
-        struct ConformSlot
-        {
-            bool conformant = false;
-            std::string text;
-            std::string error;
-        };
-        std::vector<ConformSlot> slots(opts.conformTraces.size());
-        runtime::parallelFor(
-            opts.conformTraces.size(), par,
-            [&](std::size_t i, obs::Session *) {
-                try {
-                    engine::Request request =
-                        engine::Request::forConform(
-                            opts.conformTraces[i]);
-                    request.conform.window = opts.conformWindow;
-                    engine::Verdict verdict = eng.submit(request);
-                    slots[i].conformant = verdict.passed();
-                    slots[i].text =
-                        engine::renderReport(request, verdict);
-                } catch (const FatalError &e) {
-                    slots[i].error = e.what();
-                }
-            });
-        bool all_conformant = true;
-        for (std::size_t i = 0; i < slots.size(); i++) {
-            if (!slots[i].error.empty()) {
-                err << "nvlitmus: " << opts.conformTraces[i] << ": "
-                    << slots[i].error << "\n";
-                return 2;
-            }
-            out << slots[i].text << "\n";
-            all_conformant &= slots[i].conformant;
+        std::vector<engine::Request> requests;
+        for (const std::string &path : opts.conformTraces) {
+            engine::Request request = opts.request;
+            request.kind = engine::RequestKind::Conform;
+            request.conform.path = path;
+            requests.push_back(std::move(request));
         }
-        return all_conformant ? 0 : 1;
+        return runBatch(eng, requests, opts.jobs, renderWithBlankLine,
+                        out, err);
     }
     if (opts.synthInstructions != 0) {
         engine::Request request =
@@ -546,9 +533,8 @@ runParsed(const DriverOptions &opts, engine::Engine &eng,
         // the unpruned baseline).
         request.synth.presolve =
             !opts.presolveSet ||
-            opts.presolve != model::PresolvePolicy::Off;
+            opts.request.check.presolve != model::PresolvePolicy::Off;
         request.synth.jobs = opts.jobs;
-        request.synth.outDir = opts.synthOut;
         engine::Verdict verdict = eng.submit(request);
         const synth::SynthReport &report = *verdict.synth;
         out << report.summary() << "\n";
@@ -604,12 +590,11 @@ runParsed(const DriverOptions &opts, engine::Engine &eng,
                 << opts.simTraceOut << "'\n";
             return 2;
         }
-        microarch::SimOptions sopts;
-        sopts.mode = opts.simMode;
+        const microarch::SimOptions &sim = opts.request.sim;
         litmus::Outcome outcome;
         try {
-            outcome = microarch::Simulator(sopts).runTraced(
-                tests[0], sopts.seed, file);
+            outcome = microarch::Simulator(sim).runTraced(tests[0],
+                                                          sim.seed, file);
         } catch (const FatalError &e) {
             err << "nvlitmus: " << tests[0].name() << ": " << e.what()
                 << "\n";
@@ -630,42 +615,8 @@ runParsed(const DriverOptions &opts, engine::Engine &eng,
     if (opts.presolveDiff)
         return runPresolveDiff(opts, eng, tests, out, err);
 
-    runtime::ParallelOptions par;
-    par.jobs = opts.jobs;
-
-    if (opts.lintOnly) {
-        struct LintSlot
-        {
-            std::string text;
-            std::string error;
-            bool clean = true;
-        };
-        std::vector<LintSlot> slots(tests.size());
-        runtime::parallelFor(
-            tests.size(), par, [&](std::size_t i, obs::Session *) {
-                try {
-                    auto verdict = eng.submit(
-                        engine::Request::forLint(tests[i]));
-                    slots[i].clean = verdict.lint->clean();
-                    slots[i].text = verdict.lint->render();
-                } catch (const FatalError &e) {
-                    slots[i].error = e.what();
-                }
-            });
-        bool all_clean = true;
-        for (std::size_t i = 0; i < slots.size(); i++) {
-            if (!slots[i].error.empty()) {
-                err << "nvlitmus: " << tests[i].name() << ": "
-                    << slots[i].error << "\n";
-                return 2;
-            }
-            all_clean &= slots[i].clean;
-            out << slots[i].text << "\n";
-        }
-        return all_clean ? 0 : 1;
-    }
-
-    if (!opts.shrinkCondition.empty()) {
+    const bool lint_only = opts.request.kind == engine::RequestKind::Lint;
+    if (!opts.shrinkCondition.empty() && !lint_only) {
         for (const auto &test : tests) {
             try {
                 synth::ShrinkStats stats;
@@ -688,70 +639,21 @@ runParsed(const DriverOptions &opts, engine::Engine &eng,
         return 0;
     }
 
-    bool all_passed = true;
-    if (opts.all) {
-        // Compact verdict table. Each test renders into its own slot on
-        // a worker; folding the slots in index order makes the table
-        // byte-identical for any --jobs value.
-        struct TableSlot
-        {
-            bool passed = false;
-            std::string text;
-        };
-        std::vector<TableSlot> slots(tests.size());
-        runtime::parallelFor(
-            tests.size(), par, [&](std::size_t i, obs::Session *) {
-                engine::Request request =
-                    engine::Request::forCheck(tests[i]);
-                request.check.mode = opts.mode;
-                request.check.presolve = opts.presolve;
-                auto verdict = eng.submit(request);
-                const model::CheckResult &result = verdict.check;
-                slots[i].passed = result.allPassed();
-                std::ostringstream os;
-                os << (slots[i].passed ? "PASS" : "FAIL") << "  "
-                   << tests[i].name() << "  ("
-                   << result.outcomes.size() << " outcomes)\n";
-                if (!slots[i].passed)
-                    os << result.summary();
-                slots[i].text = os.str();
-            });
-        for (const TableSlot &slot : slots) {
-            all_passed &= slot.passed;
-            out << slot.text;
-        }
-    } else {
-        struct ReportSlot
-        {
-            bool passed = true;
-            std::string text;
-            std::string error;
-        };
-        std::vector<ReportSlot> slots(tests.size());
-        runtime::parallelFor(
-            tests.size(), par, [&](std::size_t i, obs::Session *) {
-                try {
-                    engine::Request request =
-                        checkRequestOf(tests[i], opts);
-                    engine::Verdict verdict = eng.submit(request);
-                    slots[i].passed = verdict.passed();
-                    slots[i].text =
-                        engine::renderReport(request, verdict);
-                } catch (const FatalError &e) {
-                    slots[i].error = e.what();
-                }
-            });
-        for (std::size_t i = 0; i < slots.size(); i++) {
-            if (!slots[i].error.empty()) {
-                err << "nvlitmus: " << tests[i].name() << ": "
-                    << slots[i].error << "\n";
-                return 2;
-            }
-            out << slots[i].text << "\n";
-            all_passed &= slots[i].passed;
-        }
+    // The --all table checks every built-in under the model and
+    // presolve policy alone; the other modes run the whole template.
+    const bool table = opts.all && !lint_only;
+    engine::Request base = opts.request;
+    if (table) {
+        base = engine::Request();
+        base.check.mode = opts.request.check.mode;
+        base.check.presolve = opts.request.check.presolve;
     }
-    return all_passed ? 0 : 1;
+    std::vector<engine::Request> requests(tests.size(), base);
+    for (std::size_t i = 0; i < tests.size(); i++)
+        requests[i].test = std::move(tests[i]);
+    return runBatch(eng, requests, opts.jobs,
+                    table ? renderTableLine : renderWithBlankLine, out,
+                    err);
 }
 
 } // namespace
@@ -796,7 +698,7 @@ runCli(const std::vector<std::string> &args, std::ostream &out,
         if (!opts.metricsOut.empty()) {
             std::map<std::string, std::string> meta;
             meta["tool"] = "nvlitmus";
-            meta["model"] = model::toString(opts.mode);
+            meta["model"] = model::toString(opts.request.check.mode);
             if (!writeFileOrFail(
                     opts.metricsOut,
                     obs::prometheusText(session.metrics, meta))) {
@@ -815,7 +717,7 @@ runCli(const std::vector<std::string> &args, std::ostream &out,
         if (!opts.statsJsonOut.empty()) {
             std::map<std::string, std::string> meta;
             meta["tool"] = "nvlitmus";
-            meta["model"] = model::toString(opts.mode);
+            meta["model"] = model::toString(opts.request.check.mode);
             if (!writeFileOrFail(
                     opts.statsJsonOut,
                     obs::statsJson(session.metrics, meta))) {

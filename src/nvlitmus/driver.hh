@@ -9,11 +9,14 @@
  * litmus file (or pick a built-in test), run the axiomatic checker
  * and/or the operational simulator, and render a human-readable report.
  *
- * Since ISSUE 6 the driver is a thin adapter over the engine facade:
- * every code path builds an engine::Request, calls
- * engine::Engine::submit(), and renders the Verdict — the same path
- * the --serve daemon, benches, and tests use, with the same verdict
- * cache in front of the checker (docs/service.md).
+ * The driver is a thin adapter over the engine facade: parseArgs fills
+ * one engine::Request template from the check, lint, sim and conform
+ * flags, and every batch mode (per-input reports, --lint-only, the
+ * --all table, --conform) copies it per input and runs the copies
+ * through one ordered runner that calls engine::Engine::submit() and
+ * renders each Verdict — the same path the --serve daemon, benches and
+ * tests use, with the same verdict cache in front of the checker
+ * (docs/service.md).
  */
 
 #ifndef MIXEDPROXY_NVLITMUS_DRIVER_HH
@@ -23,9 +26,7 @@
 #include <string>
 #include <vector>
 
-#include "litmus/test.hh"
-#include "microarch/simulator.hh"
-#include "model/checker.hh"
+#include "engine/request.hh"
 
 namespace mixedproxy::nvlitmus {
 
@@ -35,19 +36,23 @@ struct DriverOptions
     /** Litmus file paths, built-in test names, or "-" for stdin. */
     std::vector<std::string> inputs;
 
-    /** Check under both PTX 7.5 and PTX 6.0 and show the delta. */
-    bool compareModels = false;
-
-    model::ProxyMode mode = model::ProxyMode::Ptx75;
+    /**
+     * The request every input is checked with. The check, lint, sim
+     * and conform flags (--model, --compare, --witness, --dot,
+     * --presolve, --lint, --lint-only, --simulate, --sim-mode,
+     * --conform-window) parse straight into it; --lint-only makes it a
+     * RequestKind::Lint request. Batch modes copy it per input and set
+     * the subject. The --all table and --presolve-diff read only its
+     * model and presolve policy.
+     */
+    engine::Request request;
 
     /**
-     * Static pre-solver policy for checks (--presolve[=MODE],
-     * docs/static_solver.md). `presolveSet` records whether the flag
-     * appeared at all: synthesis pruning defaults on and is only
-     * disabled by an explicit --presolve=off, while checking defaults
-     * to plain enumeration unless the flag turns the pre-solver on.
+     * Whether a --presolve flag appeared at all: synthesis pruning
+     * defaults on and is only disabled by an explicit --presolve=off,
+     * while checking defaults to plain enumeration unless the flag
+     * turns the pre-solver on (docs/static_solver.md).
      */
-    model::PresolvePolicy presolve = model::PresolvePolicy::Off;
     bool presolveSet = false;
 
     /**
@@ -58,17 +63,6 @@ struct DriverOptions
      */
     bool presolveDiff = false;
 
-    /** Print one witness execution per outcome. */
-    bool showWitnesses = false;
-
-    /** Emit a graphviz digraph per allowed outcome. */
-    bool dot = false;
-
-    /** Also run the operational simulator. */
-    bool simulate = false;
-    std::size_t simIterations = 2000;
-    microarch::CoherenceMode simMode = microarch::CoherenceMode::Proxy;
-
     /**
      * Trace-conformance mode (--conform FILE, repeatable,
      * docs/trace_conformance.md): check each recorded
@@ -78,9 +72,6 @@ struct DriverOptions
      * when every trace is conformant, 1 otherwise.
      */
     std::vector<std::string> conformTraces;
-
-    /** Live-window capacity for --conform (--conform-window N). */
-    std::size_t conformWindow = 1024;
 
     /**
      * Record one simulated schedule of the (single) input test as a
@@ -99,15 +90,6 @@ struct DriverOptions
 
     /** Shrink inputs while preserving admission of this condition. */
     std::string shrinkCondition;
-
-    /** Append the static analyzer's findings to each report. */
-    bool lint = false;
-
-    /**
-     * Run only the static analyzer (no exhaustive checking); exit 0
-     * when every input is clean, 1 when any warning or error fired.
-     */
-    bool lintOnly = false;
 
     /**
      * Observability sinks (docs/observability.md). Any of these three
@@ -185,16 +167,6 @@ DriverOptions parseArgs(const std::vector<std::string> &args);
 
 /** The usage text. */
 std::string usage();
-
-/**
- * Render one test's full report (check + optional simulation).
- *
- * @param passed When non-null, receives whether every assertion of
- *        the axiomatic check passed (the CLI's exit-code input).
- */
-std::string report(const litmus::LitmusTest &test,
-                   const DriverOptions &options,
-                   bool *passed = nullptr);
 
 /**
  * Run the front end. Reads litmus files, writes reports to @p out and

@@ -377,6 +377,54 @@ TEST(Service, RetiredEnumerationFieldsAreIgnored)
     EXPECT_TRUE(docs[2]->boolOr("cache_hit", false));
 }
 
+TEST(Service, LintOnlyAnswersWithTheAnalyzerReportAlone)
+{
+    Engine engine;
+    // "lint_only" runs the static analyzer and nothing else: the
+    // response bytes are the same whatever check, lint, sim or witness
+    // knobs ride along, and "passed" is the analyzer's cleanliness.
+    const std::string racy =
+        "{\"cache_hit\":false,\"ok\":true,\"passed\":false,\"report\":"
+        "\"lint fig4_const_alias_generic_fence: 1 error(s), 0 "
+        "warning(s), 0 note(s) [mixed-proxy]\\n  error [E001 "
+        "mixed-proxy-race]: location 'global_ptr' is accessed via "
+        "generic(va0) and constant(cta0) with no interposed proxy fence "
+        "on any base-causality path\\n    at 'st.global.u32 "
+        "[global_ptr], 42' (t0 #0)\\n    and 'ld.const.u32 r1, "
+        "[const_array]' (t0 #2)\\n    hint: insert fence.proxy.constant "
+        "in CTA 0 of GPU 0 (or a wider-scope variant) on the "
+        "base-causality path\\n\"}";
+    const std::string request =
+        "{\"test\":\"fig4_const_alias_generic_fence\",\"lint_only\":true";
+    for (const std::string extra :
+         {"", ",\"lint\":true", ",\"sim\":true,\"sim_iterations\":5",
+          ",\"witness\":true", ",\"lint\":true,\"sim\":true,\"witness\":true",
+          ",\"mode\":\"ptx60\",\"compare\":true,\"dot\":true"}) {
+        EXPECT_EQ(handleRequestLine(engine, request + extra + "}"), racy)
+            << extra;
+    }
+
+    EXPECT_EQ(handleRequestLine(
+                  engine,
+                  "{\"test\":\"fig9_message_passing\",\"lint_only\":true}"),
+              "{\"cache_hit\":false,\"ok\":true,\"passed\":true,\"report\":"
+              "\"lint fig9_message_passing: 0 error(s), 0 warning(s), 0 "
+              "note(s) [single-proxy]\\n\"}");
+
+    // "lint_only":false is the plain check, with "lint" appending the
+    // findings after the check summary.
+    auto checked =
+        response(engine, "{\"test\":\"fig9_message_passing\","
+                         "\"lint_only\":false,\"lint\":true}");
+    EXPECT_TRUE(checked->boolOr("passed", false));
+    const std::string report = checked->stringOr("report", "");
+    EXPECT_EQ(report.rfind("=== fig9_message_passing ===\n", 0), 0u)
+        << report;
+    EXPECT_NE(report.find("\n\nlint fig9_message_passing: 0 error(s)"),
+              std::string::npos)
+        << report;
+}
+
 TEST(Service, DeeplyNestedRequestIsAnErrorAndServingContinues)
 {
     Engine engine;

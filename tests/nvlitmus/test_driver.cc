@@ -37,9 +37,11 @@ TEST(ParseArgs, Defaults)
 {
     auto opts = parseArgs({"foo.litmus"});
     EXPECT_EQ(opts.inputs.size(), 1u);
-    EXPECT_EQ(opts.mode, model::ProxyMode::Ptx75);
-    EXPECT_FALSE(opts.simulate);
-    EXPECT_FALSE(opts.showWitnesses);
+    EXPECT_EQ(opts.request.kind, engine::RequestKind::Check);
+    EXPECT_EQ(opts.request.check.mode, model::ProxyMode::Ptx75);
+    EXPECT_FALSE(opts.request.sim.enabled);
+    EXPECT_FALSE(opts.request.check.showWitnesses);
+    EXPECT_EQ(opts.request.conform.window, 1024u);
 }
 
 TEST(ParseArgs, AllFlags)
@@ -47,20 +49,21 @@ TEST(ParseArgs, AllFlags)
     auto opts = parseArgs({"--model", "ptx60", "--compare", "--witness",
                            "--simulate=500", "--sim-mode", "coherent",
                            "a", "b"});
-    EXPECT_EQ(opts.mode, model::ProxyMode::Ptx60);
-    EXPECT_TRUE(opts.compareModels);
-    EXPECT_TRUE(opts.showWitnesses);
-    EXPECT_TRUE(opts.simulate);
-    EXPECT_EQ(opts.simIterations, 500u);
-    EXPECT_EQ(opts.simMode, microarch::CoherenceMode::FullyCoherent);
+    EXPECT_EQ(opts.request.check.mode, model::ProxyMode::Ptx60);
+    EXPECT_TRUE(opts.request.check.compareModels);
+    EXPECT_TRUE(opts.request.check.showWitnesses);
+    EXPECT_TRUE(opts.request.sim.enabled);
+    EXPECT_EQ(opts.request.sim.iterations, 500u);
+    EXPECT_EQ(opts.request.sim.mode,
+              microarch::CoherenceMode::FullyCoherent);
     EXPECT_EQ(opts.inputs.size(), 2u);
 }
 
 TEST(ParseArgs, EqualsSyntax)
 {
     auto opts = parseArgs({"--model=ptx60", "--sim-mode=fence-reuse"});
-    EXPECT_EQ(opts.mode, model::ProxyMode::Ptx60);
-    EXPECT_EQ(opts.simMode, microarch::CoherenceMode::FenceReuse);
+    EXPECT_EQ(opts.request.check.mode, model::ProxyMode::Ptx60);
+    EXPECT_EQ(opts.request.sim.mode, microarch::CoherenceMode::FenceReuse);
 }
 
 TEST(ParseArgs, Invalid)
@@ -120,8 +123,9 @@ TEST(Cli, BadJobsIsUsageError)
 
 TEST(ParseArgs, ConformWindowRange)
 {
-    EXPECT_EQ(parseArgs({"--conform-window", "2"}).conformWindow, 2u);
-    EXPECT_EQ(parseArgs({"--conform-window=16384"}).conformWindow,
+    EXPECT_EQ(parseArgs({"--conform-window", "2"}).request.conform.window,
+              2u);
+    EXPECT_EQ(parseArgs({"--conform-window=16384"}).request.conform.window,
               16384u);
     EXPECT_THROW(parseArgs({"--conform-window", "0"}), FatalError);
     EXPECT_THROW(parseArgs({"--conform-window", "1"}), FatalError);
@@ -360,6 +364,53 @@ TEST(ParseArgs, SynthFlag)
     EXPECT_THROW(parseArgs({"--synth=9"}), FatalError);
 }
 
+TEST(ParseArgs, CountsAreStrictUnsignedValues)
+{
+    // --simulate and --synth once read their value with std::stoul,
+    // which wraps "-1" to 2^64-1 schedules (a run that never ends) and
+    // ignores a sign or a trailing suffix. Every count flag now takes
+    // digits only, with its own error text.
+    EXPECT_EQ(parseArgs({"--simulate=0"}).request.sim.iterations, 0u);
+    EXPECT_EQ(parseArgs({"--simulate=7"}).request.sim.iterations, 7u);
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {"--simulate=-1", "bad --simulate count '-1'"},
+        {"--simulate=3x", "bad --simulate count '3x'"},
+        {"--simulate=+3", "bad --simulate count '+3'"},
+        {"--simulate= 3", "bad --simulate count ' 3'"},
+        {"--simulate=", "bad --simulate count ''"},
+        {"--simulate=99999999999999999999",
+         "bad --simulate count '99999999999999999999'"},
+        {"--synth=3x", "bad --synth count '3x'"},
+        {"--synth=+3", "bad --synth count '+3'"},
+        {"--synth=-3", "bad --synth count '-3'"},
+        {"--synth=0x3", "bad --synth count '0x3'"},
+        {"--jobs=+2", "bad --jobs count '+2'"},
+        {"--cache-size=-1", "bad --cache-size '-1'"},
+        {"--conform-window=+8", "bad --conform-window '+8'"},
+    };
+    for (const auto &[arg, message] : cases) {
+        try {
+            parseArgs({arg, "fig9_message_passing"});
+            ADD_FAILURE() << arg << " was accepted";
+        } catch (const FatalError &e) {
+            EXPECT_EQ(std::string(e.what()), message) << arg;
+        }
+    }
+}
+
+TEST(Cli, BadSimulateOrSynthCountIsUsageError)
+{
+    for (const char *arg : {"--simulate=3x", "--synth=3x", "--synth=+3"}) {
+        std::string out;
+        std::string err;
+        EXPECT_EQ(run({arg, "fig9_message_passing"}, &out, &err), 2)
+            << arg;
+        EXPECT_EQ(out, "") << arg;
+        EXPECT_EQ(err.rfind("nvlitmus: bad --", 0), 0u) << err;
+        EXPECT_NE(err.find("usage:"), std::string::npos) << err;
+    }
+}
+
 TEST(Cli, SynthReportsProxySensitiveTests)
 {
     std::string out;
@@ -409,10 +460,10 @@ TEST(Cli, SynthOutWritesSuite)
 TEST(ParseArgs, LintFlags)
 {
     auto opts = parseArgs({"--lint", "a"});
-    EXPECT_TRUE(opts.lint);
-    EXPECT_FALSE(opts.lintOnly);
+    EXPECT_TRUE(opts.request.lint.enabled);
+    EXPECT_EQ(opts.request.kind, engine::RequestKind::Check);
     opts = parseArgs({"--lint-only", "a"});
-    EXPECT_TRUE(opts.lintOnly);
+    EXPECT_EQ(opts.request.kind, engine::RequestKind::Lint);
 }
 
 TEST(Cli, LintAppendsFindingsToReport)
