@@ -11,10 +11,10 @@
  * needed to translate outcomes between the request's namespace and the
  * canonical one.
  *
- * This extends the synthesizer's skeleton-level canonical-key dedup
- * (src/synth/generator.cc) to arbitrary parsed tests: where the
- * generator canonicalizes its own fixed alphabet before materializing
- * instructions, engine::canonicalKey() works on any litmus::LitmusTest,
+ * This extends the synthesizer's skeleton-level symmetry reduction
+ * (serial orderly generation, src/synth/skeletons.hh) to arbitrary
+ * parsed tests: where the generator picks class representatives over
+ * its own alphabet, engine::canonicalKey() works on any LitmusTest,
  * covering register renaming and alias structure as well.
  *
  * Soundness contract: equal keys imply isomorphic programs (the key

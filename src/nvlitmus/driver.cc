@@ -4,6 +4,7 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <sstream>
 
 #include "analysis/analyzer.hh"
@@ -535,23 +536,34 @@ runParsed(const DriverOptions &opts, engine::Engine &eng,
             !opts.presolveSet ||
             opts.request.check.presolve != model::PresolvePolicy::Off;
         request.synth.jobs = opts.jobs;
-        engine::Verdict verdict = eng.submit(request);
-        const synth::SynthReport &report = *verdict.synth;
-        out << report.summary() << "\n";
+        // The suite directory is made before any synthesis, so a bad
+        // path fails fast; the tests stream into it as they classify.
+        std::optional<synth::SuiteWriter> suite;
         if (!opts.synthOut.empty()) {
-            std::size_t written = report.writeSuite(opts.synthOut);
-            out << "wrote " << written << " tests to " << opts.synthOut
-                << "\n";
+            try {
+                suite.emplace(opts.synthOut);
+            } catch (const FatalError &e) {
+                err << "nvlitmus: --synth-out: " << e.what() << "\n";
+                return 2;
+            }
         }
-        std::size_t shown = 0;
-        for (const auto &entry : report.interesting) {
-            if (!entry.proxySensitive)
-                continue;
+        std::vector<synth::SynthesizedTest> sample;
+        request.synth.sink = [&](synth::SynthesizedTest &&entry) {
+            if (suite)
+                suite->write(entry);
+            if (entry.proxySensitive && sample.size() < 3)
+                sample.push_back(std::move(entry));
+        };
+        engine::Verdict verdict = eng.submit(request);
+        out << verdict.synth->summary() << "\n";
+        if (suite) {
+            out << "wrote " << suite->written() << " tests to "
+                << opts.synthOut << "\n";
+        }
+        for (const auto &entry : sample) {
             out << "--- proxy-sensitive (" << entry.ptx60Outcomes
                 << " -> " << entry.ptx75Outcomes << " outcomes) ---\n"
                 << entry.test.toString() << "\n";
-            if (++shown == 3)
-                break;
         }
         return 0;
     }

@@ -1,13 +1,9 @@
 #include "generator.hh"
 
-#include <algorithm>
 #include <array>
 #include <chrono>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <functional>
-#include <set>
 #include <sstream>
 
 #include "model/checker.hh"
@@ -16,191 +12,22 @@
 #include "runtime/parallel.hh"
 #include "synth/mutate.hh"
 #include "synth/sc_reference.hh"
+#include "synth/skeletons.hh"
 
 namespace mixedproxy::synth {
 
 namespace {
 
-/** One entry of the instruction alphabet. */
-struct Template
-{
-    enum class Kind {
-        Store,
-        Load,
-        ReleaseStore,
-        AcquireLoad,
-        FenceAcqRel,
-        FenceSc,
-        ConstLoad,     ///< ld.const through the location's alias
-        AliasStore,    ///< generic store through the location's alias
-        AliasLoad,     ///< generic load through the location's alias
-        ProxyFenceConstant,
-        ProxyFenceAlias,
-        AtomAdd,
-        AsyncCopy,     ///< cp.async [L], [other location]
-        AsyncWait,
-        Barrier,
-    };
-
-    Kind kind;
-    bool usesLocation = true;
-    bool isLoad = false;
-    bool isStore = false;
-    bool isFence = false;
-    const char *name = "";
-};
-
-std::vector<Template>
-alphabet(const SynthOptions &opts)
-{
-    using K = Template::Kind;
-    std::vector<Template> out;
-    out.push_back({K::Store, true, false, true, false, "st"});
-    out.push_back({K::Load, true, true, false, false, "ld"});
-    if (opts.withReleaseAcquire) {
-        out.push_back({K::ReleaseStore, true, false, true, false,
-                       "st.rel"});
-        out.push_back({K::AcquireLoad, true, true, false, false,
-                       "ld.acq"});
-    }
-    if (opts.withFences) {
-        out.push_back({K::FenceAcqRel, false, false, false, true,
-                       "fence.acq_rel"});
-        out.push_back({K::FenceSc, false, false, false, true,
-                       "fence.sc"});
-    }
-    if (opts.withProxies) {
-        out.push_back({K::ConstLoad, true, true, false, false,
-                       "ld.const"});
-        out.push_back({K::AliasStore, true, false, true, false,
-                       "st.alias"});
-        out.push_back({K::AliasLoad, true, true, false, false,
-                       "ld.alias"});
-        out.push_back({K::ProxyFenceConstant, false, false, false, true,
-                       "fence.proxy.constant"});
-        out.push_back({K::ProxyFenceAlias, false, false, false, true,
-                       "fence.proxy.alias"});
-    }
-    if (opts.withAtomics)
-        out.push_back({K::AtomAdd, true, true, true, false, "atom.add"});
-    if (opts.withAsync) {
-        out.push_back({K::AsyncCopy, true, true, true, false,
-                       "cp.async"});
-        out.push_back({K::AsyncWait, false, false, false, true,
-                       "cp.async.wait_all"});
-    }
-    if (opts.withBarriers)
-        out.push_back({K::Barrier, false, false, false, false,
-                       "bar.sync"});
-    return out;
-}
-
-/** A program skeleton: per thread, a list of (template, location). */
-using Slot = std::pair<std::size_t, std::size_t>;
-using Skeleton = std::vector<std::vector<Slot>>;
-
 const char *kLocNames[2] = {"x", "y"};
 const char *kAliasNames[2] = {"ax", "ay"};
 
 /**
- * Canonical key modulo thread permutation and location permutation.
- * Thread and location identities are arbitrary labels; two programs
- * related by relabeling have identical behavior.
- */
-std::string
-canonicalKey(const Skeleton &program, std::size_t locations)
-{
-    // Stage B calls this once per enumerated skeleton, so for the
-    // sizes the synthesizer explores (locations <= 2, a handful of
-    // short threads) the relabeling search runs entirely in stack
-    // buffers; only the returned key touches the heap. The general
-    // path below handles oversized inputs.
-    constexpr std::size_t kThreads = 16;
-    constexpr std::size_t kKey = 32;
-    bool small = program.size() <= kThreads && locations <= 2;
-    for (const auto &thread : program)
-        small = small && thread.size() * 2 <= kKey;
-    if (small) {
-        std::size_t loc_perm[2] = {0, 1};
-        char best[kThreads * (kKey + 1)];
-        std::size_t best_len = 0;
-        bool have_best = false;
-        do {
-            // Relabel locations, then sort threads for thread symmetry.
-            char keys[kThreads][kKey];
-            std::size_t lens[kThreads];
-            std::size_t order[kThreads];
-            const std::size_t nt = program.size();
-            for (std::size_t t = 0; t < nt; t++) {
-                std::size_t len = 0;
-                for (const auto &[tmpl, loc] : program[t]) {
-                    keys[t][len++] = static_cast<char>('A' + tmpl);
-                    keys[t][len++] =
-                        static_cast<char>('0' + loc_perm[loc]);
-                }
-                lens[t] = len;
-                order[t] = t;
-            }
-            std::sort(order, order + nt,
-                      [&](std::size_t a, std::size_t b) {
-                          return std::lexicographical_compare(
-                              keys[a], keys[a] + lens[a], keys[b],
-                              keys[b] + lens[b]);
-                      });
-            char whole[kThreads * (kKey + 1)];
-            std::size_t len = 0;
-            for (std::size_t i = 0; i < nt; i++) {
-                const std::size_t t = order[i];
-                std::memcpy(whole + len, keys[t], lens[t]);
-                len += lens[t];
-                whole[len++] = '|';
-            }
-            if (!have_best ||
-                std::lexicographical_compare(whole, whole + len, best,
-                                             best + best_len)) {
-                std::memcpy(best, whole, len);
-                best_len = len;
-                have_best = true;
-            }
-        } while (
-            std::next_permutation(loc_perm, loc_perm + locations));
-        return std::string(best, best_len);
-    }
-
-    std::string best;
-    std::vector<std::size_t> loc_perm(locations);
-    for (std::size_t i = 0; i < locations; i++)
-        loc_perm[i] = i;
-    do {
-        // Relabel locations, then sort threads for thread symmetry.
-        std::vector<std::string> thread_keys;
-        for (const auto &thread : program) {
-            std::string key;
-            for (const auto &[tmpl, loc] : thread) {
-                key += static_cast<char>('A' + tmpl);
-                key += static_cast<char>('0' + loc_perm[loc]);
-            }
-            thread_keys.push_back(key);
-        }
-        std::sort(thread_keys.begin(), thread_keys.end());
-        std::string whole;
-        for (const auto &key : thread_keys) {
-            whole += key;
-            whole += '|';
-        }
-        if (best.empty() || whole < best)
-            best = whole;
-    } while (std::next_permutation(loc_perm.begin(), loc_perm.end()));
-    return best;
-}
-
-/**
  * A pre-decoded instruction prototype for one (template, location)
  * pair. The PTX text of a materialized instruction is fixed up to the
- * embedded store value or destination register, so Stage C decodes
- * each pair once per run and materialization patches the one variable
- * field — replacing the per-candidate ostringstream + decode() parse
- * round-trip that dominated its profile.
+ * embedded store value or destination register, so classification
+ * decodes each pair once per run and materialization patches the one
+ * variable field — replacing the per-candidate ostringstream +
+ * decode() parse round-trip that dominated its profile.
  */
 struct Proto
 {
@@ -308,25 +135,25 @@ buildProtos(const std::vector<Template> &alpha)
 /** Materialize a skeleton as a LitmusTest. */
 litmus::LitmusTest
 materialize(const Skeleton &program, const std::vector<Template> &alpha,
-            const ProtoTable &protos, std::size_t locations,
-            std::size_t index, bool same_cta)
+            const ProtoTable &protos, std::size_t index, bool same_cta)
 {
     using K = Template::Kind;
     // Declare aliases for every location that an alias template uses.
-    std::set<std::size_t> aliased;
+    bool aliased[2] = {false, false};
     for (const auto &thread : program) {
         for (const auto &[tmpl, loc] : thread) {
             K kind = alpha[tmpl].kind;
             if (kind == K::ConstLoad || kind == K::AliasStore ||
                 kind == K::AliasLoad) {
-                aliased.insert(loc);
+                aliased[loc] = true;
             }
         }
     }
     litmus::LitmusTest test("synth_" + std::to_string(index));
-    for (std::size_t loc : aliased)
-        test.addAlias(kAliasNames[loc], kLocNames[loc]);
-    (void)locations;
+    for (std::size_t loc = 0; loc < 2; loc++) {
+        if (aliased[loc])
+            test.addAlias(kAliasNames[loc], kLocNames[loc]);
+    }
 
     std::uint64_t next_value = 1;
     for (std::size_t t = 0; t < program.size(); t++) {
@@ -368,61 +195,36 @@ materialize(const Skeleton &program, const std::vector<Template> &alpha,
     return test;
 }
 
-/** Mild pruning: keep programs that can exhibit communication. */
-bool
-worthChecking(const Skeleton &program, const std::vector<Template> &alpha)
-{
-    bool has_load = false;
-    bool has_store = false;
-    // Location touched by >= 2 instructions (otherwise trivially boring)
-    std::size_t touches[2] = {0, 0};
-    for (const auto &thread : program) {
-        if (thread.empty())
-            return false;
-        for (const auto &[tmpl, loc] : thread) {
-            has_load |= alpha[tmpl].isLoad;
-            has_store |= alpha[tmpl].isStore;
-            if (alpha[tmpl].usesLocation)
-                touches[loc]++;
-        }
-    }
-    if (!has_load || !has_store)
-        return false;
-    if (touches[0] < 2 && touches[1] < 2)
-        return false;
-    return true;
-}
-
 } // namespace
 
-std::size_t
-SynthReport::writeSuite(const std::string &directory) const
+SuiteWriter::SuiteWriter(std::string directory)
+    : directory(std::move(directory))
 {
-    namespace fs = std::filesystem;
     std::error_code ec;
-    fs::create_directories(directory, ec);
+    std::filesystem::create_directories(this->directory, ec);
     if (ec)
-        fatal("cannot create suite directory '", directory, "'");
-    std::size_t written = 0;
-    for (const auto &entry : interesting) {
-        fs::path path =
-            fs::path(directory) / (entry.test.name() + ".litmus");
-        std::ofstream out(path);
-        if (!out)
-            fatal("cannot write '", path.string(), "'");
-        out << "# synthesized litmus test\n"
-            << "#   weak (beyond SC):      "
-            << (entry.weak ? "yes" : "no") << "\n"
-            << "#   proxy-sensitive:       "
-            << (entry.proxySensitive ? "yes" : "no") << "\n"
-            << "#   fence-minimal:         "
-            << (entry.fenceMinimal ? "yes" : "no") << "\n"
-            << "#   ptx75/ptx60 outcomes:  " << entry.ptx75Outcomes
-            << "/" << entry.ptx60Outcomes << "\n"
-            << entry.test.toString();
-        written++;
-    }
-    return written;
+        fatal("cannot create suite directory '", this->directory, "'");
+}
+
+void
+SuiteWriter::write(const SynthesizedTest &entry)
+{
+    std::filesystem::path path =
+        std::filesystem::path(directory) / (entry.test.name() + ".litmus");
+    std::ofstream out(path);
+    if (!out)
+        fatal("cannot write '", path.string(), "'");
+    out << "# synthesized litmus test\n"
+        << "#   weak (beyond SC):      " << (entry.weak ? "yes" : "no")
+        << "\n"
+        << "#   proxy-sensitive:       "
+        << (entry.proxySensitive ? "yes" : "no") << "\n"
+        << "#   fence-minimal:         "
+        << (entry.fenceMinimal ? "yes" : "no") << "\n"
+        << "#   ptx75/ptx60 outcomes:  " << entry.ptx75Outcomes << "/"
+        << entry.ptx60Outcomes << "\n"
+        << entry.test.toString();
+    count++;
 }
 
 void
@@ -469,27 +271,11 @@ Synthesizer::Synthesizer(SynthOptions options)
 namespace {
 
 /**
- * One enumeration shard: a thread shape plus the assignment of its
- * first slot. Shards partition the skeleton space finely enough to
- * keep every worker busy, and enumerating them in order reproduces the
- * exact serial enumeration order.
+ * Unique programs classified per chunk. The generator fills a chunk,
+ * the workers classify it, and the fold streams it out before the next
+ * one starts, so memory does not grow with the run.
  */
-struct EnumShard
-{
-    std::vector<std::size_t> parts; ///< instructions per thread
-    std::size_t firstTmpl = 0;
-    std::size_t firstLoc = 0;
-};
-
-/** What one shard's enumeration produced. */
-struct ShardResult
-{
-    std::uint64_t enumerated = 0;
-    std::uint64_t pruned = 0;
-
-    /** In-shard deduplicated skeletons, first occurrence first. */
-    std::vector<std::pair<std::string, Skeleton>> unique;
-};
+constexpr std::size_t kChunk = 4096;
 
 /** What classifying one unique skeleton produced. */
 struct Classified
@@ -499,7 +285,7 @@ struct Classified
     bool tooExpensive = false; ///< some check exceeded its budget
     std::uint64_t prunedPtx60 = 0;       ///< oracle-skipped 6.0 checks
     std::uint64_t prunedFenceChecks = 0; ///< oracle-skipped rechecks
-    SynthesizedTest entry;
+    SynthesizedTest entry; ///< the test is kept only if interesting
 };
 
 } // namespace
@@ -514,115 +300,6 @@ Synthesizer::run() const
     const auto alpha = alphabet(opts);
     const ProtoTable protos = buildProtos(alpha);
 
-    // ---- Stage A: shard the skeleton space -----------------------------
-    // Compositions of `instructions` into 1..maxThreads nonincreasing
-    // parts (thread order is a symmetry), each split by the first
-    // slot's (template, location) assignment.
-    std::vector<EnumShard> shards;
-    std::vector<std::size_t> parts;
-    std::function<void(std::size_t, std::size_t, std::size_t)> compose =
-        [&](std::size_t remaining, std::size_t threads_left,
-            std::size_t max_part) {
-            if (remaining == 0) {
-                for (std::size_t tmpl = 0; tmpl < alpha.size(); tmpl++) {
-                    std::size_t loc_count =
-                        alpha[tmpl].usesLocation ? opts.maxLocations : 1;
-                    for (std::size_t loc = 0; loc < loc_count; loc++)
-                        shards.push_back({parts, tmpl, loc});
-                }
-                return;
-            }
-            if (threads_left == 0)
-                return;
-            for (std::size_t take = std::min(remaining, max_part);
-                 take >= 1; take--) {
-                parts.push_back(take);
-                compose(remaining - take, threads_left - 1, take);
-                parts.pop_back();
-            }
-        };
-    compose(opts.instructions, opts.maxThreads, opts.instructions);
-
-    // Each shard enumerates its subspace in serial nested-loop order
-    // and dedups within itself; results land in the shard's slot.
-    std::vector<ShardResult> shard_results(shards.size());
-    runtime::ParallelOptions par;
-    par.jobs = opts.jobs;
-    runtime::parallelFor(
-        shards.size(), par, [&](std::size_t si, obs::Session *) {
-            const EnumShard &shard = shards[si];
-            ShardResult &out = shard_results[si];
-            std::set<std::string> seen;
-            Skeleton program;
-            for (std::size_t part : shard.parts)
-                program.emplace_back(part, Slot{0, 0});
-            program[0][0] = {shard.firstTmpl, shard.firstLoc};
-
-            auto process = [&](const Skeleton &complete) {
-                out.enumerated++;
-                if (!worthChecking(complete, alpha))
-                    return;
-                out.pruned++;
-                std::string key =
-                    canonicalKey(complete, opts.maxLocations);
-                if (seen.insert(key).second)
-                    out.unique.emplace_back(std::move(key), complete);
-            };
-
-            std::function<void(std::size_t, std::size_t)> fill =
-                [&](std::size_t thread, std::size_t slot) {
-                    if (thread == program.size()) {
-                        process(program);
-                        return;
-                    }
-                    std::size_t next_thread = thread;
-                    std::size_t next_slot = slot + 1;
-                    if (next_slot == program[thread].size()) {
-                        next_thread = thread + 1;
-                        next_slot = 0;
-                    }
-                    for (std::size_t tmpl = 0; tmpl < alpha.size();
-                         tmpl++) {
-                        std::size_t loc_count = alpha[tmpl].usesLocation
-                                                    ? opts.maxLocations
-                                                    : 1;
-                        for (std::size_t loc = 0; loc < loc_count;
-                             loc++) {
-                            program[thread][slot] = {tmpl, loc};
-                            fill(next_thread, next_slot);
-                        }
-                    }
-                };
-            // The first slot is fixed by the shard; start at its
-            // successor.
-            if (program[0].size() > 1)
-                fill(0, 1);
-            else if (program.size() > 1)
-                fill(1, 0);
-            else
-                process(program);
-        });
-
-    // ---- Stage B: merge shard dedups (serial, deterministic) -----------
-    // Folding shards in order against one global seen-set reproduces
-    // the serial first-occurrence order exactly, so test names and the
-    // unique count do not depend on jobs.
-    std::set<std::string> seen;
-    std::vector<Skeleton> unique_list;
-    for (ShardResult &shard : shard_results) {
-        report.stats.programsEnumerated += shard.enumerated;
-        report.stats.afterPruning += shard.pruned;
-        for (auto &[key, skeleton] : shard.unique) {
-            if (seen.insert(key).second)
-                unique_list.push_back(std::move(skeleton));
-        }
-    }
-    if (opts.maxUniquePrograms != 0 &&
-        unique_list.size() > opts.maxUniquePrograms)
-        unique_list.resize(opts.maxUniquePrograms);
-    report.stats.uniquePrograms = unique_list.size();
-
-    // ---- Stage C: classify every unique program ------------------------
     model::CheckOptions check75;
     check75.collectWitnesses = false;
     check75.maxExecutions = opts.maxExecutionsPerTest;
@@ -631,149 +308,174 @@ Synthesizer::run() const
     check60.mode = model::ProxyMode::Ptx60;
     model::Checker checker60(check60);
 
-    std::vector<Classified> classified(unique_list.size());
-    runtime::parallelFor(
-        unique_list.size(), par, [&](std::size_t i, obs::Session *) {
-            Classified &c = classified[i];
-            litmus::LitmusTest test;
-            try {
-                test = materialize(unique_list[i], alpha, protos,
-                                   opts.maxLocations, i + 1,
-                                   opts.withBarriers);
-            } catch (const FatalError &) {
-                // E.g. mismatched barrier sequences within the CTA.
+    // Classify unique program number `index` (1-based) into `c`.
+    auto classify = [&](const Skeleton &skeleton, std::size_t index,
+                        Classified &c) {
+        litmus::LitmusTest test;
+        try {
+            test = materialize(skeleton, alpha, protos, index,
+                               opts.withBarriers);
+        } catch (const FatalError &) {
+            // E.g. mismatched barrier sequences within the CTA.
+            return;
+        }
+        c.valid = true;
+
+        obs::Span check_span("synth.check");
+        try {
+            // One static expansion serves both the PTX 7.5 check and
+            // the pruning oracle below: the Program carries the
+            // precomputed base layers (dep closure, must base
+            // causality) the incremental enumeration core starts from,
+            // so expanding per consumer would redo exactly the work
+            // the layering is meant to share.
+            model::Program prog75(test, model::ProxyMode::Ptx75);
+            auto r75 = checker75.check(prog75);
+            if (r75.budgetExceeded) {
+                c.tooExpensive = true;
                 return;
             }
-            c.valid = true;
+            c.entry.ptx75Outcomes = r75.outcomes.size();
+            c.checked75 = true;
 
-            obs::Span check_span("synth.check");
-            c.entry.test = test;
-            try {
-                // One static expansion serves both the PTX 7.5 check
-                // and the pruning oracle below: the Program carries
-                // the precomputed base layers (dep closure, must base
-                // causality) the incremental enumeration core starts
-                // from, so expanding per consumer would redo exactly
-                // the work the layering is meant to share.
-                model::Program prog75(test, model::ProxyMode::Ptx75);
-                auto r75 = checker75.check(prog75);
-                if (r75.budgetExceeded) {
-                    c.tooExpensive = true;
-                    return;
+            // The static pruning oracle: a program all of whose
+            // accesses go through one proxy is interpreted identically
+            // by both models and by the proxy rules — the same fact
+            // the checker's single-proxy fast path rests on
+            // (docs/static_solver.md "Synthesis pruning"), so two
+            // whole classes of checks are provably redundant for it.
+            bool single_proxy = false;
+            if (opts.presolve)
+                single_proxy = !prog75.usesMixedProxies();
+
+            if (opts.classifyAgainstSc) {
+                auto sc = scOutcomes(test);
+                c.entry.scOutcomeCount = sc.size();
+                for (const auto &outcome : r75.outcomes) {
+                    if (!sc.count(outcome)) {
+                        c.entry.weak = true;
+                        break;
+                    }
                 }
-                c.entry.ptx75Outcomes = r75.outcomes.size();
-                c.checked75 = true;
-
-                // The static pruning oracle: a program all of whose
-                // accesses go through one proxy is interpreted
-                // identically by both models and by the proxy rules —
-                // the same fact the checker's single-proxy fast path
-                // rests on (docs/static_solver.md "Synthesis
-                // pruning"), so two whole classes of Stage C checks
-                // are provably redundant for it.
-                bool single_proxy = false;
-                if (opts.presolve)
-                    single_proxy = !prog75.usesMixedProxies();
-
-                if (opts.classifyAgainstSc) {
-                    auto sc = scOutcomes(test);
-                    c.entry.scOutcomeCount = sc.size();
-                    for (const auto &outcome : r75.outcomes) {
-                        if (!sc.count(outcome)) {
-                            c.entry.weak = true;
+            }
+            if (opts.classifyAgainstPtx60) {
+                if (single_proxy) {
+                    // Both models admit exactly r75's outcomes (and
+                    // would enumerate the same candidates, so the
+                    // budget verdict matches too).
+                    c.entry.ptx60Outcomes = r75.outcomes.size();
+                    c.entry.proxySensitive = false;
+                    c.prunedPtx60++;
+                } else {
+                    auto r60 = checker60.check(test);
+                    if (r60.budgetExceeded) {
+                        c.tooExpensive = true;
+                        return;
+                    }
+                    c.entry.ptx60Outcomes = r60.outcomes.size();
+                    c.entry.proxySensitive = r60.outcomes != r75.outcomes;
+                }
+            }
+            if (opts.classifyFenceMinimal) {
+                bool has_fence = false;
+                bool all_load_bearing = true;
+                for (std::size_t t = 0;
+                     t < test.threads().size() && all_load_bearing; t++) {
+                    const auto &instrs = test.threads()[t].instructions;
+                    for (std::size_t j = 0; j < instrs.size(); j++) {
+                        if (!instrs[j].isFence())
+                            continue;
+                        has_fence = true;
+                        if (single_proxy &&
+                            instrs[j].opcode == litmus::Opcode::FenceProxy) {
+                            // A proxy fence in a single-proxy program
+                            // anchors no release/acquire pattern and
+                            // bridges no cross-proxy pair: removing it
+                            // provably leaves the outcome set
+                            // unchanged, which is exactly the
+                            // recheck's break condition.
+                            c.prunedFenceChecks++;
+                            all_load_bearing = false;
+                            break;
+                        }
+                        auto reduced = withoutInstruction(test, t, j);
+                        auto rr = checker75.check(reduced);
+                        if (rr.budgetExceeded) {
+                            c.tooExpensive = true;
+                            return;
+                        }
+                        if (rr.outcomes == r75.outcomes) {
+                            all_load_bearing = false;
                             break;
                         }
                     }
                 }
-                if (opts.classifyAgainstPtx60) {
-                    if (single_proxy) {
-                        // Both models admit exactly r75's outcomes
-                        // (and would enumerate the same candidates,
-                        // so the budget verdict matches too).
-                        c.entry.ptx60Outcomes = r75.outcomes.size();
-                        c.entry.proxySensitive = false;
-                        c.prunedPtx60++;
-                    } else {
-                        auto r60 = checker60.check(test);
-                        if (r60.budgetExceeded) {
-                            c.tooExpensive = true;
-                            return;
-                        }
-                        c.entry.ptx60Outcomes = r60.outcomes.size();
-                        c.entry.proxySensitive =
-                            r60.outcomes != r75.outcomes;
-                    }
-                }
-                if (opts.classifyFenceMinimal) {
-                    bool has_fence = false;
-                    bool all_load_bearing = true;
-                    for (std::size_t t = 0;
-                         t < test.threads().size() && all_load_bearing;
-                         t++) {
-                        const auto &instrs =
-                            test.threads()[t].instructions;
-                        for (std::size_t j = 0; j < instrs.size();
-                             j++) {
-                            if (!instrs[j].isFence())
-                                continue;
-                            has_fence = true;
-                            if (single_proxy &&
-                                instrs[j].opcode ==
-                                    litmus::Opcode::FenceProxy) {
-                                // A proxy fence in a single-proxy
-                                // program anchors no release/acquire
-                                // pattern and bridges no cross-proxy
-                                // pair: removing it provably leaves
-                                // the outcome set unchanged, which is
-                                // exactly the recheck's break
-                                // condition.
-                                c.prunedFenceChecks++;
-                                all_load_bearing = false;
-                                break;
-                            }
-                            auto reduced =
-                                withoutInstruction(test, t, j);
-                            auto rr = checker75.check(reduced);
-                            if (rr.budgetExceeded) {
-                                c.tooExpensive = true;
-                                return;
-                            }
-                            if (rr.outcomes == r75.outcomes) {
-                                all_load_bearing = false;
-                                break;
-                            }
-                        }
-                    }
-                    c.entry.fenceMinimal = has_fence && all_load_bearing;
-                }
-            } catch (const FatalError &) {
-                c.tooExpensive = true;
-                return;
+                c.entry.fenceMinimal = has_fence && all_load_bearing;
             }
-        });
-
-    // ---- Stage D: fold classifications (serial, index order) -----------
-    for (Classified &c : classified) {
-        if (!c.valid)
-            continue;
-        if (c.checked75)
-            report.stats.checked++;
-        report.stats.presolvePrunedPtx60 += c.prunedPtx60;
-        report.stats.presolvePrunedFenceChecks += c.prunedFenceChecks;
-        if (c.tooExpensive) {
-            report.stats.skippedTooExpensive++;
-            continue;
+        } catch (const FatalError &) {
+            c.tooExpensive = true;
+            return;
         }
-        if (c.entry.weak)
-            report.stats.weak++;
-        if (c.entry.proxySensitive)
-            report.stats.proxySensitive++;
-        if (c.entry.fenceMinimal)
-            report.stats.fenceMinimal++;
-        if (c.entry.weak || c.entry.proxySensitive ||
-            c.entry.fenceMinimal)
-            report.interesting.push_back(std::move(c.entry));
+        if (c.entry.weak || c.entry.proxySensitive || c.entry.fenceMinimal)
+            c.entry.test = std::move(test);
+    };
+
+    // Serial orderly generation feeds fixed-size chunks; each chunk is
+    // classified in parallel, folded in index order, then reused.
+    SkeletonGenerator generator(alpha, opts.instructions, opts.maxThreads,
+                                opts.maxLocations);
+    std::vector<Skeleton> chunk(kChunk);
+    std::vector<Classified> classified(kChunk);
+    std::size_t filled = 0;
+    runtime::ParallelOptions par;
+    par.jobs = opts.jobs;
+    auto flush = [&] {
+        const std::size_t base = report.stats.uniquePrograms - filled;
+        runtime::parallelFor(filled, par, [&](std::size_t i, obs::Session *) {
+            classified[i] = Classified();
+            classify(chunk[i], base + i + 1, classified[i]);
+        });
+        for (std::size_t i = 0; i < filled; i++) {
+            Classified &c = classified[i];
+            if (!c.valid)
+                continue;
+            if (c.checked75)
+                report.stats.checked++;
+            report.stats.presolvePrunedPtx60 += c.prunedPtx60;
+            report.stats.presolvePrunedFenceChecks += c.prunedFenceChecks;
+            if (c.tooExpensive) {
+                report.stats.skippedTooExpensive++;
+                continue;
+            }
+            if (c.entry.weak)
+                report.stats.weak++;
+            if (c.entry.proxySensitive)
+                report.stats.proxySensitive++;
+            if (c.entry.fenceMinimal)
+                report.stats.fenceMinimal++;
+            if (!c.entry.weak && !c.entry.proxySensitive &&
+                !c.entry.fenceMinimal)
+                continue;
+            if (opts.sink)
+                opts.sink(std::move(c.entry));
+            else
+                report.interesting.push_back(std::move(c.entry));
+        }
+        filled = 0;
+    };
+    while (generator.next()) {
+        // Past the cap the walk continues only to count.
+        if (opts.maxUniquePrograms != 0 &&
+            report.stats.uniquePrograms == opts.maxUniquePrograms)
+            continue;
+        chunk[filled++] = generator.current();
+        report.stats.uniquePrograms++;
+        if (filled == kChunk)
+            flush();
     }
+    flush();
+    report.stats.programsEnumerated = generator.enumerated();
+    report.stats.afterPruning = generator.afterPruning();
 
     auto end = std::chrono::steady_clock::now();
     report.stats.seconds =

@@ -4,7 +4,7 @@
  * ASPLOS 2017).
  *
  * The synthesizer enumerates all small programs over a fixed instruction
- * alphabet, canonicalizes them modulo thread/location symmetry, checks
+ * alphabet, one per class modulo thread/location symmetry, checks
  * each under the PTX 7.5 (and optionally PTX 6.0) model, and classifies
  * the interesting ones:
  *
@@ -25,6 +25,7 @@
 #define MIXEDPROXY_SYNTH_GENERATOR_HH
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -32,6 +33,18 @@
 #include "obs/obs.hh"
 
 namespace mixedproxy::synth {
+
+/** One synthesized-and-classified test. */
+struct SynthesizedTest
+{
+    litmus::LitmusTest test;
+    bool weak = false;
+    bool proxySensitive = false;
+    bool fenceMinimal = false;
+    std::size_t ptx75Outcomes = 0;
+    std::size_t ptx60Outcomes = 0;
+    std::size_t scOutcomeCount = 0;
+};
 
 /** Options controlling one synthesis run. */
 struct SynthOptions
@@ -95,13 +108,21 @@ struct SynthOptions
     std::size_t maxUniquePrograms = 0;
 
     /**
-     * Worker threads for skeleton enumeration and classification
-     * (runtime::parallelFor). The report is identical for any value —
-     * enumeration shards merge their canonical-key dedup in
-     * deterministic order and classification results fold by index
+     * Worker threads for classification (runtime::parallelFor). The
+     * report is identical for any value — serial orderly generation,
+     * parallel classification per chunk, folded by index
      * (docs/parallelism.md).
      */
     std::size_t jobs = 1;
+
+    /**
+     * Receiver of the interesting tests, called on the calling thread
+     * in report order while the run streams. Unset, run() collects
+     * them in SynthReport::interesting; set, that vector stays empty
+     * and memory stays bounded however many tests the run finds. An
+     * exception it throws propagates out of run().
+     */
+    std::function<void(SynthesizedTest &&)> sink;
 
     /**
      * Observability session to record into (bound for the duration of
@@ -109,18 +130,6 @@ struct SynthOptions
      * Null uses the calling thread's ambient session.
      */
     obs::Session *session = nullptr;
-};
-
-/** One synthesized-and-classified test. */
-struct SynthesizedTest
-{
-    litmus::LitmusTest test;
-    bool weak = false;
-    bool proxySensitive = false;
-    bool fenceMinimal = false;
-    std::size_t ptx75Outcomes = 0;
-    std::size_t ptx60Outcomes = 0;
-    std::size_t scOutcomeCount = 0;
 };
 
 /**
@@ -161,21 +170,36 @@ struct SynthReport
 {
     SynthStats stats;
 
-    /** Tests with at least one interesting classification. */
+    /**
+     * Tests with at least one interesting classification (empty when
+     * SynthOptions::sink received them instead).
+     */
     std::vector<SynthesizedTest> interesting;
 
     /** Multi-line human-readable table row. */
     std::string summary() const;
+};
 
-    /**
-     * Write every interesting test as a .litmus file under @p directory
-     * (created if absent), with a comment header recording its
-     * classification — the "comprehensive litmus test suite" artifact
-     * of the ASPLOS 2017 flow the paper follows.
-     *
-     * @return number of files written.
-     */
-    std::size_t writeSuite(const std::string &directory) const;
+/**
+ * Writes interesting tests as .litmus files, each with a comment
+ * header recording its classification — the "comprehensive litmus
+ * test suite" artifact of the ASPLOS 2017 flow the paper follows.
+ */
+class SuiteWriter
+{
+  public:
+    /** Create @p directory if absent; FatalError if that fails. */
+    explicit SuiteWriter(std::string directory);
+
+    /** Write @p entry as <directory>/<test name>.litmus. */
+    void write(const SynthesizedTest &entry);
+
+    /** Number of files written so far. */
+    std::size_t written() const { return count; }
+
+  private:
+    std::string directory;
+    std::size_t count = 0;
 };
 
 /** The exhaustive litmus-test synthesizer. */

@@ -457,6 +457,23 @@ TEST(Cli, SynthOutWritesSuite)
     std::filesystem::remove_all("cli_suite_tmp");
 }
 
+TEST(Cli, BadSynthOutFailsBeforeSynthesis)
+{
+    // A --synth-out path that cannot be a directory (its parent is a
+    // regular file) is a usage-level error reported before any
+    // synthesis runs: no summary line, exit 2.
+    { std::ofstream("synth_out_file_tmp") << "not a directory\n"; }
+    std::string out;
+    std::string err;
+    EXPECT_EQ(run({"--synth=2", "--synth-out=synth_out_file_tmp/sub"}, &out,
+                  &err),
+              2);
+    EXPECT_EQ(out, "");
+    EXPECT_EQ(err, "nvlitmus: --synth-out: cannot create suite directory "
+                   "'synth_out_file_tmp/sub'\n");
+    std::filesystem::remove("synth_out_file_tmp");
+}
+
 TEST(ParseArgs, LintFlags)
 {
     auto opts = parseArgs({"--lint", "a"});

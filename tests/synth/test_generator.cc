@@ -266,6 +266,54 @@ TEST(Synthesizer, ParallelRunRespectsMaxUniquePrograms)
     EXPECT_EQ(report.stats.uniquePrograms, 5u);
 }
 
+TEST(Synthesizer, SinkReceivesTheInterestingTestsInReportOrder)
+{
+    // The sink contract: at any worker count the sink sees exactly the
+    // entries a sinkless run collects, in the same order, and the
+    // report's own vector stays empty.
+    auto opts = smallOptions(3, true);
+    const auto baseline = Synthesizer(opts).run();
+    ASSERT_FALSE(baseline.interesting.empty());
+    for (std::size_t jobs : {1, 4}) {
+        SCOPED_TRACE("jobs=" + std::to_string(jobs));
+        std::vector<SynthesizedTest> received;
+        opts.jobs = jobs;
+        opts.sink = [&](SynthesizedTest &&entry) {
+            received.push_back(std::move(entry));
+        };
+        const auto report = Synthesizer(opts).run();
+        EXPECT_TRUE(report.interesting.empty());
+        EXPECT_EQ(report.stats.weak, baseline.stats.weak);
+        ASSERT_EQ(received.size(), baseline.interesting.size());
+        for (std::size_t i = 0; i < received.size(); i++) {
+            const auto &a = baseline.interesting[i];
+            const auto &b = received[i];
+            EXPECT_EQ(a.test.toString(), b.test.toString()) << i;
+            EXPECT_EQ(a.weak, b.weak);
+            EXPECT_EQ(a.proxySensitive, b.proxySensitive);
+            EXPECT_EQ(a.fenceMinimal, b.fenceMinimal);
+            EXPECT_EQ(a.ptx75Outcomes, b.ptx75Outcomes);
+            EXPECT_EQ(a.ptx60Outcomes, b.ptx60Outcomes);
+            EXPECT_EQ(a.scOutcomeCount, b.scOutcomeCount);
+        }
+    }
+}
+
+TEST(Synthesizer, SinkErrorPropagatesOutOfRun)
+{
+    for (std::size_t jobs : {1, 4}) {
+        auto opts = smallOptions(3, true);
+        opts.jobs = jobs;
+        std::size_t calls = 0;
+        opts.sink = [&](SynthesizedTest &&) {
+            calls++;
+            fatal("sink refused");
+        };
+        EXPECT_THROW(Synthesizer(opts).run(), FatalError) << jobs;
+        EXPECT_EQ(calls, 1u);
+    }
+}
+
 TEST(Synthesizer, GrowthIsExponential)
 {
     // The §6.3 scaling claim, in miniature: the enumeration grows by

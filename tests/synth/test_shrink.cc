@@ -149,7 +149,10 @@ TEST(SuiteExport, WritesClassifiedLitmusFiles)
     ASSERT_GT(report.interesting.size(), 0u);
 
     const std::string dir = "synth_suite_tmp";
-    std::size_t written = report.writeSuite(dir);
+    SuiteWriter suite(dir);
+    for (const auto &entry : report.interesting)
+        suite.write(entry);
+    const std::size_t written = suite.written();
     EXPECT_EQ(written, report.interesting.size());
 
     // Every emitted file parses back and matches its header.
