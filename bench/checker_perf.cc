@@ -97,14 +97,10 @@ batchCheckAllTests(std::size_t jobs)
     model::CheckOptions opts;
     opts.collectWitnesses = false;
     model::Checker checker(opts);
-    runtime::ParallelOptions par;
-    par.jobs = jobs;
     auto begin = std::chrono::steady_clock::now();
-    runtime::parallelFor(tests.size(), par,
-                         [&](std::size_t i, obs::Session *) {
-                             benchmark::DoNotOptimize(
-                                 checker.check(tests[i]).outcomes.size());
-                         });
+    runtime::parallelFor(tests.size(), jobs, [&](std::size_t i) {
+        benchmark::DoNotOptimize(checker.check(tests[i]).outcomes.size());
+    });
     auto end = std::chrono::steady_clock::now();
     return std::chrono::duration<double, std::milli>(end - begin)
         .count();

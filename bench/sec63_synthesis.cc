@@ -89,44 +89,6 @@ printScalingTable()
                 "x78 over n=4)\n\n");
 }
 
-/**
- * The pruning-oracle delta (docs/static_solver.md "Synthesis
- * pruning"): the n=3 sweep with and without the static pre-solver's
- * output-preserving prunes. The report is byte-identical either way
- * (tests/synth/test_generator.cc proves it field-by-field); the only
- * difference is checker runs elided and the wall clock.
- */
-void
-printPruningTable()
-{
-    banner("Static pre-solver: synthesis pruning delta at n=3",
-           "output-preserving checker-run elision; the report is "
-           "byte-identical with the oracle off");
-
-    std::printf("%-10s %-10s %-14s %-14s %-10s\n", "presolve",
-                "checked", "pruned-ptx60", "pruned-fence", "seconds");
-    rule();
-    for (bool presolve : {false, true}) {
-        auto opts = optionsFor(3);
-        opts.presolve = presolve;
-        auto report = synth::Synthesizer(opts).run();
-        const auto &s = report.stats;
-        std::printf("%-10s %-10llu %-14llu %-14llu %-10.2f\n",
-                    presolve ? "on" : "off",
-                    static_cast<unsigned long long>(s.checked),
-                    static_cast<unsigned long long>(
-                        s.presolvePrunedPtx60),
-                    static_cast<unsigned long long>(
-                        s.presolvePrunedFenceChecks),
-                    s.seconds);
-    }
-    rule();
-    std::printf("(pruned-ptx60: PTX 6.0 reclassification checks "
-                "skipped on provably single-proxy\n tests; "
-                "pruned-fence: fence-minimality re-checks concluded "
-                "statically)\n\n");
-}
-
 void
 BM_Synthesis(benchmark::State &state)
 {
@@ -184,23 +146,6 @@ writeStatsJson()
         session.metrics.set("synth.n" + std::to_string(n) + ".wall_ms",
                             wall * 1000.0);
     }
-    // The pruning-oracle delta at n=3 (docs/static_solver.md): the
-    // on-run above already published synth.presolve.pruned_* counters;
-    // record the oracle-off wall time next to them so the measured
-    // check reduction and its payoff live in one file. The off-run
-    // records into a discarded session — same instrumentation cost as
-    // the on-run (fair timing), but its counters stay out of the
-    // published baseline, which is the default (pruned) configuration.
-    {
-        obs::Session off_session;
-        off_session.enable();
-        auto opts = optionsFor(3);
-        opts.presolve = false;
-        opts.session = &off_session;
-        auto baseline = synth::Synthesizer(opts).run();
-        session.metrics.set("synth.n3.presolve_off.wall_ms",
-                            baseline.stats.seconds * 1000.0);
-    }
     session.disable();
 
     std::map<std::string, std::string> meta;
@@ -224,7 +169,6 @@ int
 main(int argc, char **argv)
 {
     printScalingTable();
-    printPruningTable();
     writeStatsJson();
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();

@@ -162,16 +162,15 @@ AnalysisResult::render() const
 }
 
 AnalysisResult
-analyze(const litmus::LitmusTest &test, obs::Session *session)
+analyze(const litmus::LitmusTest &test)
 {
     Program program(test, model::ProxyMode::Ptx75);
-    return analyze(program, session);
+    return analyze(program);
 }
 
 AnalysisResult
-analyze(const Program &program, obs::Session *session)
+analyze(const Program &program)
 {
-    obs::ScopedSession bind(session);
     obs::Span span("lint");
     const auto &events = program.events();
     const auto &test = program.test();

@@ -29,7 +29,6 @@
 #include "analysis/diagnostic.hh"
 #include "litmus/test.hh"
 #include "model/program.hh"
-#include "obs/obs.hh"
 
 namespace mixedproxy::analysis {
 
@@ -60,17 +59,13 @@ struct AnalysisResult
 
 /**
  * Analyze a litmus test (expanded under the proxy-aware PTX 7.5 model).
- * @p session, when non-null, is bound as the calling thread's
- * observability session for the run (null keeps the ambient binding).
  *
  * @throws FatalError if the test fails structural validation.
  */
-AnalysisResult analyze(const litmus::LitmusTest &test,
-                       obs::Session *session = nullptr);
+AnalysisResult analyze(const litmus::LitmusTest &test);
 
 /** Analyze a pre-expanded program (reuse across calls). */
-AnalysisResult analyze(const model::Program &program,
-                       obs::Session *session = nullptr);
+AnalysisResult analyze(const model::Program &program);
 
 } // namespace mixedproxy::analysis
 

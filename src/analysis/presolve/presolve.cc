@@ -208,13 +208,12 @@ schedules(const Program &program)
 
 /** Verified outcomes of the schedule family (may be empty). */
 std::set<litmus::Outcome>
-witnessOutcomes(const Program &program, const PresolveOptions &opts)
+witnessOutcomes(const Program &program)
 {
     std::set<litmus::Outcome> out;
     for (const auto &schedule : schedules(program)) {
         CandidateExecution cand = simulate(program, schedule);
-        if (auto outcome = model::evaluateCandidate(
-                program, cand, opts.staticFastPath)) {
+        if (auto outcome = model::evaluateCandidate(program, cand)) {
             out.insert(*outcome);
         }
     }
@@ -562,8 +561,7 @@ refuteAssignment(const Program &program, const std::vector<Var> &vars,
  * assignment budget is exceeded — never unsoundly.
  */
 bool
-unsatisfiable(const Program &program, const litmus::ExprPtr &condition,
-              const PresolveOptions &opts)
+unsatisfiable(const Program &program, const litmus::ExprPtr &condition)
 {
     auto vars = collectVars(program, condition);
     if (!vars)
@@ -573,7 +571,7 @@ unsatisfiable(const Program &program, const litmus::ExprPtr &condition,
     for (const Var &v : vars.value()) {
         if (v.domain.empty())
             return false;
-        if (combos > opts.maxAssignments / v.domain.size())
+        if (combos > kMaxAssignments / v.domain.size())
             return false;
         combos *= v.domain.size();
     }
@@ -666,8 +664,7 @@ conclusive(bool passed, const char *method, std::string detail)
 /** Decide one assertion from the witness set and the UNSAT oracle. */
 StaticAssertionVerdict
 solveAssertion(const Program &program, const litmus::Assertion &a,
-               const std::set<litmus::Outcome> &witnesses,
-               const PresolveOptions &opts)
+               const std::set<litmus::Outcome> &witnesses)
 {
     if (!varsResolve(program, a.condition))
         return inconclusive();
@@ -687,7 +684,7 @@ solveAssertion(const Program &program, const litmus::Assertion &a,
             return conclusive(false, "witness",
                               "observed: " + w->toString());
         }
-        if (unsatisfiable(program, a.condition, opts)) {
+        if (unsatisfiable(program, a.condition)) {
             return conclusive(true, "unsat",
                               "no candidate execution satisfies it");
         }
@@ -698,7 +695,7 @@ solveAssertion(const Program &program, const litmus::Assertion &a,
             return conclusive(true, "witness",
                               "witnessed: " + w->toString());
         }
-        if (unsatisfiable(program, a.condition, opts)) {
+        if (unsatisfiable(program, a.condition)) {
             return conclusive(false, "unsat",
                               "no candidate execution satisfies it");
         }
@@ -711,7 +708,7 @@ solveAssertion(const Program &program, const litmus::Assertion &a,
                               "counterexample: " + w->toString());
         }
         if (!witnesses.empty() &&
-            unsatisfiable(program, negated, opts)) {
+            unsatisfiable(program, negated)) {
             return conclusive(
                 true, "unsat",
                 "negation unsatisfiable and a consistent execution "
@@ -725,10 +722,6 @@ solveAssertion(const Program &program, const litmus::Assertion &a,
 
 } // namespace
 
-StaticSolver::StaticSolver(PresolveOptions options)
-    : opts(options)
-{}
-
 StaticDischarge
 StaticSolver::presolve(const Program &program) const
 {
@@ -737,13 +730,12 @@ StaticSolver::presolve(const Program &program) const
     if (asserts.empty())
         return out; // nothing to discharge; let enumeration report
 
-    std::set<litmus::Outcome> witnesses =
-        witnessOutcomes(program, opts);
+    std::set<litmus::Outcome> witnesses = witnessOutcomes(program);
 
     out.discharged = true;
     for (const auto &assertion : asserts) {
         StaticAssertionVerdict v =
-            solveAssertion(program, assertion, witnesses, opts);
+            solveAssertion(program, assertion, witnesses);
         out.discharged = out.discharged && v.conclusive;
         out.assertions.push_back(std::move(v));
     }

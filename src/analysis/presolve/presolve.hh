@@ -43,23 +43,12 @@
 
 namespace mixedproxy::analysis::presolve {
 
-/** Tuning knobs; the defaults are right for litmus-scale inputs. */
-struct PresolveOptions
-{
-    /**
-     * Refuse to refute conditions whose variable-domain product
-     * exceeds this many assignments (the refutation engine is then
-     * inconclusive for that assertion; witnesses may still decide it).
-     */
-    std::uint64_t maxAssignments = 4096;
-
-    /**
-     * Allow the checker's single-proxy fast path inside witness
-     * verification (semantics-preserving; mirrors
-     * model::CheckOptions::staticFastPath).
-     */
-    bool staticFastPath = true;
-};
+/**
+ * Refutation refuses conditions whose variable-domain product exceeds
+ * this many assignments (it is then inconclusive for that assertion;
+ * witnesses may still decide it). Right for litmus-scale inputs.
+ */
+inline constexpr std::uint64_t kMaxAssignments = 4096;
 
 /**
  * The concrete model::Presolver. Stateless and thread-safe: one
@@ -70,15 +59,8 @@ struct PresolveOptions
 class StaticSolver : public model::Presolver
 {
   public:
-    explicit StaticSolver(PresolveOptions options = {});
-
     model::StaticDischarge
     presolve(const model::Program &program) const override;
-
-    const PresolveOptions &options() const { return opts; }
-
-  private:
-    PresolveOptions opts;
 };
 
 } // namespace mixedproxy::analysis::presolve

@@ -122,7 +122,6 @@ Engine::checkCached(const litmus::LitmusTest &test,
 Verdict
 Engine::submit(const Request &request)
 {
-    obs::ScopedSession bind(request.obs.session);
     obs::Span span("engine.request");
 
     Verdict verdict;
@@ -170,13 +169,6 @@ Engine::submit(const Request &request)
         verdict.sim = microarch::Simulator(request.sim).run(request.test);
 
     return verdict;
-}
-
-Engine &
-processEngine()
-{
-    static Engine instance;
-    return instance;
 }
 
 std::string

@@ -10,7 +10,7 @@
  * synth::shrink construct model::Checker directly for their many
  * internal checks (a synthesis job itself is one submit()), so those
  * checks bypass the verdict cache. A submit is pure with respect to the
- * engine — all observability flows into the request's (or ambient)
+ * engine — all observability flows into the calling thread's bound
  * obs::Session, and the only shared mutable state is the cache, which
  * is internally synchronized and coalesces duplicate in-flight work.
  *
@@ -57,9 +57,8 @@ class Engine
 
     /**
      * Execute one request to completion and return its verdict.
-     * Binds request.obs.session (when non-null) as the calling
-     * thread's observability session for the duration; records an
-     * "engine.request" span and the engine.cache.* counters.
+     * Records an "engine.request" span and the engine.cache.* counters
+     * into the calling thread's bound observability session.
      *
      * @throws FatalError on invalid test input (propagated from the
      *         subsystems; the caller owns per-input error handling).
@@ -83,15 +82,6 @@ class Engine
     EngineConfig cfg;
     VerdictCache verdictCache;
 };
-
-/**
- * The process-wide engine (default config). This is the blessed
- * successor of the removed global obs facade: code that wants "the"
- * process-level service holds a Request with an explicit session and
- * submits it here (or to its own Engine). The instance is constructed
- * on first use and lives for the process.
- */
-Engine &processEngine();
 
 /**
  * Render a verdict as the classic NVLitmus CLI report (header, test

@@ -4,11 +4,11 @@
  *
  * Before the engine existed, every caller hand-assembled per-subsystem
  * option structs — model::CheckOptions, synth::SynthOptions,
- * microarch::SimOptions, analyzer session arguments — and there was no
+ * microarch::SimOptions, analyzer arguments — and there was no
  * single value describing "one piece of work" that could be hashed,
  * cached, serialized, or dispatched. engine::Request is that value:
  * one litmus test (or a synthesis job) plus typed sub-blocks for each
- * concern (check / lint / sim / synth / obs). engine::Verdict is the
+ * concern (check / lint / sim / synth / conform). engine::Verdict is the
  * complete structured answer; rendering it to the classic CLI report
  * is a separate, pure step (engine/engine.hh renderReport), which is
  * what lets the daemon, the CLI, benches, and tests share one code
@@ -35,7 +35,6 @@
 #include "litmus/test.hh"
 #include "microarch/simulator.hh"
 #include "model/checker.hh"
-#include "obs/obs.hh"
 #include "synth/generator.hh"
 
 namespace mixedproxy::engine {
@@ -81,7 +80,7 @@ struct CheckBlock
     /** Whether the checker must record witnesses (either renderer). */
     bool collectWitnesses() const { return showWitnesses || dot; }
 
-    /** The subsystem view (session is left to the engine to bind). */
+    /** The subsystem view (the engine binds the pre-solver). */
     operator model::CheckOptions() const
     {
         model::CheckOptions opts;
@@ -124,16 +123,6 @@ struct ConformBlock : conform::ConformOptions
     std::string traceText;
 };
 
-/** Observability routing for one request. */
-struct ObsBlock
-{
-    /**
-     * Session to record this request's metrics and spans into. Null
-     * uses the calling thread's ambient session (obs::ScopedSession).
-     */
-    obs::Session *session = nullptr;
-};
-
 /** What kind of work a Request describes. */
 enum class RequestKind { Check, Lint, Synth, Conform };
 
@@ -153,7 +142,6 @@ struct Request
     synth::SynthOptions synth;
 
     ConformBlock conform;
-    ObsBlock obs;
 
     static Request forCheck(litmus::LitmusTest subject)
     {

@@ -175,7 +175,9 @@ serveStream(Engine &engine, const ServeOptions &options,
             bool *shutdownRequested, ServiceState &state,
             EventLog *log, std::uint64_t *nextRequestId)
 {
-    obs::Session *parent = options.session;
+    // The session bound on the serving thread at entry, if any, is the
+    // parent every request's session merges into.
+    obs::Session *parent = obs::current();
     std::mutex mergeMutex;
     std::atomic<bool> shutdown{false};
 

@@ -51,12 +51,6 @@ struct ServeOptions
     std::string socketPath;
 
     /**
-     * Parent observability session; each request's per-request session
-     * merges into it (null = no aggregation).
-     */
-    obs::Session *session = nullptr;
-
-    /**
      * Structured JSONL event-log path (`--log-json`); empty disables.
      * Records follow the "mixedproxy.log.v1" schema (docs/service.md).
      */
@@ -158,7 +152,9 @@ struct RequestOutcome
 /**
  * Serve the line-delimited JSON protocol from @p in to @p out until
  * EOF or a {"cmd":"shutdown"} request. Protocol errors are per-request
- * error responses, never process failures.
+ * error responses, never process failures. Each request's own session
+ * merges into the session bound on the calling thread at entry (none
+ * bound = no aggregation).
  *
  * @return process exit code (0 on orderly shutdown, 2 on a transport
  *         failure reported to @p err).

@@ -178,15 +178,26 @@ parseTest(const std::string &text)
     return test;
 }
 
+std::string
+readSource(std::istream &in)
+{
+    std::string text;
+    char buffer[1 << 16];
+    while (in.read(buffer, sizeof buffer) || in.gcount() > 0) {
+        text.append(buffer, static_cast<std::size_t>(in.gcount()));
+        if (text.size() > kMaxSourceBytes)
+            fatal("litmus input longer than ", kMaxSourceBytes, " bytes");
+    }
+    return text;
+}
+
 LitmusTest
 parseTestFile(const std::string &path)
 {
     std::ifstream in(path);
     if (!in)
         fatal("cannot open litmus file '", path, "'");
-    std::ostringstream contents;
-    contents << in.rdbuf();
-    return parseTest(contents.str());
+    return parseTest(readSource(in));
 }
 
 } // namespace mixedproxy::litmus

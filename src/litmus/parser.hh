@@ -24,6 +24,8 @@
 #ifndef MIXEDPROXY_LITMUS_PARSER_HH
 #define MIXEDPROXY_LITMUS_PARSER_HH
 
+#include <cstddef>
+#include <iosfwd>
 #include <string>
 
 #include "litmus/test.hh"
@@ -37,7 +39,27 @@ namespace mixedproxy::litmus {
  */
 LitmusTest parseTest(const std::string &text);
 
-/** Parse a litmus test from a file on disk. */
+/**
+ * The longest litmus source readSource() accepts, in bytes: 1 MiB, far
+ * above any shipped or synthesized test (a few hundred bytes), so that
+ * an endless stream such as /dev/zero fails instead of exhausting
+ * memory.
+ */
+inline constexpr std::size_t kMaxSourceBytes = std::size_t{1} << 20;
+
+/**
+ * Read a whole litmus source from @p in (a file or stdin).
+ *
+ * @throws FatalError naming kMaxSourceBytes when @p in holds more.
+ */
+std::string readSource(std::istream &in);
+
+/**
+ * Parse a litmus test from a file on disk, read with readSource().
+ *
+ * @throws FatalError when the file cannot be opened, is over
+ *         kMaxSourceBytes, or is malformed.
+ */
 LitmusTest parseTestFile(const std::string &path);
 
 } // namespace mixedproxy::litmus

@@ -69,9 +69,8 @@ Action::toString() const
     return os.str();
 }
 
-Machine::Machine(const litmus::LitmusTest &test, CoherenceMode mode,
-                 LatencyModel latencies)
-    : testCopy(test), test(&testCopy), _mode(mode), lat(latencies)
+Machine::Machine(const litmus::LitmusTest &test, CoherenceMode mode)
+    : testCopy(test), test(&testCopy), _mode(mode)
 {
     testCopy.validate();
 
@@ -130,7 +129,7 @@ Machine::gpuOf(std::size_t sm) const
 
 Machine::Machine(const Machine &other)
     : testCopy(other.testCopy), test(&testCopy), _mode(other._mode),
-      lat(other.lat), tags(other.tags), locs(other.locs),
+      tags(other.tags), locs(other.locs),
       locNames(other.locNames), tagToLoc(other.tagToLoc),
       sysmem(other.sysmem), sysmemUid(other.sysmemUid), l2(other.l2),
       gpuIndex(other.gpuIndex), sms(other.sms), threads(other.threads),
@@ -147,7 +146,6 @@ Machine::operator=(const Machine &other)
     testCopy = other.testCopy;
     test = &testCopy;
     _mode = other._mode;
-    lat = other.lat;
     tags = other.tags;
     locs = other.locs;
     locNames = other.locNames;
@@ -357,7 +355,7 @@ Machine::readL2(std::size_t sm, PhysicalTag location,
                 std::uint64_t *writer_out)
 {
     _stats.l2Reads++;
-    _stats.totalLatency += lat.l2;
+    _stats.totalLatency += latency::l2;
     L2Line &line =
         l2[gpuOf(sm)][static_cast<std::size_t>(location)];
     if (!line.present) {
@@ -377,7 +375,7 @@ Machine::writeL2(std::size_t sm, PhysicalTag location, VirtualTag tag,
 {
     (void)tag;
     _stats.l2Writes++;
-    _stats.totalLatency += lat.l2;
+    _stats.totalLatency += latency::l2;
     const std::size_t gpu = gpuOf(sm);
     const std::size_t loc = static_cast<std::size_t>(location);
     if (_mode == CoherenceMode::FullyCoherent) {
@@ -418,7 +416,7 @@ Machine::writebackLine(std::size_t gpu, PhysicalTag location)
     sysmemUid[static_cast<std::size_t>(location)] = line.writerUid;
     line.dirty = false;
     _stats.l2Writes++;
-    _stats.totalLatency += lat.drain;
+    _stats.totalLatency += latency::drain;
     if (tracer)
         tracer->commit(line.writerUid);
 }
@@ -454,7 +452,7 @@ Machine::atomicAtSysmem(std::size_t sm, PhysicalTag location,
     if (l2[gpu][loc].dirty)
         writebackLine(gpu, location);
     _stats.l2Reads++;
-    _stats.totalLatency += 2 * lat.l2;
+    _stats.totalLatency += 2 * latency::l2;
     std::uint64_t old = sysmem[loc];
     if (old_writer)
         *old_writer = sysmemUid[loc];
@@ -485,7 +483,7 @@ Machine::coherentInvalidate(std::size_t writer_sm, PhysicalTag location)
             _stats.invalidatedLines += n;
         } else {
             _stats.invalidatedLines += n;
-            _stats.totalLatency += n * lat.invalidatePerLine;
+            _stats.totalLatency += n * latency::invalidatePerLine;
         }
     }
 }
@@ -494,7 +492,7 @@ void
 Machine::applyStoreToL2(std::size_t sm, const PendingStore &store)
 {
     _stats.drains++;
-    _stats.totalLatency += lat.drain;
+    _stats.totalLatency += latency::drain;
     writeL2(sm, store.location, store.tag, store.value,
             store.writerUid);
     sms[sm].l1.markClean(store.tag);
@@ -557,7 +555,7 @@ Machine::genericLoad(ThreadState &thread, const Instruction &instr)
     _stats.loads++;
     if (_mode == CoherenceMode::FullyCoherent) {
         _stats.translations++;
-        _stats.totalLatency += lat.translation;
+        _stats.totalLatency += latency::translation;
     }
 
     const bool strong = litmus::isStrong(instr.sem);
@@ -572,7 +570,7 @@ Machine::genericLoad(ThreadState &thread, const Instruction &instr)
             if (instr.scope == Scope::Sys)
                 invalidateCleanL2(gpuOf(thread.sm));
         }
-        _stats.totalLatency += lat.l1Hit;
+        _stats.totalLatency += latency::l1Hit;
         if (tracer) {
             tracer->load(threadIndexOf(thread), loc, fwd->value,
                          fwd->writerUid, instr.sem, instr.scope,
@@ -590,7 +588,7 @@ Machine::genericLoad(ThreadState &thread, const Instruction &instr)
         value = readL2(thread.sm, loc, &rfUid);
     } else if (auto line = sm.l1.lookup(tag)) {
         _stats.l1Hits++;
-        _stats.totalLatency += lat.l1Hit;
+        _stats.totalLatency += latency::l1Hit;
         value = line->value;
         rfUid = line->writerUid;
     } else {
@@ -633,7 +631,7 @@ Machine::genericStore(ThreadState &thread, const Instruction &instr)
     }
     if (_mode == CoherenceMode::FullyCoherent) {
         _stats.translations++;
-        _stats.totalLatency += lat.translation;
+        _stats.totalLatency += latency::translation;
         // Write-through with broadcast invalidation: always coherent.
         sm.l1.fill(tag, value, loc, false, uid);
         writeL2(thread.sm, loc, tag, value, uid);
@@ -662,7 +660,7 @@ Machine::genericStore(ThreadState &thread, const Instruction &instr)
     // queue's per-tag FIFO discipline.
     sm.l1.fill(tag, value, loc, true, uid);
     sm.genericQueue.push(tag, loc, value, uid);
-    _stats.totalLatency += lat.l1Hit;
+    _stats.totalLatency += latency::l1Hit;
 }
 
 void
@@ -760,7 +758,7 @@ Machine::proxyCacheLoad(ThreadState &thread, Cache &cache,
     _stats.loads++;
     if (_mode == CoherenceMode::FullyCoherent) {
         _stats.translations++;
-        _stats.totalLatency += lat.translation;
+        _stats.totalLatency += latency::translation;
     }
     std::uint64_t value = 0;
     std::uint64_t rfUid = 0;
@@ -797,7 +795,7 @@ Machine::surfaceStore(ThreadState &thread, const Instruction &instr)
     }
     if (_mode == CoherenceMode::FullyCoherent) {
         _stats.translations++;
-        _stats.totalLatency += lat.translation;
+        _stats.totalLatency += latency::translation;
         sm.tex.fill(tag, value, loc, false, uid);
         writeL2(thread.sm, loc, tag, value, uid);
         return;
@@ -806,13 +804,13 @@ Machine::surfaceStore(ThreadState &thread, const Instruction &instr)
     // surface loads observe them) and drain to L2 via the surface path.
     sm.tex.fill(tag, value, loc, true, uid);
     sm.surfaceQueue.push(tag, loc, value, uid);
-    _stats.totalLatency += lat.texHit;
+    _stats.totalLatency += latency::texHit;
 }
 
 void
 Machine::fence(ThreadState &thread, const Instruction &instr)
 {
-    _stats.totalLatency += lat.fence;
+    _stats.totalLatency += latency::fence;
     // The fence line follows the commits its flushes force: those
     // stores reach the coherence point before the fence completes.
     struct EmitOnExit
@@ -881,7 +879,7 @@ Machine::smsInScope(std::size_t sm, litmus::Scope scope) const
 void
 Machine::proxyFence(ThreadState &thread, const Instruction &instr)
 {
-    _stats.totalLatency += lat.fence;
+    _stats.totalLatency += latency::fence;
     // §5.3: flush prior generic and proxy-path accesses to the
     // reconvergence point, then invalidate possibly-stale entries in the
     // caches along those paths. PTX 7.5 fences act on the executing
@@ -889,7 +887,7 @@ Machine::proxyFence(ThreadState &thread, const Instruction &instr)
     // remote-traffic latency per extra SM.
     auto targets = smsInScope(thread.sm, instr.scope);
     _stats.totalLatency +=
-        (targets.size() - 1) * (lat.fence + lat.invalidatePerLine);
+        (targets.size() - 1) * (latency::fence + latency::invalidatePerLine);
     for (std::size_t s : targets) {
         Sm &sm = sms[s];
         switch (instr.proxyFence) {
@@ -940,11 +938,11 @@ Machine::issueAsyncCopy(ThreadState &thread, const Instruction &instr)
     copy.dstLoc = locOf(instr.address);
     copy.sequence = nextAsyncSequence++;
     copy.thread = threadIndexOf(thread);
-    _stats.totalLatency += lat.constHit;
+    _stats.totalLatency += latency::constHit;
     if (_mode == CoherenceMode::FullyCoherent) {
         // §4.2 machine: the engine is coherent and synchronous.
         _stats.translations += 2;
-        _stats.totalLatency += 2 * lat.translation;
+        _stats.totalLatency += 2 * latency::translation;
         std::uint64_t value = readL2(thread.sm, copy.srcLoc);
         std::uint64_t uid = 0;
         if (tracer) {
@@ -983,7 +981,7 @@ Machine::performAsyncCopy(std::size_t sm, int sequence)
         }
         writeL2(sm, it->dstLoc, it->dstTag, value, uid);
         _stats.drains++;
-        _stats.totalLatency += lat.drain;
+        _stats.totalLatency += latency::drain;
         queue.erase(it);
         return;
     }
@@ -1028,12 +1026,12 @@ Machine::stepThread(std::size_t index)
       case Opcode::Ld:
         if (instr.proxy == litmus::ProxyKind::Constant) {
             thread.registers[instr.destReg] = proxyCacheLoad(
-                thread, sms[thread.sm].constCache, instr, lat.constHit,
+                thread, sms[thread.sm].constCache, instr, latency::constHit,
                 _stats.constHits, _stats.constMisses);
         } else if (instr.proxy == litmus::ProxyKind::Texture) {
             // ld.global.nc travels the read-only texture path.
             thread.registers[instr.destReg] = proxyCacheLoad(
-                thread, sms[thread.sm].tex, instr, lat.texHit,
+                thread, sms[thread.sm].tex, instr, latency::texHit,
                 _stats.texHits, _stats.texMisses);
         } else {
             thread.registers[instr.destReg] = genericLoad(thread, instr);
@@ -1056,7 +1054,7 @@ Machine::stepThread(std::size_t index)
       case Opcode::Tex:
       case Opcode::Suld:
         thread.registers[instr.destReg] = proxyCacheLoad(
-            thread, sms[thread.sm].tex, instr, lat.texHit,
+            thread, sms[thread.sm].tex, instr, latency::texHit,
             _stats.texHits, _stats.texMisses);
         if (traceEnabled) {
             _trace[trace_index] += "  ; " + instr.destReg + " = " +
@@ -1079,7 +1077,7 @@ Machine::stepThread(std::size_t index)
         // The scheduler only offers this step once the SM's copy
         // engine is idle; joining then bridges async to generic.
         asyncFenceAt(thread.sm, false);
-        _stats.totalLatency += lat.fence;
+        _stats.totalLatency += latency::fence;
         return;
       case Opcode::Barrier:
         // Rendezvous only (the scheduler gates the step): intra-SM
@@ -1091,7 +1089,7 @@ Machine::stepThread(std::size_t index)
                 static_cast<unsigned>(thread.barriersPassed));
         }
         thread.barriersPassed++;
-        _stats.totalLatency += lat.fence;
+        _stats.totalLatency += latency::fence;
         return;
     }
     panic("unknown opcode");

@@ -73,17 +73,16 @@ struct MachineStats
 };
 
 /** Simulated latencies (cycles), loosely GPU-shaped. */
-struct LatencyModel
-{
-    std::uint64_t l1Hit = 30;
-    std::uint64_t texHit = 40;
-    std::uint64_t constHit = 10;
-    std::uint64_t l2 = 200;
-    std::uint64_t drain = 60;
-    std::uint64_t invalidatePerLine = 5;
-    std::uint64_t translation = 25;
-    std::uint64_t fence = 20;
-};
+namespace latency {
+inline constexpr std::uint64_t l1Hit = 30;
+inline constexpr std::uint64_t texHit = 40;
+inline constexpr std::uint64_t constHit = 10;
+inline constexpr std::uint64_t l2 = 200;
+inline constexpr std::uint64_t drain = 60;
+inline constexpr std::uint64_t invalidatePerLine = 5;
+inline constexpr std::uint64_t translation = 25;
+inline constexpr std::uint64_t fence = 20;
+} // namespace latency
 
 /** One enabled scheduler action. */
 struct Action
@@ -110,8 +109,7 @@ class Machine
 {
   public:
     Machine(const litmus::LitmusTest &test,
-            CoherenceMode mode = CoherenceMode::Proxy,
-            LatencyModel latencies = {});
+            CoherenceMode mode = CoherenceMode::Proxy);
 
     /**
      * Machines are value types (exhaustive exploration forks them);
@@ -259,7 +257,6 @@ class Machine
     litmus::LitmusTest testCopy;
     const litmus::LitmusTest *test; ///< points at testCopy
     CoherenceMode _mode;
-    LatencyModel lat;
 
     std::map<std::string, VirtualTag> tags;
     std::map<std::string, PhysicalTag> locs;

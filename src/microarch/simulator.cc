@@ -96,7 +96,7 @@ Simulator::runOnce(const litmus::LitmusTest &test, std::uint64_t seed,
                    MachineStats *stats_out) const
 {
     obs::Span span("sim.schedule");
-    Machine machine(test, opts.mode, opts.latencies);
+    Machine machine(test, opts.mode);
     driveSchedule(machine, test, seed);
     if (stats_out)
         *stats_out += machine.stats();
@@ -108,7 +108,7 @@ Simulator::runTraced(const litmus::LitmusTest &test, std::uint64_t seed,
                      std::ostream &out, MachineStats *stats_out) const
 {
     obs::Span span("sim.schedule");
-    Machine machine(test, opts.mode, opts.latencies);
+    Machine machine(test, opts.mode);
     conform::TraceWriter writer(out);
     machine.setTracer(&writer);
     driveSchedule(machine, test, seed);
@@ -122,7 +122,6 @@ Simulator::runTraced(const litmus::LitmusTest &test, std::uint64_t seed,
 SimResult
 Simulator::run(const litmus::LitmusTest &test) const
 {
-    obs::ScopedSession bind(opts.session);
     obs::Span span("sim");
     SimResult result;
     result.testName = test.name();

@@ -21,7 +21,6 @@
 #include "litmus/outcome.hh"
 #include "litmus/test.hh"
 #include "microarch/machine.hh"
-#include "obs/obs.hh"
 
 namespace mixedproxy::microarch {
 
@@ -35,14 +34,6 @@ struct SimOptions
     std::size_t iterations = 2000;
 
     CoherenceMode mode = CoherenceMode::Proxy;
-
-    LatencyModel latencies = {};
-
-    /**
-     * Observability session to record into (bound for the duration of
-     * run()). Null uses the calling thread's ambient session.
-     */
-    obs::Session *session = nullptr;
 };
 
 /** Aggregate result of a simulation campaign. */

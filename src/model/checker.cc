@@ -550,14 +550,20 @@ Checker::Checker(CheckOptions options)
 CheckResult
 Checker::check(const litmus::LitmusTest &test) const
 {
-    obs::ScopedSession bind(opts.session);
     obs::Span span("check");
     std::optional<Program> program;
     {
         obs::Span expand("check.expand");
         program.emplace(test, opts.mode);
     }
-    return check(*program);
+    return checkExpanded(*program);
+}
+
+CheckResult
+Checker::check(const Program &program) const
+{
+    obs::Span span("check");
+    return checkExpanded(program);
 }
 
 namespace {
@@ -1657,9 +1663,8 @@ evaluateAssertions(const litmus::LitmusTest &test, CheckResult &result)
 }
 
 CheckResult
-Checker::check(const Program &program) const
+Checker::checkExpanded(const Program &program) const
 {
-    obs::ScopedSession bind(opts.session);
     const auto &test = program.test();
 
     CheckResult result;

@@ -147,13 +147,6 @@ struct CheckOptions
      * here; the engine facade does this wiring automatically.
      */
     const Presolver *presolver = nullptr;
-
-    /**
-     * Observability session to record into (bound for the duration of
-     * check()). Null uses the calling thread's ambient session
-     * (obs::ScopedSession binding, or none).
-     */
-    obs::Session *session = nullptr;
 };
 
 /** One consistent execution, rendered for diagnostics (Fig. 9 style). */
@@ -456,15 +449,21 @@ class Checker
   public:
     explicit Checker(CheckOptions options = {});
 
-    /** Expand and check a litmus test. */
+    /**
+     * Expand and check a litmus test: one "check" span with the
+     * expansion timed inside it as "check.expand".
+     */
     CheckResult check(const litmus::LitmusTest &test) const;
 
-    /** Check a pre-expanded program (reuse across calls). */
+    /** Check a pre-expanded program (reuse across calls): one "check" span. */
     CheckResult check(const Program &program) const;
 
     const CheckOptions &options() const { return opts; }
 
   private:
+    /** The body of both check() overloads, inside their span. */
+    CheckResult checkExpanded(const Program &program) const;
+
     CheckOptions opts;
 };
 

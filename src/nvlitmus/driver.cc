@@ -67,9 +67,7 @@ options:
                    otherwise — always exact; the default when =MODE is
                    omitted), off (plain enumeration, the default), or
                    only (static verdicts only, never enumerate;
-                   inconclusive assertions report failed). With
-                   --synth, --presolve=off also disables the provably
-                   output-preserving synthesis pruning oracle
+                   inconclusive assertions report failed)
   --presolve-diff  differential soundness harness: for every input
                    (default: every built-in test), compare the
                    pre-solver's conclusive verdicts against full
@@ -201,12 +199,10 @@ parseArgs(const std::vector<std::string> &args)
             opts.presolveDiff = true;
         } else if (arg == "--presolve") {
             request.check.presolve = model::PresolvePolicy::On;
-            opts.presolveSet = true;
         } else if (arg.rfind("--presolve=", 0) == 0) {
             value = arg.substr(11);
             if (auto policy = model::presolvePolicyFromString(value)) {
                 request.check.presolve = *policy;
-                opts.presolveSet = true;
             } else {
                 fatal("unknown presolve policy '", value,
                       "' (want off|on|only)");
@@ -289,11 +285,8 @@ litmus::LitmusTest
 loadInput(const std::string &input)
 {
     obs::Span span("parse");
-    if (input == "-") {
-        std::ostringstream contents;
-        contents << std::cin.rdbuf();
-        return litmus::parseTest(contents.str());
-    }
+    if (input == "-")
+        return litmus::parseTest(litmus::readSource(std::cin));
     if (litmus::hasTest(input))
         return litmus::testByName(input);
     return litmus::parseTestFile(input);
@@ -451,18 +444,15 @@ runBatch(engine::Engine &eng, const std::vector<engine::Request> &requests,
         std::string error;
     };
     std::vector<Slot> slots(requests.size());
-    runtime::ParallelOptions par;
-    par.jobs = jobs;
-    runtime::parallelFor(
-        requests.size(), par, [&](std::size_t i, obs::Session *) {
-            try {
-                engine::Verdict verdict = eng.submit(requests[i]);
-                slots[i].passed = verdict.passed();
-                slots[i].text = render(requests[i], verdict);
-            } catch (const FatalError &e) {
-                slots[i].error = e.what();
-            }
-        });
+    runtime::parallelFor(requests.size(), jobs, [&](std::size_t i) {
+        try {
+            engine::Verdict verdict = eng.submit(requests[i]);
+            slots[i].passed = verdict.passed();
+            slots[i].text = render(requests[i], verdict);
+        } catch (const FatalError &e) {
+            slots[i].error = e.what();
+        }
+    });
     bool all_passed = true;
     for (std::size_t i = 0; i < slots.size(); i++) {
         if (!slots[i].error.empty()) {
@@ -502,7 +492,6 @@ runParsed(const DriverOptions &opts, engine::Engine &eng,
         engine::ServeOptions sopts;
         sopts.jobs = opts.jobs;
         sopts.socketPath = opts.serveSocketPath;
-        sopts.session = obs::current();
         sopts.logJsonPath = opts.logJsonOut;
         if (!sopts.socketPath.empty())
             return engine::serveSocket(eng, sopts, err);
@@ -529,12 +518,6 @@ runParsed(const DriverOptions &opts, engine::Engine &eng,
             engine::Request::forSynth(opts.synthInstructions);
         request.synth.classifyFenceMinimal =
             opts.synthInstructions <= 3;
-        // The pruning oracle is output-preserving, so it defaults on;
-        // only an explicit --presolve=off turns it off (to benchmark
-        // the unpruned baseline).
-        request.synth.presolve =
-            !opts.presolveSet ||
-            opts.request.check.presolve != model::PresolvePolicy::Off;
         request.synth.jobs = opts.jobs;
         // The suite directory is made before any synthesis, so a bad
         // path fails fast; the tests stream into it as they classify.

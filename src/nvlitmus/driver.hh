@@ -48,14 +48,6 @@ struct DriverOptions
     engine::Request request;
 
     /**
-     * Whether a --presolve flag appeared at all: synthesis pruning
-     * defaults on and is only disabled by an explicit --presolve=off,
-     * while checking defaults to plain enumeration unless the flag
-     * turns the pre-solver on (docs/static_solver.md).
-     */
-    bool presolveSet = false;
-
-    /**
      * Differential soundness harness (--presolve-diff): compare the
      * pre-solver's conclusive verdicts against full enumeration over
      * every input (default: all built-ins); exit 0 only on zero

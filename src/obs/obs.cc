@@ -6,20 +6,7 @@ namespace detail {
 
 thread_local Session *t_current = nullptr;
 
-Session &
-globalSession()
-{
-    static Session instance;
-    return instance;
-}
-
 } // namespace detail
-
-Session &
-globalSession()
-{
-    return detail::globalSession();
-}
 
 void
 Span::begin(const char *name, Session *session)

@@ -3,7 +3,7 @@
  * The observability facade: sessions combining the metrics registry
  * (obs/metrics.hh) and the span tracer (obs/trace.hh).
  *
- * Design constraints (ISSUE 3): zero dependencies, and near-zero cost
+ * Design constraints: zero dependencies, and near-zero cost
  * when nothing is listening. The entire disabled path is one branch on
  * a thread-local pointer — no clock read, no allocation, no map lookup
  * — so instrumentation can sit inside the checker's per-candidate
@@ -11,17 +11,14 @@
  * the bound). Libraries only ever *emit*, via obs::Span, obs::count,
  * and the publish() methods on their stats structs.
  *
- * A run is a value, not a process (ISSUE 4): obs::Session owns one
+ * A run is a value, not a process: obs::Session owns one
  * registry + tracer + clock origin, and any number of sessions can be
  * live at once — the parallel batch runtime gives every worker its own
- * and merges them afterwards (docs/parallelism.md). Emission finds its
- * sink through a thread-local "current session" binding:
- *
- *  - obs::ScopedSession binds a session on the calling thread for a
- *    scope (the library entry points bind their options' session);
- *  - obs::globalSession() offers one shared instance for code that
- *    wants a process-wide session; bind it with ScopedSession like
- *    any other.
+ * and merges them afterwards (docs/parallelism.md). Emission has one
+ * route to its sink: the calling thread's "current session", bound for
+ * a scope with obs::ScopedSession. Library entry points take no session
+ * argument; they record into whatever the caller bound (the one option
+ * field left, synth::SynthOptions::session, is bound the same way).
  *
  * Each thread records only into its own bound session, so recording is
  * data-race-free without any locking; merging sessions is the caller's
@@ -121,9 +118,6 @@ namespace detail {
  */
 extern thread_local Session *t_current;
 
-/** Storage for the process-global session (public globalSession()). */
-Session &globalSession();
-
 } // namespace detail
 
 /** True when the calling thread has a recording session bound. */
@@ -147,7 +141,7 @@ current()
  * Bind @p session as the calling thread's current session for this
  * scope (restoring the previous binding on destruction). Binding a
  * null session is a no-op — the ambient binding stays in effect — so
- * library entry points can bind `options.session` unconditionally.
+ * callers can bind an optional session unconditionally.
  * Binding a non-null but disabled session suppresses recording for the
  * scope: an explicitly passed session is the sink, period.
  */
@@ -174,9 +168,6 @@ class ScopedSession
     Session *_previous;
     bool _bound;
 };
-
-/** The global session itself (for explicit Session threading). */
-Session &globalSession();
 
 /** Add @p delta to counter @p name; no-op when nothing is bound. */
 inline void

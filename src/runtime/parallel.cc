@@ -5,35 +5,36 @@
 #include <exception>
 #include <vector>
 
+#include "obs/obs.hh"
 #include "runtime/thread_pool.hh"
 
 namespace mixedproxy::runtime {
 
 void
-parallelFor(std::size_t n, const ParallelOptions &options,
-            const std::function<void(std::size_t, obs::Session *)> &body)
+parallelFor(std::size_t n, std::size_t jobs,
+            const std::function<void(std::size_t)> &body)
 {
-    obs::Session *parent =
-        options.session ? options.session : obs::current();
-    bool observing = parent != nullptr && parent->enabled();
-
-    if (options.jobs <= 1 || n <= 1) {
-        // Serial path: run inline under the parent session, exactly as
-        // the pre-runtime code would have.
-        obs::ScopedSession bind(parent);
+    if (jobs <= 1 || n <= 1) {
+        // Serial path: run inline under the caller's bound session,
+        // exactly as the pre-runtime code would have.
         for (std::size_t i = 0; i < n; i++)
-            body(i, observing ? parent : nullptr);
+            body(i);
         return;
     }
 
-    std::size_t workers = std::min(options.jobs, n);
+    // The calling thread's session; non-null only while it records.
+    obs::Session *parent = obs::current();
+    const bool observing = parent != nullptr;
+    std::size_t workers = std::min(jobs, n);
 
-    // Draw runs of indices, not single indices: one fetch_add per
-    // chunk keeps the shared counter off the critical path of
-    // microsecond-scale work items (see ParallelOptions::chunk).
-    std::size_t chunk = options.chunk;
-    if (chunk == 0)
-        chunk = std::max<std::size_t>(1, n / (workers * 8));
+    // Draw runs of indices, not single indices: small litmus checks
+    // finish in microseconds, so one fetch_add per index would put the
+    // shared counter's cache line on the critical path. n / (workers *
+    // 8) is large enough to cut that contention and small enough that
+    // the tail imbalance stays under ~1/8 of a worker's share; results
+    // land in slot i whichever worker draws it.
+    const std::size_t chunk =
+        std::max<std::size_t>(1, n / (workers * 8));
 
     // Worker sessions exist only while someone is listening; the
     // non-observing batch path allocates nothing per worker.
@@ -61,7 +62,7 @@ parallelFor(std::size_t n, const ParallelOptions &options,
                     std::size_t end = std::min(start + chunk, n);
                     for (std::size_t i = start; i < end; i++) {
                         try {
-                            body(i, mine);
+                            body(i);
                         } catch (...) {
                             errors[i] = std::current_exception();
                         }

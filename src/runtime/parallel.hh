@@ -7,8 +7,8 @@
  * N, a parallelFor over the same inputs produces the same observable
  * results. The pieces that make that true:
  *
- *  - Results by input index. parallelFor only runs `body(i, session)`
- *    for every i in [0, n); callers write into slot i of a
+ *  - Results by input index. parallelFor only runs `body(i)` for
+ *    every i in [0, n); callers write into slot i of a
  *    pre-sized vector and fold the slots in index order afterwards.
  *    Which worker ran which index never matters.
  *  - Per-worker obs::Session. Each worker thread records metrics and
@@ -23,8 +23,8 @@
  *    a failure), the exception for the *lowest* failing index is
  *    rethrown — the same error a serial run would hit first.
  *
- * Work is dispatched by atomic index draw over a fixed pool of
- * min(jobs, n) workers. jobs == 1 (or n <= 1) runs inline on the
+ * Work is dispatched by atomic draws of index runs over a fixed pool
+ * of min(jobs, n) workers. jobs == 1 (or n <= 1) runs inline on the
  * calling thread with no pool, no extra session, and no merge — the
  * serial path stays exactly the pre-runtime code path.
  */
@@ -35,47 +35,18 @@
 #include <cstddef>
 #include <functional>
 
-#include "obs/obs.hh"
-
 namespace mixedproxy::runtime {
 
-/** Knobs for parallelFor. */
-struct ParallelOptions
-{
-    /** Worker count; 1 = run inline on the calling thread. */
-    std::size_t jobs = 1;
-
-    /**
-     * Indices claimed per atomic draw. Small litmus checks finish in
-     * microseconds, so drawing one index at a time puts the shared
-     * counter's cache line on the critical path; drawing a run of
-     * indices amortizes it. 0 picks max(1, n / (workers * 8)) — large
-     * enough to cut contention, small enough that the tail imbalance
-     * stays under ~1/8 of a worker's share. Determinism is unaffected:
-     * results land in slot i regardless of which worker draws it.
-     */
-    std::size_t chunk = 0;
-
-    /**
-     * Parent observability session. Worker sessions adopt its clock
-     * origin and merge into it after the barrier. Null means "use the
-     * calling thread's current session" (the ambient binding), which
-     * in turn may be null — then nothing is recorded.
-     */
-    obs::Session *session = nullptr;
-};
-
 /**
- * Run body(i, session) for every i in [0, n), on min(jobs, n) workers.
- * @p session is the observability session bound as current on the
- * executing thread for the call (a per-worker session when parallel,
- * the parent when inline; null when not observing) — bodies thread it
- * into engine options structs. Returns after all indices complete;
+ * Run body(i) for every i in [0, n), on min(jobs, n) workers; jobs <= 1
+ * runs inline on the calling thread. Each parallel worker records into
+ * its own session, adopting the clock origin of the calling thread's
+ * bound session and merged into it after the barrier (nothing is
+ * recorded when none is bound). Returns after all indices complete;
  * rethrows the lowest-index captured exception, if any.
  */
-void parallelFor(
-    std::size_t n, const ParallelOptions &options,
-    const std::function<void(std::size_t, obs::Session *)> &body);
+void parallelFor(std::size_t n, std::size_t jobs,
+                 const std::function<void(std::size_t)> &body);
 
 } // namespace mixedproxy::runtime
 

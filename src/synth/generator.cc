@@ -4,6 +4,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "model/checker.hh"
@@ -283,8 +284,8 @@ struct Classified
     bool valid = false;        ///< materialize succeeded
     bool checked75 = false;    ///< PTX 7.5 check finished in budget
     bool tooExpensive = false; ///< some check exceeded its budget
-    std::uint64_t prunedPtx60 = 0;       ///< oracle-skipped 6.0 checks
-    std::uint64_t prunedFenceChecks = 0; ///< oracle-skipped rechecks
+    std::uint64_t prunedPtx60 = 0;       ///< pruned PTX 6.0 checks
+    std::uint64_t prunedFenceChecks = 0; ///< pruned fence rechecks
     SynthesizedTest entry; ///< the test is kept only if interesting
 };
 
@@ -302,7 +303,7 @@ Synthesizer::run() const
 
     model::CheckOptions check75;
     check75.collectWitnesses = false;
-    check75.maxExecutions = opts.maxExecutionsPerTest;
+    check75.maxExecutions = kMaxExecutionsPerCheck;
     model::Checker checker75(check75);
     model::CheckOptions check60 = check75;
     check60.mode = model::ProxyMode::Ptx60;
@@ -324,13 +325,18 @@ Synthesizer::run() const
         obs::Span check_span("synth.check");
         try {
             // One static expansion serves both the PTX 7.5 check and
-            // the pruning oracle below: the Program carries the
+            // single-proxy pruning below: the Program carries the
             // precomputed base layers (dep closure, must base
             // causality) the incremental enumeration core starts from,
             // so expanding per consumer would redo exactly the work
-            // the layering is meant to share.
-            model::Program prog75(test, model::ProxyMode::Ptx75);
-            auto r75 = checker75.check(prog75);
+            // the layering is meant to share. It is timed as the
+            // checker times its own expansions.
+            std::optional<model::Program> prog75;
+            {
+                obs::Span expand_span("check.expand");
+                prog75.emplace(test, model::ProxyMode::Ptx75);
+            }
+            auto r75 = checker75.check(*prog75);
             if (r75.budgetExceeded) {
                 c.tooExpensive = true;
                 return;
@@ -338,15 +344,13 @@ Synthesizer::run() const
             c.entry.ptx75Outcomes = r75.outcomes.size();
             c.checked75 = true;
 
-            // The static pruning oracle: a program all of whose
-            // accesses go through one proxy is interpreted identically
-            // by both models and by the proxy rules — the same fact
-            // the checker's single-proxy fast path rests on
+            // Single-proxy pruning: a program all of whose accesses go
+            // through one proxy is interpreted identically by both
+            // models and by the proxy rules — the same fact the
+            // checker's single-proxy fast path rests on
             // (docs/static_solver.md "Synthesis pruning"), so two
             // whole classes of checks are provably redundant for it.
-            bool single_proxy = false;
-            if (opts.presolve)
-                single_proxy = !prog75.usesMixedProxies();
+            const bool single_proxy = !prog75->usesMixedProxies();
 
             if (opts.classifyAgainstSc) {
                 auto sc = scOutcomes(test);
@@ -427,11 +431,9 @@ Synthesizer::run() const
     std::vector<Skeleton> chunk(kChunk);
     std::vector<Classified> classified(kChunk);
     std::size_t filled = 0;
-    runtime::ParallelOptions par;
-    par.jobs = opts.jobs;
     auto flush = [&] {
         const std::size_t base = report.stats.uniquePrograms - filled;
-        runtime::parallelFor(filled, par, [&](std::size_t i, obs::Session *) {
+        runtime::parallelFor(filled, opts.jobs, [&](std::size_t i) {
             classified[i] = Classified();
             classify(chunk[i], base + i + 1, classified[i]);
         });

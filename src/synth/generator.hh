@@ -34,6 +34,13 @@
 
 namespace mixedproxy::synth {
 
+/**
+ * Candidate-execution budget of every model check synthesis and
+ * shrinking run. A program whose check exceeds it is skipped as too
+ * expensive (SynthStats::skippedTooExpensive), never misclassified.
+ */
+inline constexpr std::uint64_t kMaxExecutionsPerCheck = 2'000'000;
+
 /** One synthesized-and-classified test. */
 struct SynthesizedTest
 {
@@ -88,22 +95,6 @@ struct SynthOptions
     /** Classify fence-minimality by re-checking with fences removed. */
     bool classifyFenceMinimal = true;
 
-    /**
-     * Static pruning oracle (docs/static_solver.md): skip model checks
-     * the pre-solver's single-proxy analysis proves redundant — the
-     * PTX 6.0 recheck of a single-proxy program (both models interpret
-     * it identically) and the fence-minimality recheck of a proxy
-     * fence inside a single-proxy program (its removal provably
-     * preserves the outcome set). Output-preserving by construction:
-     * the report is byte-identical with the oracle off, only slower
-     * (tests/synth assert this). The skip counts surface as
-     * synth.presolve.* metrics.
-     */
-    bool presolve = true;
-
-    /** Per-test enumeration guard (skip blow-ups). */
-    std::uint64_t maxExecutionsPerTest = 2'000'000;
-
     /** Stop after this many unique programs (0 = unlimited). */
     std::size_t maxUniquePrograms = 0;
 
@@ -127,7 +118,10 @@ struct SynthOptions
     /**
      * Observability session to record into (bound for the duration of
      * run(); workers get per-worker sessions merged back into it).
-     * Null uses the calling thread's ambient session.
+     * Null uses the calling thread's ambient session. The library's one
+     * session option: every other entry point records only into the
+     * bound session, and this one stays because perfbench's tracer
+     * sets it.
      */
     obs::Session *session = nullptr;
 };
@@ -150,11 +144,10 @@ struct SynthStats
     std::uint64_t fenceMinimal = 0;
 
     /**
-     * Checks skipped by the static pruning oracle
-     * (SynthOptions::presolve): PTX 6.0 classification checks and
+     * Checks skipped by single-proxy pruning (docs/static_solver.md
+     * "Synthesis pruning"): PTX 6.0 classification checks and
      * fence-minimality rechecks, respectively. Published as metrics
-     * only — summary() omits them so its text stays byte-identical
-     * whether or not the oracle ran.
+     * only; summary() omits them.
      */
     std::uint64_t presolvePrunedPtx60 = 0;
     std::uint64_t presolvePrunedFenceChecks = 0;

@@ -2,6 +2,7 @@
 
 #include "obs/obs.hh"
 #include "relation/error.hh"
+#include "synth/generator.hh"
 #include "synth/mutate.hh"
 
 namespace mixedproxy::synth {
@@ -34,9 +35,8 @@ holdsOnValid(const TestPredicate &predicate,
 
 litmus::LitmusTest
 shrink(const litmus::LitmusTest &test, const TestPredicate &predicate,
-       ShrinkStats *stats, obs::Session *session)
+       ShrinkStats *stats)
 {
-    obs::ScopedSession bind(session);
     obs::Span span("shrink");
     ShrinkStats local;
     if (!stats)
@@ -91,11 +91,11 @@ shrink(const litmus::LitmusTest &test, const TestPredicate &predicate,
 }
 
 TestPredicate
-proxySensitivityPredicate(std::uint64_t max_executions_per_check)
+proxySensitivityPredicate()
 {
     model::CheckOptions opts75;
     opts75.collectWitnesses = false;
-    opts75.maxExecutions = max_executions_per_check;
+    opts75.maxExecutions = kMaxExecutionsPerCheck;
     model::CheckOptions opts60 = opts75;
     opts60.mode = model::ProxyMode::Ptx60;
     return [opts75, opts60](const litmus::LitmusTest &candidate) {
@@ -112,13 +112,12 @@ proxySensitivityPredicate(std::uint64_t max_executions_per_check)
 }
 
 TestPredicate
-admitsPredicate(const std::string &condition,
-                std::uint64_t max_executions_per_check)
+admitsPredicate(const std::string &condition)
 {
     auto expr = litmus::parseCondition(condition);
     model::CheckOptions opts;
     opts.collectWitnesses = false;
-    opts.maxExecutions = max_executions_per_check;
+    opts.maxExecutions = kMaxExecutionsPerCheck;
     return [expr, opts](const litmus::LitmusTest &candidate) {
         try {
             auto result = model::Checker(opts).check(candidate);

@@ -49,30 +49,26 @@ struct ShrinkStats
  * test's assertions are not part of the result — the predicate is the
  * specification.
  *
- * @p session, when non-null, is bound as the calling thread's
- * observability session for the run (null keeps the ambient binding).
- *
  * @throws FatalError if @p predicate does not hold on @p test itself.
  */
 litmus::LitmusTest shrink(const litmus::LitmusTest &test,
                           const TestPredicate &predicate,
-                          ShrinkStats *stats = nullptr,
-                          obs::Session *session = nullptr);
+                          ShrinkStats *stats = nullptr);
 
 /**
  * Predicate: the proxy-aware and proxy-oblivious models admit
- * different outcome sets (the test is proxy-sensitive).
+ * different outcome sets (the test is proxy-sensitive). A candidate
+ * whose check exceeds kMaxExecutionsPerCheck (synth/generator.hh) does
+ * not preserve it.
  */
-TestPredicate proxySensitivityPredicate(
-    std::uint64_t max_executions_per_check = 2'000'000);
+TestPredicate proxySensitivityPredicate();
 
 /**
  * Predicate: the PTX 7.5 model admits an outcome satisfying
- * @p condition.
+ * @p condition. A candidate whose check exceeds kMaxExecutionsPerCheck
+ * does not preserve it.
  */
-TestPredicate admitsPredicate(
-    const std::string &condition,
-    std::uint64_t max_executions_per_check = 2'000'000);
+TestPredicate admitsPredicate(const std::string &condition);
 
 } // namespace mixedproxy::synth
 

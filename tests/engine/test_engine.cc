@@ -212,9 +212,4 @@ TEST(Engine, ColdAndWarmReportsAcrossTheCorpusAreIdentical)
     }
 }
 
-TEST(Engine, ProcessEngineIsASingleton)
-{
-    EXPECT_EQ(&processEngine(), &processEngine());
-}
-
 } // namespace

@@ -556,7 +556,7 @@ TEST(Service, RequestIdsStampParentTraceAcrossJobs)
         std::ostringstream err;
         ServeOptions options;
         options.jobs = 4;
-        options.session = &parent;
+        obs::ScopedSession bind(&parent);
         ASSERT_EQ(serve(engine, options, in, out, err), 0);
     }
     parent.disable();
@@ -584,7 +584,7 @@ TEST(Service, RequestMetricsMergeIntoTheParentSession)
         std::ostringstream err;
         ServeOptions options;
         options.jobs = 2;
-        options.session = &parent;
+        obs::ScopedSession bind(&parent);
         EXPECT_EQ(serve(engine, options, in, out, err), 0);
     }
     parent.disable();

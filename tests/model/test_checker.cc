@@ -622,9 +622,10 @@ TEST(CheckerProfile, DisabledSamplingPublishesNoSampledCounters)
 {
     obs::Session session;
     session.enable();
-    CheckOptions opts;
-    opts.session = &session;
-    Checker(opts).check(litmus::testByName("fig9_message_passing"));
+    {
+        obs::ScopedSession bind(&session);
+        Checker().check(litmus::testByName("fig9_message_passing"));
+    }
     session.disable();
     // Only the always-on profiler groups are published; no timing
     // counter rides along.

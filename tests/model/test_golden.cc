@@ -70,8 +70,11 @@ record(const litmus::LitmusTest &test, ProxyMode mode)
     session.enable();
     CheckOptions opts;
     opts.mode = mode;
-    opts.session = &session;
-    const CheckResult result = Checker(opts).check(test);
+    CheckResult result;
+    {
+        obs::ScopedSession bind(&session);
+        result = Checker(opts).check(test);
+    }
     session.disable();
 
     std::ostringstream os;

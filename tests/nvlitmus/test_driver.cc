@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "litmus/parser.hh"
 #include "nvlitmus/driver.hh"
 #include "relation/error.hh"
 
@@ -286,6 +287,35 @@ TEST(Cli, OverlyNestedConditionIsParseError)
     std::string err;
     EXPECT_EQ(run({path}, nullptr, &err), 2);
     EXPECT_NE(err.find("nesting deeper than"), std::string::npos);
+    std::remove(path);
+}
+
+TEST(Cli, LitmusInputOverTheCapIsRejected)
+{
+    // Litmus sources are read up to litmus::kMaxSourceBytes: a file of
+    // exactly that size parses, one byte more exits 2 naming the cap.
+    const char *path = "nvlitmus_cap_tmp.litmus";
+    const std::string body = "name: padded\n"
+                             "thread t0:\n"
+                             "  st.global.u32 [x], 1\n"
+                             "  ld.global.u32 r1, [x]\n"
+                             "require: t0.r1 == 1\n";
+    auto write = [&](std::size_t size) {
+        std::ofstream file(path);
+        file << body << '#' << std::string(size - body.size() - 2, ' ')
+             << '\n';
+    };
+    write(litmus::kMaxSourceBytes);
+    EXPECT_EQ(std::filesystem::file_size(path), litmus::kMaxSourceBytes);
+    EXPECT_EQ(run({path}), 0);
+    write(litmus::kMaxSourceBytes + 1);
+    std::string err;
+    EXPECT_EQ(run({path}, nullptr, &err), 2);
+    EXPECT_NE(err.find("litmus input longer than " +
+                       std::to_string(litmus::kMaxSourceBytes) +
+                       " bytes"),
+              std::string::npos)
+        << err;
     std::remove(path);
 }
 

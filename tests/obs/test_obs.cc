@@ -2,10 +2,7 @@
  * @file
  * Tests for the observability core: the Session value type, the
  * ScopedSession thread-local binding, the disabled fast path (no
- * recording at all), and RAII span nesting. The legacy global facade
- * (enable()/disable()/metrics()/tracer()) was removed on schedule
- * after its one deprecated release; obs::globalSession() is the only
- * process-wide remnant and is covered here too.
+ * recording at all), and RAII span nesting.
  */
 
 #include <gtest/gtest.h>
@@ -227,21 +224,6 @@ TEST(Obs, DisabledScopedSessionSuppressesRecording)
     // explicitly passed session is the sink, period.
     EXPECT_TRUE(silent.metrics.empty());
     EXPECT_EQ(ambient.metrics.counter("suppressed"), 0u);
-}
-
-TEST(Obs, GlobalSessionIsOneSharedValue)
-{
-    Session &global = globalSession();
-    EXPECT_EQ(&global, &globalSession());
-    global.enable();
-    {
-        ScopedSession bind(&global);
-        count("shared");
-    }
-    global.disable();
-    EXPECT_EQ(global.metrics.counter("shared"), 1u);
-    global.enable(); // leave it clean for other suites
-    global.disable();
 }
 
 TEST(Obs, SessionThreadIdTagsItsSpans)

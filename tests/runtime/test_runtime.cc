@@ -21,7 +21,6 @@
 namespace {
 
 using namespace mixedproxy;
-using runtime::ParallelOptions;
 using runtime::parallelFor;
 using runtime::ThreadPool;
 
@@ -83,11 +82,7 @@ TEST_P(ParallelForJobs, CoversEveryIndexExactlyOnce)
 {
     const std::size_t n = 37;
     std::vector<int> hits(n, 0);
-    ParallelOptions par;
-    par.jobs = GetParam();
-    parallelFor(n, par, [&](std::size_t i, obs::Session *) {
-        hits[i]++;
-    });
+    parallelFor(n, GetParam(), [&](std::size_t i) { hits[i]++; });
     for (std::size_t i = 0; i < n; i++)
         EXPECT_EQ(hits[i], 1) << "index " << i;
 }
@@ -96,14 +91,15 @@ TEST_P(ParallelForJobs, MergedCountersAreJobsInvariant)
 {
     obs::Session session;
     session.enable();
-    ParallelOptions par;
-    par.jobs = GetParam();
-    par.session = &session;
-    parallelFor(20, par, [&](std::size_t i, obs::Session *s) {
-        ASSERT_NE(s, nullptr);
-        s->metrics.add("work.items");
-        s->metrics.add("work.weight", i);
-    });
+    {
+        obs::ScopedSession bind(&session);
+        parallelFor(20, GetParam(), [&](std::size_t i) {
+            obs::Session *s = obs::current();
+            ASSERT_NE(s, nullptr);
+            s->metrics.add("work.items");
+            s->metrics.add("work.weight", i);
+        });
+    }
     session.disable();
     EXPECT_EQ(session.metrics.counter("work.items"), 20u);
     EXPECT_EQ(session.metrics.counter("work.weight"), 190u); // 0+..+19
@@ -113,25 +109,23 @@ TEST_P(ParallelForJobs, BodySessionIsBoundAsCurrent)
 {
     obs::Session session;
     session.enable();
-    ParallelOptions par;
-    par.jobs = GetParam();
-    par.session = &session;
-    parallelFor(8, par, [&](std::size_t, obs::Session *s) {
-        // The ambient binding and the explicit argument agree, so
-        // engine code using either records into the same place.
-        EXPECT_EQ(obs::current(), s);
-        obs::count("ambient.count");
-    });
+    {
+        obs::ScopedSession bind(&session);
+        parallelFor(8, GetParam(), [&](std::size_t) {
+            // The caller's session on the inline path, a worker
+            // session merged into it on the parallel one.
+            EXPECT_NE(obs::current(), nullptr);
+            obs::count("ambient.count");
+        });
+    }
     session.disable();
     EXPECT_EQ(session.metrics.counter("ambient.count"), 8u);
 }
 
 TEST_P(ParallelForJobs, LowestIndexExceptionWins)
 {
-    ParallelOptions par;
-    par.jobs = GetParam();
     try {
-        parallelFor(16, par, [&](std::size_t i, obs::Session *) {
+        parallelFor(16, GetParam(), [&](std::size_t i) {
             if (i == 3 || i == 11)
                 throw std::runtime_error("fail at " +
                                          std::to_string(i));
@@ -147,11 +141,9 @@ INSTANTIATE_TEST_SUITE_P(Jobs, ParallelForJobs,
 
 TEST(ParallelFor, NotObservingPassesNullSession)
 {
-    ParallelOptions par;
-    par.jobs = 4;
     std::atomic<int> nulls{0};
-    parallelFor(8, par, [&](std::size_t, obs::Session *s) {
-        if (s == nullptr && !obs::enabled())
+    parallelFor(8, 4, [&](std::size_t) {
+        if (obs::current() == nullptr)
             nulls.fetch_add(1);
     });
     EXPECT_EQ(nulls.load(), 8);
@@ -161,12 +153,10 @@ TEST(ParallelFor, WorkerSpansCarryDistinctThreadIds)
 {
     obs::Session session;
     session.enable();
-    ParallelOptions par;
-    par.jobs = 4;
-    par.session = &session;
-    parallelFor(32, par, [&](std::size_t, obs::Session *) {
-        obs::Span span("unit");
-    });
+    {
+        obs::ScopedSession bind(&session);
+        parallelFor(32, 4, [&](std::size_t) { obs::Span span("unit"); });
+    }
     session.disable();
     ASSERT_EQ(session.tracer.events().size(), 32u);
     std::set<int> tids;
@@ -182,12 +172,10 @@ TEST(ParallelFor, SerialPathRecordsOnMainLane)
 {
     obs::Session session;
     session.enable();
-    ParallelOptions par;
-    par.jobs = 1;
-    par.session = &session;
-    parallelFor(3, par, [&](std::size_t, obs::Session *) {
-        obs::Span span("unit");
-    });
+    {
+        obs::ScopedSession bind(&session);
+        parallelFor(3, 1, [&](std::size_t) { obs::Span span("unit"); });
+    }
     session.disable();
     ASSERT_EQ(session.tracer.events().size(), 3u);
     for (const auto &event : session.tracer.events())
@@ -197,11 +185,9 @@ TEST(ParallelFor, SerialPathRecordsOnMainLane)
 TEST(ParallelFor, DisabledParentSessionRecordsNothing)
 {
     obs::Session session; // never enabled
-    ParallelOptions par;
-    par.jobs = 4;
-    par.session = &session;
-    parallelFor(8, par, [&](std::size_t, obs::Session *s) {
-        EXPECT_EQ(s, nullptr);
+    obs::ScopedSession bind(&session);
+    parallelFor(8, 4, [&](std::size_t) {
+        EXPECT_EQ(obs::current(), nullptr);
         obs::count("should.not.appear");
     });
     EXPECT_TRUE(session.metrics.empty());

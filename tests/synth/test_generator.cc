@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include "litmus/registry.hh"
 #include "model/checker.hh"
+#include "obs/obs.hh"
 #include "relation/error.hh"
 #include "synth/generator.hh"
+#include "synth/mutate.hh"
 #include "synth/sc_reference.hh"
 
 namespace {
@@ -209,52 +212,128 @@ TEST(Synthesizer, ParallelRunMatchesSerialRun)
     }
 }
 
-TEST(Synthesizer, PresolvePruningPreservesTheReportExactly)
+/**
+ * A copy of @p test (address map and threads, no assertions) with
+ * @p fence inserted before instruction @p index of thread @p thread.
+ */
+litmus::LitmusTest
+withFence(const litmus::LitmusTest &test, std::size_t thread,
+          std::size_t index, const litmus::Instruction &fence)
 {
-    // The pruning-oracle contract (docs/static_solver.md): skipping
-    // the checks the pre-solver proves redundant changes nothing but
-    // the wall clock. Same stats, same interesting tests in the same
-    // order with the same classifications and outcome counts — and
-    // the same summary text (modulo the seconds figure, which we keep
-    // out of the comparison by comparing fields, not strings).
-    auto opts = smallOptions(3, true);
-    opts.presolve = false;
-    auto baseline = Synthesizer(opts).run();
-    opts.presolve = true;
-    auto pruned = Synthesizer(opts).run();
-
-    EXPECT_EQ(baseline.stats.programsEnumerated,
-              pruned.stats.programsEnumerated);
-    EXPECT_EQ(baseline.stats.afterPruning, pruned.stats.afterPruning);
-    EXPECT_EQ(baseline.stats.uniquePrograms,
-              pruned.stats.uniquePrograms);
-    EXPECT_EQ(baseline.stats.checked, pruned.stats.checked);
-    EXPECT_EQ(baseline.stats.skippedTooExpensive,
-              pruned.stats.skippedTooExpensive);
-    EXPECT_EQ(baseline.stats.weak, pruned.stats.weak);
-    EXPECT_EQ(baseline.stats.proxySensitive,
-              pruned.stats.proxySensitive);
-    EXPECT_EQ(baseline.stats.fenceMinimal, pruned.stats.fenceMinimal);
-
-    // The oracle must actually skip work, and only when enabled.
-    EXPECT_EQ(baseline.stats.presolvePrunedPtx60, 0u);
-    EXPECT_EQ(baseline.stats.presolvePrunedFenceChecks, 0u);
-    EXPECT_GT(pruned.stats.presolvePrunedPtx60, 0u);
-    EXPECT_GT(pruned.stats.presolvePrunedFenceChecks, 0u);
-
-    ASSERT_EQ(baseline.interesting.size(), pruned.interesting.size());
-    for (std::size_t i = 0; i < baseline.interesting.size(); i++) {
-        const auto &a = baseline.interesting[i];
-        const auto &b = pruned.interesting[i];
-        EXPECT_EQ(a.test.name(), b.test.name()) << "entry " << i;
-        EXPECT_EQ(a.test.toString(), b.test.toString());
-        EXPECT_EQ(a.weak, b.weak);
-        EXPECT_EQ(a.proxySensitive, b.proxySensitive);
-        EXPECT_EQ(a.fenceMinimal, b.fenceMinimal);
-        EXPECT_EQ(a.ptx75Outcomes, b.ptx75Outcomes);
-        EXPECT_EQ(a.ptx60Outcomes, b.ptx60Outcomes);
-        EXPECT_EQ(a.scOutcomeCount, b.scOutcomeCount);
+    litmus::LitmusTest out(test.name() + "_fenced");
+    for (const auto &loc : test.locations()) {
+        for (const auto &va : test.addressesOf(loc)) {
+            if (va != loc)
+                out.addAlias(va, loc);
+        }
+        if (test.initOf(loc) != 0)
+            out.setInit(loc, test.initOf(loc));
     }
+    for (std::size_t t = 0; t < test.threads().size(); t++) {
+        litmus::Thread copy = test.threads()[t];
+        if (t == thread) {
+            copy.instructions.insert(
+                copy.instructions.begin() +
+                    static_cast<std::ptrdiff_t>(index),
+                fence);
+        }
+        out.addThread(std::move(copy));
+    }
+    return out;
+}
+
+TEST(Synthesizer, SingleProxyPruningRuleHolds)
+{
+    // The rule behind single-proxy pruning (docs/static_solver.md
+    // "Synthesis pruning"): for a program whose PTX 7.5 expansion uses
+    // one proxy, the PTX 6.0 outcome set equals the PTX 7.5 one, and
+    // removing any proxy fence leaves the PTX 7.5 set unchanged. The
+    // programs are every built-in and every test an n=3 run reports,
+    // each single-proxy one also with a proxy fence inserted between
+    // two of its instructions. Both models run with the checker's
+    // single-proxy fast path off, so the reference sets do not rest on
+    // the same classification.
+    std::vector<litmus::LitmusTest> tests = litmus::allTests();
+    SynthOptions opts;
+    opts.instructions = 3;
+    opts.sink = [&](SynthesizedTest &&entry) {
+        tests.push_back(std::move(entry.test));
+    };
+    Synthesizer(opts).run();
+    const std::size_t sampled = tests.size();
+    for (std::size_t i = 0; i < sampled; i++) {
+        const litmus::LitmusTest base = tests[i];
+        if (model::Program(base, model::ProxyMode::Ptx75)
+                .usesMixedProxies())
+            continue;
+        for (std::size_t t = 0; t < base.threads().size(); t++) {
+            for (std::size_t j = 1;
+                 j < base.threads()[t].instructions.size(); j++) {
+                for (const char *fence :
+                     {"fence.proxy.alias", "fence.proxy.constant"})
+                    tests.push_back(
+                        withFence(base, t, j, litmus::decode(fence)));
+            }
+        }
+    }
+
+    model::CheckOptions check75;
+    check75.collectWitnesses = false;
+    check75.staticFastPath = false;
+    model::CheckOptions check60 = check75;
+    check60.mode = model::ProxyMode::Ptx60;
+    const model::Checker checker75(check75);
+    const model::Checker checker60(check60);
+
+    std::size_t single_proxy = 0;
+    std::size_t fence_removals = 0;
+    for (const auto &test : tests) {
+        const model::Program program(test, model::ProxyMode::Ptx75);
+        if (program.usesMixedProxies())
+            continue;
+        single_proxy++;
+        const auto r75 = checker75.check(program);
+        ASSERT_FALSE(r75.budgetExceeded) << test.name();
+        EXPECT_EQ(checker60.check(test).outcomes, r75.outcomes)
+            << test.name();
+        for (std::size_t t = 0; t < test.threads().size(); t++) {
+            const auto &instrs = test.threads()[t].instructions;
+            for (std::size_t j = 0; j < instrs.size(); j++) {
+                if (instrs[j].opcode != litmus::Opcode::FenceProxy)
+                    continue;
+                fence_removals++;
+                EXPECT_EQ(
+                    checker75.check(withoutInstruction(test, t, j))
+                        .outcomes,
+                    r75.outcomes)
+                    << test.name() << " without t" << t << "[" << j
+                    << "]";
+            }
+        }
+    }
+    // Both halves of the rule are exercised.
+    EXPECT_GT(single_proxy, 0u);
+    EXPECT_GT(fence_removals, 0u);
+}
+
+TEST(Synthesizer, EveryCheckOpensOneCheckSpan)
+{
+    // Each model check of a synthesis run is one "check" span with one
+    // "check.expand" and one "check.enumerate" (the run's own PTX 7.5
+    // expansion is timed as check.expand too).
+    obs::Session session;
+    session.enable();
+    SynthOptions opts;
+    opts.instructions = 3;
+    {
+        obs::ScopedSession bind(&session);
+        Synthesizer(opts).run();
+    }
+    session.disable();
+    const auto checks = session.metrics.timer("check").count;
+    EXPECT_GT(checks, 0u);
+    EXPECT_EQ(session.metrics.timer("check.expand").count, checks);
+    EXPECT_EQ(session.metrics.timer("check.enumerate").count, checks);
 }
 
 TEST(Synthesizer, ParallelRunRespectsMaxUniquePrograms)
