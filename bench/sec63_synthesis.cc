@@ -49,10 +49,9 @@ printScalingTable()
            "runtime is exponential (or worse) in instruction count; "
            "~6-instruction tests are the practical limit");
 
-    // The full n=5 point takes ~10 minutes on one core (and n=6 would
-    // take ~14 hours — the paper's practical limit); opt in with
-    // MIXEDPROXY_SYNTH_FULL=1. A reference run is recorded in
-    // EXPERIMENTS.md.
+    // The full n=5 point takes about two minutes on one core of the
+    // 4-vCPU VM EXPERIMENTS.md E7 records (n=6, the paper's practical
+    // limit, has not been run); opt in with MIXEDPROXY_SYNTH_FULL=1.
     const char *full = std::getenv("MIXEDPROXY_SYNTH_FULL");
     const std::size_t max_n = (full && full[0] == '1') ? 5 : 4;
 
@@ -85,8 +84,8 @@ printScalingTable()
     std::printf("(fence-minimal classification disabled above n=3 to "
                 "keep the sweep tractable,\n mirroring the paper's "
                 "observation that the technique stops scaling;\n set "
-                "MIXEDPROXY_SYNTH_FULL=1 for the n=5 point: ~10 min, "
-                "x78 over n=4)\n\n");
+                "MIXEDPROXY_SYNTH_FULL=1 for the n=5 point: ~2 min on "
+                "one core, see EXPERIMENTS.md E7)\n\n");
 }
 
 void

@@ -111,16 +111,17 @@ simulate(const Program &program, const std::vector<EventId> &schedule)
          loc < static_cast<LocationId>(program.locationCount()); loc++) {
         EventId init = program.initWrite(loc);
         last_writer[static_cast<std::size_t>(loc)] = init;
-        value[init] =
-            program.test().initOf(program.locationName(loc));
+        value[init] = program.initValue(loc);
     }
 
     CandidateExecution cand;
-    auto operand = [&](const Event &e,
-                       const litmus::Operand &op) -> std::uint64_t {
+    auto operand = [&](const Event &e, const litmus::Operand &op,
+                       EventId def) -> std::uint64_t {
         if (op.isImm())
             return op.imm;
-        return value[program.regDef(e.thread, op.reg)];
+        if (!op.isReg())
+            panic("operand of ", e.toString(), " has no value");
+        return value[def];
     };
 
     for (EventId id : schedule) {
@@ -134,6 +135,9 @@ simulate(const Program &program, const std::vector<EventId> &schedule)
         }
         if (!e.isWrite())
             continue;
+        auto value_operand = [&] {
+            return operand(e, e.instr->value, program.valueDef(id));
+        };
         bool live = true;
         if (e.isAsyncCopy()) {
             value[id] = value[e.asyncCopyPartner];
@@ -141,20 +145,21 @@ simulate(const Program &program, const std::vector<EventId> &schedule)
             std::uint64_t read_value = value[e.rmwPartner];
             switch (e.instr->atomOp) {
               case litmus::AtomOp::Add:
-                value[id] = read_value + operand(e, e.instr->value);
+                value[id] = read_value + value_operand();
                 break;
               case litmus::AtomOp::Exch:
-                value[id] = operand(e, e.instr->value);
+                value[id] = value_operand();
                 break;
               case litmus::AtomOp::Cas:
-                if (read_value == operand(e, e.instr->expected))
-                    value[id] = operand(e, e.instr->value);
+                if (read_value == operand(e, e.instr->expected,
+                                          program.expectedDef(id)))
+                    value[id] = value_operand();
                 else
                     live = false; // failed CAS writes nothing
                 break;
             }
         } else {
-            value[id] = operand(e, e.instr->value);
+            value[id] = value_operand();
         }
         if (live) {
             last_writer[static_cast<std::size_t>(e.location)] = id;

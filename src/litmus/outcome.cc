@@ -44,4 +44,10 @@ Outcome::toString() const
     return os.str();
 }
 
+std::ostream &
+operator<<(std::ostream &os, const Outcome &outcome)
+{
+    return os << outcome.toString();
+}
+
 } // namespace mixedproxy::litmus

@@ -12,6 +12,7 @@
 #define MIXEDPROXY_LITMUS_OUTCOME_HH
 
 #include <cstdint>
+#include <iosfwd>
 #include <map>
 #include <string>
 
@@ -38,6 +39,12 @@ struct Outcome
     /** Render as "t0.r1=1 t1.r2=0 [x]=42". */
     std::string toString() const;
 };
+
+/**
+ * Print toString(); gtest uses it, so a failed outcome comparison
+ * shows the outcomes rather than their bytes.
+ */
+std::ostream &operator<<(std::ostream &os, const Outcome &outcome);
 
 } // namespace mixedproxy::litmus
 

@@ -205,16 +205,15 @@ struct Valuation
     std::vector<EventId> topo; ///< evaluation-order scratch
 };
 
+/** @p op's value; @p def is its register's defining read, if any. */
 std::uint64_t
-operandValue(const Program &program, const Valuation &vals,
-             const Event &event, const litmus::Operand &op)
+operandValue(const Valuation &vals, const Event &event,
+             const litmus::Operand &op, EventId def)
 {
     if (op.isImm())
         return op.imm;
-    if (op.isReg()) {
-        EventId def = program.regDef(event.thread, op.reg);
+    if (op.isReg())
         return vals.value[def];
-    }
     panic("operand of ", event.toString(), " has no value");
 }
 
@@ -242,8 +241,7 @@ evaluateInto(const Program &program, const Relation &rf,
     for (EventId id : vals.topo) {
         const Event &e = events[id];
         if (e.isInit) {
-            vals.value[id] =
-                program.test().initOf(program.locationName(e.location));
+            vals.value[id] = program.initValue(e.location);
             continue;
         }
         if (e.isRead()) {
@@ -262,28 +260,27 @@ evaluateInto(const Program &program, const Relation &rf,
                 vals.value[id] = vals.value[e.asyncCopyPartner];
                 continue;
             }
+            auto value_operand = [&] {
+                return operandValue(vals, e, instr->value,
+                                    program.valueDef(id));
+            };
             if (!e.isAtomic()) {
-                vals.value[id] =
-                    operandValue(program, vals, e, instr->value);
+                vals.value[id] = value_operand();
                 continue;
             }
             std::uint64_t read_value = vals.value[e.rmwPartner];
             switch (instr->atomOp) {
               case litmus::AtomOp::Add:
-                vals.value[id] =
-                    read_value +
-                    operandValue(program, vals, e, instr->value);
+                vals.value[id] = read_value + value_operand();
                 break;
               case litmus::AtomOp::Exch:
-                vals.value[id] =
-                    operandValue(program, vals, e, instr->value);
+                vals.value[id] = value_operand();
                 break;
               case litmus::AtomOp::Cas: {
-                std::uint64_t expected =
-                    operandValue(program, vals, e, instr->expected);
+                std::uint64_t expected = operandValue(
+                    vals, e, instr->expected, program.expectedDef(id));
                 if (read_value == expected) {
-                    vals.value[id] =
-                        operandValue(program, vals, e, instr->value);
+                    vals.value[id] = value_operand();
                 } else {
                     vals.live[id] = 0; // failed CAS writes nothing
                 }
@@ -972,6 +969,109 @@ satMul(std::uint64_t a, std::uint64_t b)
  */
 enum class OrderClass { Viable, CausalityB, ScPerLocation, Atomicity };
 
+/** One location's enumerated coherence orders, classified. */
+struct LocOrders
+{
+    /** The orders in bucket order, packed `length` ids apiece. */
+    std::vector<EventId> pool;
+    std::size_t length = 0; ///< live writes of the location
+    std::size_t count = 0;  ///< number of orders
+    std::uint64_t cb = 0, sc = 0, atom = 0; ///< class counts
+    std::vector<std::size_t> viable; ///< indices of viable orders
+    std::vector<std::size_t> finals; ///< first viable order per
+                                     ///< distinct final value
+
+    const EventId *order(std::size_t i) const
+    {
+        return pool.data() + i * length;
+    }
+
+    /** The order's last write, or @p init for an empty order. */
+    EventId finalWrite(std::size_t i, EventId init) const
+    {
+        return length == 0 ? init : order(i)[length - 1];
+    }
+
+    void
+    clear()
+    {
+        pool.clear();
+        length = count = 0;
+        cb = sc = atom = 0;
+        viable.clear();
+        finals.clear();
+    }
+};
+
+/**
+ * Size @p rows to at least @p n and clear the first @p n without giving
+ * back any row's capacity (rows past @p n keep stale contents and are
+ * never read).
+ */
+template <typename Row>
+void
+clearRows(std::vector<Row> &rows, std::size_t n)
+{
+    if (rows.size() < n)
+        rows.resize(n);
+    for (std::size_t i = 0; i < n; i++)
+        rows[i].clear();
+}
+
+/**
+ * Working storage of the enumeration core. One lives per thread
+ * (enumScratch()); each check clears what it uses but never shrinks
+ * it, so once a thread has checked a program of some size, checking
+ * another of at most that size allocates nothing in the rf and co
+ * layers. Synthesis runs hundreds of thousands of checks of a dozen
+ * events each, where that allocation was a large share of the time.
+ */
+struct EnumScratch
+{
+    // Static per-program tables.
+    std::vector<std::vector<EventId>> reads_at;
+    std::vector<std::vector<EventId>> atomic_reads_at;
+    std::vector<EventId> clique_pool; ///< members of every clique
+    /** Per location, its cliques as [begin, end) ranges of the pool. */
+    std::vector<std::vector<std::pair<std::size_t, std::size_t>>>
+        cliques_at;
+    std::vector<std::uint64_t> prefix_product;
+
+    // rf-layer state.
+    std::vector<Relation> closure; ///< per-depth ^(dep | rf-prefix)
+    std::vector<EventId> source_of;
+
+    // co-layer scratch, reused across locations and assignments.
+    std::vector<std::pair<EventId, EventId>> cb_pairs;
+    std::vector<int> pos;
+    std::vector<signed char> color;
+    struct Frame
+    {
+        EventId node;
+        std::size_t next;
+    };
+    std::vector<Frame> frames;
+    std::vector<EventId> live_members;
+    std::vector<std::uint64_t> final_values;
+    Valuation vals;
+    std::vector<LocOrders> locs;
+    std::vector<std::vector<EventId>> orders;
+    std::vector<std::size_t> digits; ///< survivor visit counter
+    relation::TotalOrderScratch total_order;
+};
+
+/**
+ * The calling thread's EnumScratch. One per thread suffices: a check
+ * runs to completion on its thread, and nothing the enumeration calls
+ * starts another check.
+ */
+EnumScratch &
+enumScratch()
+{
+    thread_local EnumScratch scratch;
+    return scratch;
+}
+
 /**
  * The enumeration core: a layered delta engine that never examines
  * candidates one by one unless Fence-SC or witness collection needs
@@ -1012,29 +1112,42 @@ class IncrementalEnumerator
     IncrementalEnumerator(const Program &program,
                           const CheckOptions &opts, CheckResult &result,
                           OutcomeAccumulator &acc,
-                          std::size_t depth_bucket)
+                          std::size_t depth_bucket, EnumScratch &scratch)
         : program(program), opts(opts), result(result), acc(acc),
           depth_bucket(depth_bucket),
           events(program.events()), n(program.size()),
-          reads(program.reads())
+          L(program.locationCount()), reads(program.reads()),
+          reads_at(scratch.reads_at),
+          atomic_reads_at(scratch.atomic_reads_at),
+          clique_pool(scratch.clique_pool),
+          cliques_at(scratch.cliques_at),
+          prefix_product(scratch.prefix_product),
+          closure(scratch.closure), source_of(scratch.source_of),
+          cb_pairs(scratch.cb_pairs), pos(scratch.pos),
+          color(scratch.color), frames(scratch.frames),
+          live_members(scratch.live_members),
+          final_values(scratch.final_values),
+          vals_scratch(scratch.vals), locs(scratch.locs),
+          orders_scratch(scratch.orders), digits(scratch.digits),
+          total_order(scratch.total_order)
     {
-        const std::size_t L = program.locationCount();
-        reads_at.resize(L);
-        atomic_reads_at.resize(L);
+        clearRows(reads_at, L);
+        clearRows(atomic_reads_at, L);
         for (EventId r : reads) {
             const auto loc = static_cast<std::size_t>(events[r].location);
             reads_at[loc].push_back(r);
             if (events[r].isAtomic())
                 atomic_reads_at[loc].push_back(r);
         }
-        cliques_at.resize(L);
+        clearRows(cliques_at, L);
+        clique_pool.clear();
         for (const auto &clique : program.msCliques()) {
-            std::vector<EventId> members;
-            clique.forEach([&](EventId id) { members.push_back(id); });
-            if (!members.empty()) {
+            const std::size_t begin = clique_pool.size();
+            clique.forEach([&](EventId id) { clique_pool.push_back(id); });
+            if (clique_pool.size() != begin) {
                 cliques_at[static_cast<std::size_t>(
-                               events[members.front()].location)]
-                    .push_back(std::move(members));
+                               events[clique_pool[begin]].location)]
+                    .emplace_back(begin, clique_pool.size());
             }
         }
         // Subtree sizes for prefix-prune accounting: prefix_product[i]
@@ -1050,12 +1163,15 @@ class IncrementalEnumerator
         pos.assign(n, -1);
         color.assign(n, 0);
         source_of.assign(n, static_cast<EventId>(-1));
+        clearRows(locs, L);
+        clearRows(orders_scratch, L);
     }
 
     void
     run()
     {
-        closure.assign(reads.size() + 1, Relation(0));
+        if (closure.size() < reads.size() + 1)
+            closure.resize(reads.size() + 1);
         closure[0] = program.depClosure();
         if (!closure[0].irreflexive()) {
             // The dependency order alone is cyclic: every assignment is
@@ -1139,8 +1255,6 @@ class IncrementalEnumerator
         }
 
         // ---- Axiom: Coherence, + per-location classification ------
-        const std::size_t L = program.locationCount();
-        locs.assign(L, {});
         bool some_loc_empty = false;
         for (LocationId loc = 0; loc < static_cast<LocationId>(L);
              loc++) {
@@ -1150,12 +1264,13 @@ class IncrementalEnumerator
                     live_writes.insert(w);
             }
             LocOrders &lo = locs[static_cast<std::size_t>(loc)];
+            lo.clear();
             classifyLocation(loc, live_writes, vals, derived, lo);
-            if (lo.orders.empty() && live_writes.count() > 0)
+            if (lo.count == 0 && live_writes.count() > 0)
                 some_loc_empty = true;
             if (live_writes.count() > 0) {
                 stats.coLocations++;
-                stats.coOrders += lo.orders.size();
+                stats.coOrders += lo.count;
             }
         }
         if (some_loc_empty) {
@@ -1168,9 +1283,9 @@ class IncrementalEnumerator
         // a candidate passes Causality-(b) iff every component order
         // does, and so on down the check order.
         std::uint64_t p_full = 1, p_ncb = 1, p_nsc = 1, p_viable = 1;
-        for (const LocOrders &lo : locs) {
-            const auto full =
-                static_cast<std::uint64_t>(lo.orders.size());
+        for (std::size_t loc = 0; loc < L; loc++) {
+            const LocOrders &lo = locs[loc];
+            const auto full = static_cast<std::uint64_t>(lo.count);
             p_full = satMul(p_full, full);
             p_ncb = satMul(p_ncb, full - lo.cb);
             p_nsc = satMul(p_nsc, full - lo.cb - lo.sc);
@@ -1203,13 +1318,11 @@ class IncrementalEnumerator
 
         // Fence-SC is the one cross-location axiom: evaluate it per
         // survivor, in visit order (location 0 fastest).
-        std::vector<std::size_t> vi(L, 0);
+        std::vector<std::size_t> &vi = digits;
+        vi.assign(L, 0);
         while (true) {
-            orders_scratch.assign(L, {});
-            for (std::size_t loc = 0; loc < L; loc++) {
-                const LocOrders &lo = locs[loc];
-                orders_scratch[loc] = lo.orders[lo.viable[vi[loc]]];
-            }
+            for (std::size_t loc = 0; loc < L; loc++)
+                adoptOrder(loc, locs[loc].viable[vi[loc]]);
             Relation co = coRelation(program, orders_scratch);
             Relation fr = frRelation(program, source_of, co);
             if (fenceScHolds(program, derived, rf, co, fr)) {
@@ -1252,14 +1365,11 @@ class IncrementalEnumerator
                        const DerivedRelations &derived,
                        const Relation &rf)
     {
-        const std::size_t L = locs.size();
-        std::vector<std::size_t> fi(L, 0);
+        std::vector<std::size_t> &fi = digits;
+        fi.assign(L, 0);
         while (true) {
-            orders_scratch.assign(L, {});
-            for (std::size_t loc = 0; loc < L; loc++) {
-                const LocOrders &lo = locs[loc];
-                orders_scratch[loc] = lo.orders[lo.finals[fi[loc]]];
-            }
+            for (std::size_t loc = 0; loc < L; loc++)
+                adoptOrder(loc, locs[loc].finals[fi[loc]]);
             if (acc.insert(orders_scratch, vals.value) &&
                 opts.collectWitnesses) {
                 acc.attachWitness(buildWitness(
@@ -1279,15 +1389,14 @@ class IncrementalEnumerator
         }
     }
 
-    /** One location's enumerated coherence orders, classified. */
-    struct LocOrders
+    /** Copy order @p idx of location @p loc into orders_scratch. */
+    void
+    adoptOrder(std::size_t loc, std::size_t idx)
     {
-        std::vector<std::vector<EventId>> orders; ///< bucket order
-        std::uint64_t cb = 0, sc = 0, atom = 0;   ///< class counts
-        std::vector<std::size_t> viable; ///< indices of viable orders
-        std::vector<std::size_t> finals; ///< first viable order per
-                                         ///< distinct final value
-    };
+        const LocOrders &lo = locs[loc];
+        const EventId *order = lo.order(idx);
+        orders_scratch[loc].assign(order, order + lo.length);
+    }
 
     /**
      * Total-order visitor: maintains coherence positions, marks
@@ -1355,10 +1464,12 @@ class IncrementalEnumerator
                 out.atom++;
                 break;
             case OrderClass::Viable:
-                out.viable.push_back(out.orders.size());
+                out.viable.push_back(out.count);
                 break;
             }
-            out.orders.push_back(order);
+            out.length = order.size();
+            out.pool.insert(out.pool.end(), order.begin(), order.end());
+            out.count++;
             return true;
         }
     };
@@ -1373,16 +1484,15 @@ class IncrementalEnumerator
             cb_pairs.emplace_back(r, source_of[r]);
         Classifier visitor{*this, loc, vals, derived, out};
         relation::forEachTotalOrderVisit(
-            live_writes, derived.cause.restrict(live_writes), visitor);
+            live_writes, derived.cause.restrict(live_writes), visitor,
+            total_order);
         // One representative order per distinct final-write value, in
         // first-occurrence order, for the no-fence outcome product.
         out.finals.clear();
         final_values.clear();
+        const EventId init = program.initWrite(loc);
         for (std::size_t idx : out.viable) {
-            const auto &order = out.orders[idx];
-            const std::uint64_t v =
-                order.empty() ? vals.value[program.initWrite(loc)]
-                              : vals.value[order.back()];
+            const std::uint64_t v = vals.value[out.finalWrite(idx, init)];
             if (std::find(final_values.begin(), final_values.end(),
                           v) == final_values.end()) {
                 final_values.push_back(v);
@@ -1427,10 +1537,11 @@ class IncrementalEnumerator
     bool
     scFails(LocationId loc, const Valuation &vals)
     {
-        for (const auto &members :
+        for (const auto &[begin, end] :
              cliques_at[static_cast<std::size_t>(loc)]) {
             live_members.clear();
-            for (EventId m : members) {
+            for (std::size_t i = begin; i < end; i++) {
+                const EventId m = clique_pool[i];
                 if (vals.live[m])
                     live_members.push_back(m);
             }
@@ -1503,33 +1614,31 @@ class IncrementalEnumerator
     const std::size_t depth_bucket;
     const std::vector<Event> &events;
     const std::size_t n;
+    const std::size_t L; ///< locations
     const std::vector<EventId> &reads;
 
-    // Static per-program tables (built once per check).
-    std::vector<std::vector<EventId>> reads_at;
-    std::vector<std::vector<EventId>> atomic_reads_at;
-    std::vector<std::vector<std::vector<EventId>>> cliques_at;
-    std::vector<std::uint64_t> prefix_product;
-
-    // rf-layer state.
-    std::vector<Relation> closure; ///< per-depth ^(dep | rf-prefix)
-    std::vector<EventId> source_of;
-
-    // co-layer scratch, reused across locations and assignments.
-    std::vector<std::pair<EventId, EventId>> cb_pairs;
-    std::vector<int> pos;
-    std::vector<signed char> color;
-    struct Frame
-    {
-        EventId node;
-        std::size_t next;
-    };
-    std::vector<Frame> frames;
-    std::vector<EventId> live_members;
-    std::vector<std::uint64_t> final_values;
-    Valuation vals_scratch;
-    std::vector<LocOrders> locs;
-    std::vector<std::vector<EventId>> orders_scratch;
+    // Static per-program tables (built once per check), then the rf-
+    // and co-layer state; all of it lives in the thread's EnumScratch.
+    using Frame = EnumScratch::Frame;
+    std::vector<std::vector<EventId>> &reads_at;
+    std::vector<std::vector<EventId>> &atomic_reads_at;
+    std::vector<EventId> &clique_pool;
+    std::vector<std::vector<std::pair<std::size_t, std::size_t>>>
+        &cliques_at;
+    std::vector<std::uint64_t> &prefix_product;
+    std::vector<Relation> &closure;
+    std::vector<EventId> &source_of;
+    std::vector<std::pair<EventId, EventId>> &cb_pairs;
+    std::vector<int> &pos;
+    std::vector<signed char> &color;
+    std::vector<Frame> &frames;
+    std::vector<EventId> &live_members;
+    std::vector<std::uint64_t> &final_values;
+    Valuation &vals_scratch;
+    std::vector<LocOrders> &locs;
+    std::vector<std::vector<EventId>> &orders_scratch;
+    std::vector<std::size_t> &digits;
+    relation::TotalOrderScratch &total_order;
 };
 
 } // namespace
@@ -1743,7 +1852,8 @@ Checker::checkExpanded(const Program &program) const
 
     {
         obs::Span enumerate_span("check.enumerate");
-        IncrementalEnumerator(program, opts, result, acc, depth_bucket)
+        IncrementalEnumerator(program, opts, result, acc, depth_bucket,
+                              enumScratch())
             .run();
         acc.materialize(result);
     }

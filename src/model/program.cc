@@ -23,6 +23,8 @@ Program::Program(const litmus::LitmusTest &test, ProxyMode mode)
 {
     test.validate();
     buildEvents();
+    if (mode == ProxyMode::Ptx60)
+        eraseProxies();
     buildPoAndDep();
     buildPatterns();
     buildBarrierSync();
@@ -30,6 +32,36 @@ Program::Program(const litmus::LitmusTest &test, ProxyMode mode)
     buildCliques();
     buildReadSources();
     buildBaseLayers();
+}
+
+Program
+Program::ptx60View() const
+{
+    // Only moral strength (its same-proxy condition) and the cliques
+    // built from it read the proxies; the rest of the expansion is
+    // mode-independent and is copied as is.
+    Program view(*this);
+    view._mode = ProxyMode::Ptx60;
+    view.eraseProxies();
+    view.buildMorallyStrong();
+    view.buildCliques();
+    return view;
+}
+
+void
+Program::eraseProxies()
+{
+    // Proxy-oblivious baseline: every access is a generic access to the
+    // canonical location. Locations are interned before any other
+    // virtual address, so a location's own address id is its location
+    // id.
+    for (Event &e : _events) {
+        if (!e.isMemory())
+            continue;
+        e.address = e.location;
+        e.proxy = ProxyId{litmus::ProxyKind::Generic, e.address, -1};
+    }
+    _mixedProxies = false;
 }
 
 void
@@ -49,30 +81,47 @@ Program::buildBaseLayers()
 void
 Program::buildEvents()
 {
-    // Intern locations and addresses.
-    for (const auto &loc : _test->locations()) {
-        locationIds[loc] = static_cast<LocationId>(locationNames.size());
-        locationNames.push_back(loc);
+    // Locations in name order, with their init values.
+    locationNames = _test->locations();
+    const std::size_t L = locationNames.size();
+    initValues.reserve(L);
+    for (const auto &loc : locationNames)
+        initValues.push_back(_test->initOf(loc));
+
+    // Virtual addresses are interned in first-use order after the
+    // locations' own names, so an init write's address id is its
+    // location id; each address resolves its location once.
+    std::vector<const std::string *> address_names;
+    std::vector<LocationId> address_loc;
+    address_names.reserve(L + 2 * _test->instructionCount());
+    address_loc.reserve(address_names.capacity());
+    for (std::size_t loc = 0; loc < L; loc++) {
+        address_names.push_back(&locationNames[loc]);
+        address_loc.push_back(static_cast<LocationId>(loc));
     }
+    auto address_id = [&](const std::string &va) {
+        for (std::size_t i = 0; i < address_names.size(); i++) {
+            if (*address_names[i] == va)
+                return static_cast<AddressId>(i);
+        }
+        const std::string loc = _test->locationOf(va);
+        auto it = std::lower_bound(locationNames.begin(),
+                                   locationNames.end(), loc);
+        if (it == locationNames.end() || *it != loc)
+            panic("address ", va, " maps to unknown location ", loc);
+        address_names.push_back(&va);
+        address_loc.push_back(
+            static_cast<LocationId>(it - locationNames.begin()));
+        return static_cast<AddressId>(address_names.size() - 1);
+    };
 
     // Upper bound: one init write per location plus at most two events
     // per instruction (cp.async expands to a read and a write).
-    _events.reserve(locationNames.size() +
-                    2 * _test->instructionCount());
-    auto address_id = [&](const std::string &va) {
-        auto it = addressIds.find(va);
-        if (it != addressIds.end())
-            return it->second;
-        AddressId id = static_cast<AddressId>(addressNames.size());
-        addressIds[va] = id;
-        addressNames.push_back(va);
-        return id;
-    };
+    _events.reserve(L + 2 * _test->instructionCount());
 
     // Init writes, one per location, ids 0..L-1.
-    locationWrites.resize(locationNames.size());
-    for (LocationId loc = 0;
-         loc < static_cast<LocationId>(locationNames.size()); loc++) {
+    locationWrites.resize(L);
+    for (LocationId loc = 0; loc < static_cast<LocationId>(L); loc++) {
         Event e;
         e.id = _events.size();
         e.kind = Event::Kind::Write;
@@ -80,7 +129,7 @@ Program::buildEvents()
         e.threadName = "init";
         e.isInit = true;
         e.location = loc;
-        e.address = address_id(locationNames[loc]);
+        e.address = loc;
         e.proxy = ProxyId{litmus::ProxyKind::Generic, e.address, -1};
         e.sem = litmus::Semantics::Relaxed;
         e.scope = litmus::Scope::Sys;
@@ -142,20 +191,13 @@ Program::buildEvents()
             }
             if (instr.opcode == litmus::Opcode::CpAsync) {
                 // Forked copy: a read of the source and a write of the
-                // destination, both via the async proxy (or generic
-                // under the PTX 6.0 erasure).
+                // destination, both via the async proxy.
                 auto resolve = [&](const std::string &va, Event &e) {
-                    const std::string loc = _test->locationOf(va);
-                    e.location = locationIds.at(loc);
-                    if (_mode == ProxyMode::Ptx60) {
-                        e.address = address_id(loc);
-                        e.proxy = ProxyId{litmus::ProxyKind::Generic,
-                                          e.address, -1};
-                    } else {
-                        e.address = address_id(va);
-                        e.proxy = ProxyId{litmus::ProxyKind::Async,
-                                          kNoLocation, thread.cta};
-                    }
+                    e.address = address_id(va);
+                    e.location =
+                        address_loc[static_cast<std::size_t>(e.address)];
+                    e.proxy = ProxyId{litmus::ProxyKind::Async,
+                                      kNoLocation, thread.cta};
                 };
                 Event read = base;
                 read.id = _events.size();
@@ -177,25 +219,15 @@ Program::buildEvents()
             }
 
             // Memory operation.
-            const std::string location_name =
-                _test->locationOf(instr.address);
-            base.location = locationIds.at(location_name);
+            base.address = address_id(instr.address);
+            base.location =
+                address_loc[static_cast<std::size_t>(base.address)];
             base.accessSize = instr.accessSize;
-            if (_mode == ProxyMode::Ptx60) {
-                // Proxy-oblivious baseline: every access is a generic
-                // access to the canonical location.
-                base.address = address_id(location_name);
+            if (instr.proxy == litmus::ProxyKind::Generic) {
                 base.proxy = ProxyId{litmus::ProxyKind::Generic,
                                      base.address, -1};
             } else {
-                base.address = address_id(instr.address);
-                if (instr.proxy == litmus::ProxyKind::Generic) {
-                    base.proxy = ProxyId{litmus::ProxyKind::Generic,
-                                         base.address, -1};
-                } else {
-                    base.proxy =
-                        ProxyId{instr.proxy, kNoLocation, thread.cta};
-                }
+                base.proxy = ProxyId{instr.proxy, kNoLocation, thread.cta};
             }
 
             if (instr.isAtomic()) {
@@ -237,7 +269,7 @@ Program::buildEvents()
 
     // Static mixed-proxy summary (see usesMixedProxies()): a non-generic
     // access, or two distinct virtual addresses reaching one location.
-    std::map<LocationId, AddressId> address_at;
+    std::vector<AddressId> address_at(L, kNoLocation);
     for (const auto &e : _events) {
         if (!e.isMemory() || e.isInit)
             continue;
@@ -245,8 +277,10 @@ Program::buildEvents()
             _mixedProxies = true;
             break;
         }
-        auto [it, inserted] = address_at.emplace(e.location, e.address);
-        if (!inserted && it->second != e.address) {
+        AddressId &seen = address_at[static_cast<std::size_t>(e.location)];
+        if (seen == kNoLocation) {
+            seen = e.address;
+        } else if (seen != e.address) {
             _mixedProxies = true;
             break;
         }
@@ -272,63 +306,68 @@ Program::buildPoAndDep()
     _po = relation::Relation(n);
     _dep = relation::Relation(n);
 
-    // Group events by thread, in id order (construction order).
-    std::map<int, std::vector<EventId>> by_thread;
-    for (const auto &e : _events) {
-        if (e.thread >= 0)
-            by_thread[e.thread].push_back(e.id);
-    }
-
     // Program order per thread. Ordinary events form a total chain.
     // Asynchronous copies (extension, §3.1.4) "behave as if they fork a
     // new thread": the copy's events are ordered after every earlier
     // ordinary event, internally read-before-write, and before later
     // events only once a cp.async.wait_all joins them. The edges are
     // inserted exhaustively, so _po is transitive by construction.
-    for (const auto &[thread, ids] : by_thread) {
-        std::vector<EventId> ordered;
-        std::vector<EventId> pending;
-        for (EventId id : ids) {
-            const Event &e = _events[id];
-            const bool is_join =
-                e.instr &&
-                e.instr->opcode == litmus::Opcode::CpAsyncWait;
-            for (EventId prev : ordered)
-                _po.insert(prev, id);
-            if (e.isAsyncCopy()) {
-                if (e.isWrite())
-                    _po.insert(e.asyncCopyPartner, id);
-                pending.push_back(id);
-            } else if (is_join) {
-                for (EventId p : pending) {
-                    _po.insert(p, id);
-                    ordered.push_back(p);
-                }
-                pending.clear();
-                ordered.push_back(id);
-            } else {
-                ordered.push_back(id);
+    // A thread's events are contiguous in id order (construction
+    // order), so one pass visits each thread in turn.
+    std::vector<EventId> ordered;
+    std::vector<EventId> pending;
+    int thread = -1;
+    for (const auto &e : _events) {
+        if (e.thread < 0)
+            continue;
+        if (e.thread != thread) {
+            thread = e.thread;
+            ordered.clear();
+            pending.clear();
+        }
+        const EventId id = e.id;
+        const bool is_join =
+            e.instr && e.instr->opcode == litmus::Opcode::CpAsyncWait;
+        for (EventId prev : ordered)
+            _po.insert(prev, id);
+        if (e.isAsyncCopy()) {
+            if (e.isWrite())
+                _po.insert(e.asyncCopyPartner, id);
+            pending.push_back(id);
+        } else if (is_join) {
+            for (EventId p : pending) {
+                _po.insert(p, id);
+                ordered.push_back(p);
             }
+            pending.clear();
+            ordered.push_back(id);
+        } else {
+            ordered.push_back(id);
         }
     }
 
     // Register def-use dependencies. Registers are written exactly once
-    // (validated), by a read event.
-    for (const auto &e : _events) {
-        if (e.isRead() && !e.destReg.empty())
-            regDefs[e.thread][e.destReg] = e.id;
-    }
-    const auto &def_of = regDefs;
+    // (validated), by a read event. An RMW's operand dependencies land
+    // on its write (the value consumer) and its read (address formation
+    // is shared). The value and expected operands' definitions are kept
+    // for value evaluation.
+    operandDefs.assign(n, OperandDefs{});
     for (const auto &e : _events) {
         if (!e.instr || !e.isMemory())
             continue;
-        // An RMW's operand dependencies land on its write (the value
-        // consumer) and its read (address formation is shared).
-        for (const auto &reg : e.instr->sourceRegs()) {
-            EventId def = def_of.at(e.thread).at(reg);
+        auto depend = [&](const std::string &reg) {
+            const EventId def = regDef(e.thread, reg);
             if (def != e.id)
                 _dep.insert(def, e.id);
-        }
+            return def;
+        };
+        const auto &instr = *e.instr;
+        if (instr.value.isReg())
+            operandDefs[e.id].value = depend(instr.value.reg);
+        if (instr.expected.isReg())
+            operandDefs[e.id].expected = depend(instr.expected.reg);
+        for (const auto &coord : instr.addressCoordRegs)
+            depend(coord);
     }
     // Internal RMW dependency: add and cas write values depend on the
     // value read; exch does not. An async copy's write always depends
@@ -489,10 +528,14 @@ Program::buildMorallyStrong()
 {
     const std::size_t n = _events.size();
     _ms = relation::Relation(n);
-    for (const auto &a : _events) {
-        for (const auto &b : _events) {
-            if (morallyStrongPair(a, b))
-                _ms.insert(a.id, b.id);
+    // Every clause of morallyStrongPair is symmetric, so each unordered
+    // pair is judged once.
+    for (std::size_t a = 0; a < n; a++) {
+        for (std::size_t b = a + 1; b < n; b++) {
+            if (morallyStrongPair(_events[a], _events[b])) {
+                _ms.insert(a, b);
+                _ms.insert(b, a);
+            }
         }
     }
 }
@@ -507,6 +550,7 @@ Program::buildCliques()
     // candidate/excluded sets become plain bitmasks and the recursion
     // allocates nothing — this runs once per Program, which synthesis
     // constructs by the thousands.
+    cliques.clear();
     const std::size_t n = _events.size();
     if (n <= 64) {
         buildCliquesBitset();
@@ -570,12 +614,9 @@ Program::buildCliquesBitset()
     // general path tests adjacent(v, u) = _ms.contains(v, u) with v the
     // pivot-loop node; mirror that orientation exactly.
     std::uint64_t adj[64] = {};
-    for (std::size_t a = 0; a < n; a++) {
-        for (std::size_t b = 0; b < n; b++) {
-            if (_ms.contains(a, b))
-                adj[a] |= std::uint64_t{1} << b;
-        }
-    }
+    _ms.forEach([&](EventId a, EventId b) {
+        adj[a] |= std::uint64_t{1} << b;
+    });
     // Recursion depth is bounded by the clique size <= n <= 64.
     struct Frame
     {
@@ -628,6 +669,7 @@ Program::buildCliquesBitset()
 void
 Program::buildReadSources()
 {
+    _readSources.resize(_events.size());
     for (EventId r : _reads) {
         const Event &read = _events[r];
         std::vector<EventId> sources;
@@ -650,19 +692,20 @@ Program::buildReadSources()
 EventId
 Program::regDef(int thread, const std::string &reg) const
 {
-    auto t = regDefs.find(thread);
-    if (t == regDefs.end() || !t->second.count(reg))
-        panic("no definition of register ", reg, " in thread ", thread);
-    return t->second.at(reg);
+    for (EventId r : _reads) {
+        const Event &e = _events[r];
+        if (e.thread == thread && e.destReg == reg)
+            return r;
+    }
+    panic("no definition of register ", reg, " in thread ", thread);
 }
 
 const std::vector<EventId> &
 Program::readSources(EventId read) const
 {
-    auto it = _readSources.find(read);
-    if (it == _readSources.end())
+    if (read >= _events.size() || !_events[read].isRead())
         panic("event ", read, " is not a read");
-    return it->second;
+    return _readSources[read];
 }
 
 const std::vector<EventId> &

@@ -13,7 +13,7 @@
 #ifndef MIXEDPROXY_MODEL_PROGRAM_HH
 #define MIXEDPROXY_MODEL_PROGRAM_HH
 
-#include <map>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -48,11 +48,28 @@ struct AcquirePattern
     EventId last; ///< the acquire read itself, or the acquire fence
 };
 
-/** Static expansion of one litmus test under one model variant. */
+/**
+ * Static expansion of one litmus test under one model variant.
+ *
+ * Events are always built with their PTX 7.5 addresses and proxies; the
+ * PTX 6.0 erasure is one post-pass over those two fields, shared by a
+ * direct Ptx60 expansion and by ptx60View().
+ */
 class Program
 {
   public:
     Program(const litmus::LitmusTest &test, ProxyMode mode);
+
+    /**
+     * The PTX 6.0 view of this expansion, equal field by field to
+     * Program(test(), ProxyMode::Ptx60). Everything the mode does not
+     * change (events other than their address and proxy, po, dep,
+     * patterns, barrier sync, read sources, overlap pairs, mustCause,
+     * depClosure) is copied; only the erasure is applied and moral
+     * strength and its cliques are rebuilt. Checking a test under both
+     * models therefore costs one expansion.
+     */
+    Program ptx60View() const;
 
     const litmus::LitmusTest &test() const { return *_test; }
     ProxyMode mode() const { return _mode; }
@@ -180,8 +197,31 @@ class Program
     /** Name of a location (its canonical virtual address). */
     const std::string &locationName(LocationId loc) const;
 
+    /** Initial value of a location (the test's init of its name). */
+    std::uint64_t initValue(LocationId loc) const
+    {
+        return initValues[static_cast<std::size_t>(loc)];
+    }
+
     /** The read event that defines register @p reg in @p thread. */
     EventId regDef(int thread, const std::string &reg) const;
+
+    /**
+     * The read event defining the register of @p event's `value`
+     * operand, or Event::kNoPartner when that operand is not a
+     * register. Resolved once per expansion, so value evaluation does
+     * no register-name lookup.
+     */
+    EventId valueDef(EventId event) const
+    {
+        return operandDefs[event].value;
+    }
+
+    /** Likewise for the `expected` operand of a cas. */
+    EventId expectedDef(EventId event) const
+    {
+        return operandDefs[event].expected;
+    }
 
     /** Does @p event's scope include thread index @p thread? */
     bool scopeIncludes(const Event &event, int thread) const;
@@ -191,6 +231,7 @@ class Program
 
   private:
     void buildEvents();
+    void eraseProxies();
     void buildPoAndDep();
     void buildPatterns();
     void buildBarrierSync();
@@ -208,9 +249,7 @@ class Program
 
     std::vector<Event> _events;
     std::vector<std::string> locationNames;
-    std::map<std::string, LocationId> locationIds;
-    std::vector<std::string> addressNames;
-    std::map<std::string, AddressId> addressIds;
+    std::vector<std::uint64_t> initValues; ///< by location
 
     bool _mixedProxies = false;
 
@@ -225,14 +264,22 @@ class Program
     std::vector<relation::EventSet> cliques;
 
     std::vector<EventId> _reads;
-    std::map<EventId, std::vector<EventId>> _readSources;
+    /** Candidate sources by event id; empty for non-reads. */
+    std::vector<std::vector<EventId>> _readSources;
     std::vector<std::vector<EventId>> locationWrites;
     std::vector<EventId> initWrites;
     std::vector<EventId> _scFences;
     std::vector<EventId> _proxyFences;
     std::vector<ReleasePattern> _releasePatterns;
     std::vector<AcquirePattern> _acquirePatterns;
-    std::map<int, std::map<std::string, EventId>> regDefs;
+
+    /** Register-operand definitions, by event id. */
+    struct OperandDefs
+    {
+        EventId value = Event::kNoPartner;
+        EventId expected = Event::kNoPartner;
+    };
+    std::vector<OperandDefs> operandDefs;
 
     /** Per-thread cta/gpu, indexed by thread id. */
     std::vector<int> threadCta;

@@ -29,7 +29,8 @@ forEachTotalOrder(
     // caller distinguishes "no orders" from "aborted" by tracking its own
     // visit count.
     CompleteOnlyVisitor visitor{visit};
-    return forEachTotalOrderVisit(subset, partial, visitor);
+    TotalOrderScratch scratch;
+    return forEachTotalOrderVisit(subset, partial, visitor, scratch);
 }
 
 } // namespace mixedproxy::relation

@@ -715,6 +715,14 @@ totalOrderVisitRec(const std::vector<EventId> &ids, const Relation &closed,
 
 } // namespace detail
 
+/** Caller-owned working vectors of forEachTotalOrderVisit. */
+struct TotalOrderScratch
+{
+    std::vector<EventId> ids;
+    std::vector<bool> placed;
+    std::vector<EventId> prefix;
+};
+
 /**
  * Enumerate every strict total order of @p subset consistent with the
  * partial constraint @p partial, driving a stateful visitor:
@@ -729,19 +737,24 @@ totalOrderVisitRec(const std::vector<EventId> &ids, const Relation &closed,
  * forEachTotalOrder: at each step candidates are tried in ascending id
  * order.
  *
+ * The working vectors live in @p scratch, so a caller that enumerates
+ * orders many times reuses their capacity.
+ *
  * @return false if visitor.complete ever returned false.
  */
 template <typename Visitor>
 bool
 forEachTotalOrderVisit(const EventSet &subset, const Relation &partial,
-                       Visitor &&visitor)
+                       Visitor &&visitor, TotalOrderScratch &scratch)
 {
-    auto ids = subset.members();
-    std::vector<bool> placed(ids.size(), false);
-    std::vector<EventId> prefix;
-    prefix.reserve(ids.size());
-    return detail::totalOrderVisitRec(ids, partial.transitiveClosure(),
-                                      placed, prefix, visitor);
+    scratch.ids.clear();
+    subset.forEach([&](EventId id) { scratch.ids.push_back(id); });
+    scratch.placed.assign(scratch.ids.size(), false);
+    scratch.prefix.clear();
+    return detail::totalOrderVisitRec(scratch.ids,
+                                      partial.transitiveClosure(),
+                                      scratch.placed, scratch.prefix,
+                                      visitor);
 }
 
 /**

@@ -39,6 +39,45 @@ class WordStore
     {
         if (count_ > kInlineWords)
             heap_.assign(count_, 0);
+        else
+            std::fill_n(inline_, count_, 0);
+    }
+
+    // Copies carry only the live words: a litmus-scale relation uses a
+    // dozen of the 32 inline words, and relations are copied and
+    // zeroed by the million.
+    WordStore(const WordStore &other)
+        : count_(other.count_), heap_(other.heap_)
+    {
+        copyInline(other);
+    }
+
+    WordStore(WordStore &&other) noexcept
+        : count_(other.count_), heap_(std::move(other.heap_))
+    {
+        copyInline(other);
+    }
+
+    WordStore &
+    operator=(const WordStore &other)
+    {
+        if (this != &other) {
+            count_ = other.count_;
+            heap_ = other.heap_;
+            copyInline(other);
+        }
+        return *this;
+    }
+
+    WordStore &
+    operator=(WordStore &&other) noexcept
+    {
+        if (this != &other) {
+            count_ = other.count_;
+            heap_ = std::move(other.heap_);
+            copyInline(other);
+        }
+        return *this;
     }
 
     std::size_t size() const { return count_; }
@@ -67,8 +106,16 @@ class WordStore
     bool operator!=(const WordStore &other) const = default;
 
   private:
+    void
+    copyInline(const WordStore &other)
+    {
+        if (count_ <= kInlineWords)
+            std::copy_n(other.inline_, count_, inline_);
+    }
+
     std::size_t count_ = 0;
-    std::uint64_t inline_[kInlineWords] = {};
+    /** Words past count_ are never read, so they stay uninitialized. */
+    std::uint64_t inline_[kInlineWords];
     std::vector<std::uint64_t> heap_;
 };
 

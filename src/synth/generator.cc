@@ -291,6 +291,29 @@ struct Classified
 
 } // namespace
 
+void
+Synthesizer::forEachProgram(
+    const std::function<void(const litmus::LitmusTest &)> &visit) const
+{
+    const auto alpha = alphabet(opts);
+    const ProtoTable protos = buildProtos(alpha);
+    SkeletonGenerator generator(alpha, opts.instructions, opts.maxThreads,
+                                opts.maxLocations);
+    for (std::size_t index = 1; generator.next(); index++) {
+        if (opts.maxUniquePrograms != 0 &&
+            index > opts.maxUniquePrograms)
+            break;
+        litmus::LitmusTest test;
+        try {
+            test = materialize(generator.current(), alpha, protos, index,
+                               opts.withBarriers);
+        } catch (const FatalError &) {
+            continue;
+        }
+        visit(test);
+    }
+}
+
 SynthReport
 Synthesizer::run() const
 {
@@ -324,13 +347,14 @@ Synthesizer::run() const
 
         obs::Span check_span("synth.check");
         try {
-            // One static expansion serves both the PTX 7.5 check and
-            // single-proxy pruning below: the Program carries the
-            // precomputed base layers (dep closure, must base
-            // causality) the incremental enumeration core starts from,
-            // so expanding per consumer would redo exactly the work
-            // the layering is meant to share. It is timed as the
-            // checker times its own expansions.
+            // One static expansion serves the PTX 7.5 check,
+            // single-proxy pruning and, through its PTX 6.0 view, the
+            // PTX 6.0 check below: the Program carries the precomputed
+            // base layers (dep closure, must base causality) the
+            // incremental enumeration core starts from, so expanding
+            // per consumer would redo exactly the work the layering is
+            // meant to share. The expansion and the view are timed as
+            // the checker times its own expansions.
             std::optional<model::Program> prog75;
             {
                 obs::Span expand_span("check.expand");
@@ -371,7 +395,12 @@ Synthesizer::run() const
                     c.entry.proxySensitive = false;
                     c.prunedPtx60++;
                 } else {
-                    auto r60 = checker60.check(test);
+                    std::optional<model::Program> prog60;
+                    {
+                        obs::Span expand_span("check.expand");
+                        prog60.emplace(prog75->ptx60View());
+                    }
+                    auto r60 = checker60.check(*prog60);
                     if (r60.budgetExceeded) {
                         c.tooExpensive = true;
                         return;

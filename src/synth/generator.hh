@@ -204,6 +204,16 @@ class Synthesizer
     /** Run the enumeration and classification. */
     SynthReport run() const;
 
+    /**
+     * Materialize, in index order, each unique program run() would
+     * classify and pass it to @p visit; a skeleton that does not
+     * materialize is skipped, as run() skips it. For checks over the
+     * whole population rather than the part a report keeps.
+     */
+    void forEachProgram(
+        const std::function<void(const litmus::LitmusTest &)> &visit)
+        const;
+
     const SynthOptions &options() const { return opts; }
 
   private:

@@ -1,7 +1,7 @@
 #include "sc_reference.hh"
 
 #include <cstddef>
-#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -175,9 +175,60 @@ writeReg(ScState &state, const IndexedTest &idx, std::size_t t, int reg_id,
     state.regWritten[slot] = 1;
 }
 
+/**
+ * Final states of the interleaving walk, deduplicated as flat value
+ * vectors: per register slot its written flag and value, then every
+ * location's value. Many interleavings end in one final state, so the
+ * string-keyed litmus::Outcome is built once per distinct state, not
+ * once per leaf.
+ */
+struct FinalStates
+{
+    std::set<std::vector<std::uint64_t>> distinct;
+    std::vector<std::uint64_t> key; ///< the leaf being recorded
+
+    void
+    record(const ScState &state)
+    {
+        key.clear();
+        for (std::size_t slot = 0; slot < state.regValues.size(); slot++) {
+            const bool written = state.regWritten[slot] != 0;
+            key.push_back(written ? 1 : 0);
+            key.push_back(written ? state.regValues[slot] : 0);
+        }
+        key.insert(key.end(), state.memory.begin(), state.memory.end());
+        distinct.insert(key);
+    }
+
+    std::set<litmus::Outcome>
+    outcomes(const litmus::LitmusTest &test, const IndexedTest &idx) const
+    {
+        std::set<litmus::Outcome> out;
+        for (const auto &k : distinct) {
+            litmus::Outcome outcome;
+            for (std::size_t t = 0; t < idx.instrs.size(); t++) {
+                const auto &name = test.threads()[t].name;
+                for (std::size_t r = 0; r < idx.regNames[t].size(); r++) {
+                    const std::size_t slot = idx.regBase[t] + r;
+                    if (k[2 * slot] != 0) {
+                        outcome.registers[name + "." +
+                                          idx.regNames[t][r]] =
+                            k[2 * slot + 1];
+                    }
+                }
+            }
+            const std::size_t mem = 2 * idx.regTotal;
+            for (std::size_t l = 0; l < idx.locNames.size(); l++)
+                outcome.memory[idx.locNames[l]] = k[mem + l];
+            out.insert(std::move(outcome));
+        }
+        return out;
+    }
+};
+
 void
 explore(const litmus::LitmusTest &test, const IndexedTest &idx,
-        ScState &state, std::set<litmus::Outcome> &outcomes)
+        ScState &state, FinalStates &finals)
 {
     bool any = false;
     for (std::size_t t = 0; t < idx.instrs.size(); t++) {
@@ -279,7 +330,7 @@ explore(const litmus::LitmusTest &test, const IndexedTest &idx,
             break; // no-ops under SC
         }
 
-        explore(test, idx, state, outcomes);
+        explore(test, idx, state, finals);
 
         state.pc[t]--;
         if (instr.opcode == litmus::Opcode::Barrier)
@@ -294,22 +345,8 @@ explore(const litmus::LitmusTest &test, const IndexedTest &idx,
         }
     }
 
-    if (!any) {
-        litmus::Outcome outcome;
-        for (std::size_t t = 0; t < idx.instrs.size(); t++) {
-            const auto &name = test.threads()[t].name;
-            for (std::size_t r = 0; r < idx.regNames[t].size(); r++) {
-                const std::size_t slot = idx.regBase[t] + r;
-                if (state.regWritten[slot]) {
-                    outcome.registers[name + "." + idx.regNames[t][r]] =
-                        state.regValues[slot];
-                }
-            }
-        }
-        for (std::size_t l = 0; l < idx.locNames.size(); l++)
-            outcome.memory[idx.locNames[l]] = state.memory[l];
-        outcomes.insert(outcome);
-    }
+    if (!any)
+        finals.record(state);
 }
 
 } // namespace
@@ -325,9 +362,9 @@ scOutcomes(const litmus::LitmusTest &test)
     state.barriersPassed.assign(idx.instrs.size(), 0);
     state.regValues.assign(idx.regTotal, 0);
     state.regWritten.assign(idx.regTotal, 0);
-    std::set<litmus::Outcome> outcomes;
-    explore(test, idx, state, outcomes);
-    return outcomes;
+    FinalStates finals;
+    explore(test, idx, state, finals);
+    return finals.outcomes(test, idx);
 }
 
 } // namespace mixedproxy::synth

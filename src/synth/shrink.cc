@@ -1,5 +1,8 @@
 #include "shrink.hh"
 
+#include <optional>
+
+#include "model/program.hh"
 #include "obs/obs.hh"
 #include "relation/error.hh"
 #include "synth/generator.hh"
@@ -100,8 +103,18 @@ proxySensitivityPredicate()
     opts60.mode = model::ProxyMode::Ptx60;
     return [opts75, opts60](const litmus::LitmusTest &candidate) {
         try {
-            auto r75 = model::Checker(opts75).check(candidate);
-            auto r60 = model::Checker(opts60).check(candidate);
+            // One expansion; the PTX 6.0 check reads its view.
+            std::optional<model::Program> prog75, prog60;
+            {
+                obs::Span expand_span("check.expand");
+                prog75.emplace(candidate, model::ProxyMode::Ptx75);
+            }
+            auto r75 = model::Checker(opts75).check(*prog75);
+            {
+                obs::Span expand_span("check.expand");
+                prog60.emplace(prog75->ptx60View());
+            }
+            auto r60 = model::Checker(opts60).check(*prog60);
             if (r75.budgetExceeded || r60.budgetExceeded)
                 return false; // too expensive: "does not preserve"
             return r75.outcomes != r60.outcomes;

@@ -8,8 +8,11 @@
  * them, and the CI lint-corpus job byte-compares the same transcript
  * against the installed binary. Regenerate with:
  *
- *   build/tools/nvlitmus --lint-only tests/analysis/cases/*.litmus \
+ *   build/tools/nvlitmus --lint-only tests/analysis/cases/?*.litmus \
  *       > tests/analysis/goldens/lint_corpus.golden
+ *
+ * (`?*` matches the same files as a bare star; a slash followed by a
+ * star would open a nested comment here.)
  */
 
 #include <algorithm>

@@ -50,9 +50,10 @@ TEST(Approx, MustIsSubsetOfMayOnEveryBuiltin)
         auto must = presolve::mustBaseCausality(program);
         for (std::size_t a = 0; a < program.size(); a++) {
             for (std::size_t b = 0; b < program.size(); b++) {
-                if (must.contains(a, b))
+                if (must.contains(a, b)) {
                     EXPECT_TRUE(may.contains(a, b))
                         << test.name() << " " << a << "->" << b;
+                }
             }
         }
     }
@@ -86,8 +87,9 @@ TEST(Approx, MustIsProgramOrderWithinAThread)
     auto must = presolve::mustBaseCausality(program);
     for (std::size_t a = 0; a < program.size(); a++) {
         for (std::size_t b = 0; b < program.size(); b++) {
-            if (program.po().contains(a, b))
+            if (program.po().contains(a, b)) {
                 EXPECT_TRUE(must.contains(a, b));
+            }
         }
     }
 }

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <sstream>
+
 #include "litmus/expr.hh"
 #include "relation/error.hh"
 
@@ -180,6 +183,18 @@ TEST(Outcome, OrderingAndToString)
     EXPECT_NE(a, b);
     EXPECT_LT(a, b);
     EXPECT_EQ(a.toString(), "t0.r1=1 t1.r2=42 [x]=7");
+}
+
+TEST(Outcome, PrintsAsItsText)
+{
+    // gtest prints outcomes (and sets of them) through operator<<, so a
+    // failed comparison shows the values, not the object's bytes.
+    const Outcome a = sampleOutcome();
+    std::ostringstream os;
+    os << a;
+    EXPECT_EQ(os.str(), a.toString());
+    EXPECT_EQ(testing::PrintToString(std::set<Outcome>{a}),
+              "{ t0.r1=1 t1.r2=42 [x]=7 }");
 }
 
 } // namespace

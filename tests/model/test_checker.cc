@@ -5,6 +5,8 @@
  */
 
 #include <algorithm>
+#include <sstream>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -12,7 +14,9 @@
 #include "litmus/registry.hh"
 #include "litmus/test.hh"
 #include "model/checker.hh"
+#include "obs/metrics.hh"
 #include "relation/error.hh"
+#include "runtime/parallel.hh"
 
 namespace {
 
@@ -644,6 +648,76 @@ TEST(CheckerProfile, DisabledSamplingPublishesNoSampledCounters)
                   "checker.enum.reject.causality_b") +
                   session.metrics.counter("checker.consistent"),
               0u);
+}
+
+/** Everything a check reports: verdicts, outcomes, counters, witnesses. */
+std::string
+fingerprint(const CheckResult &result)
+{
+    std::ostringstream os;
+    os << result.summary();
+    obs::MetricsRegistry registry;
+    result.stats.publish(registry);
+    for (const auto &[name, value] : registry.counters())
+        os << name << "=" << value << "\n";
+    for (const auto &[outcome, witness] : result.witnesses)
+        os << outcome << "\n" << witness.toString();
+    return os.str();
+}
+
+TEST(CheckerEnumCore, ScratchReuseAcrossSizesIsInvisible)
+{
+    // The enumeration core keeps its working storage per thread and
+    // reuses it across checks. No check may see what an earlier one,
+    // larger or smaller, left there: small, large, small on one
+    // thread, and that sequence repeated on a 4-worker pool, each give
+    // the result of a check on a fresh thread.
+    const LitmusTest *small = nullptr;
+    const LitmusTest *large = nullptr;
+    std::size_t small_size = 0, large_size = 0;
+    for (const auto &test : litmus::allTests()) {
+        const std::size_t size = Program(test, ProxyMode::Ptx75).size();
+        if (!small || size < small_size) {
+            small = &test;
+            small_size = size;
+        }
+        if (!large || size > large_size) {
+            large = &test;
+            large_size = size;
+        }
+    }
+    ASSERT_LT(small_size, large_size);
+    EXPECT_LT(Program(*small, ProxyMode::Ptx75).locationCount(),
+              Program(*large, ProxyMode::Ptx75).locationCount());
+
+    auto on_fresh_thread = [](const LitmusTest &test) {
+        std::string out;
+        std::thread([&] { out = fingerprint(Checker().check(test)); })
+            .join();
+        return out;
+    };
+    const std::string small_ref = on_fresh_thread(*small);
+    const std::string large_ref = on_fresh_thread(*large);
+
+    const std::vector<const LitmusTest *> sequence{small, large, small};
+    std::thread([&] {
+        for (const LitmusTest *test : sequence) {
+            EXPECT_EQ(fingerprint(Checker().check(*test)),
+                      test == small ? small_ref : large_ref)
+                << test->name();
+        }
+    }).join();
+
+    std::vector<std::string> pooled(4 * sequence.size());
+    runtime::parallelFor(pooled.size(), 4, [&](std::size_t i) {
+        pooled[i] =
+            fingerprint(Checker().check(*sequence[i % sequence.size()]));
+    });
+    for (std::size_t i = 0; i < pooled.size(); i++) {
+        EXPECT_EQ(pooled[i], i % sequence.size() == 1 ? large_ref
+                                                      : small_ref)
+            << i;
+    }
 }
 
 } // namespace

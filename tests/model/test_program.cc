@@ -2,13 +2,20 @@
  * @file
  * Unit tests for the static program expansion: events, program order,
  * dependencies, moral strength (with the §6.2.2 same-proxy condition),
- * and clique construction.
+ * clique construction, and the PTX 6.0 view of a PTX 7.5 expansion.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
+#include "litmus/registry.hh"
 #include "litmus/test.hh"
+#include "model/checker.hh"
 #include "model/program.hh"
+#include "obs/metrics.hh"
+#include "synth/generator.hh"
 
 namespace {
 
@@ -369,6 +376,148 @@ TEST(Program, ScopeIncludes)
     EXPECT_TRUE(p.scopeIncludes(rel, 0));
     EXPECT_TRUE(p.scopeIncludes(rel, 1)); // same CTA
     EXPECT_TRUE(p.scopeIncludes(rel, -1)); // init pseudo-thread
+}
+
+/** Every field two expansions can differ in, compared one by one. */
+void
+expectSameProgram(const Program &a, const Program &b,
+                  const std::string &name)
+{
+    SCOPED_TRACE(name);
+    EXPECT_EQ(&a.test(), &b.test());
+    EXPECT_EQ(a.mode(), b.mode());
+    ASSERT_EQ(a.size(), b.size());
+    for (EventId id = 0; id < a.size(); id++) {
+        const Event &x = a.event(id);
+        const Event &y = b.event(id);
+        SCOPED_TRACE(x.toString());
+        EXPECT_EQ(x.id, y.id);
+        EXPECT_EQ(x.kind, y.kind);
+        EXPECT_EQ(x.thread, y.thread);
+        EXPECT_EQ(x.threadName, y.threadName);
+        EXPECT_EQ(x.cta, y.cta);
+        EXPECT_EQ(x.gpu, y.gpu);
+        EXPECT_EQ(x.instrIndex, y.instrIndex);
+        EXPECT_EQ(x.sem, y.sem);
+        EXPECT_EQ(x.scope, y.scope);
+        EXPECT_EQ(x.location, y.location);
+        EXPECT_EQ(x.address, y.address);
+        EXPECT_EQ(x.proxy, y.proxy);
+        EXPECT_EQ(x.accessSize, y.accessSize);
+        EXPECT_EQ(x.proxyFence, y.proxyFence);
+        EXPECT_EQ(x.rmwPartner, y.rmwPartner);
+        EXPECT_EQ(x.asyncCopyPartner, y.asyncCopyPartner);
+        EXPECT_EQ(x.destReg, y.destReg);
+        EXPECT_EQ(x.isInit, y.isInit);
+        EXPECT_EQ(x.instr, y.instr);
+        EXPECT_EQ(x.toString(), y.toString());
+        EXPECT_EQ(a.valueDef(id), b.valueDef(id));
+        EXPECT_EQ(a.expectedDef(id), b.expectedDef(id));
+    }
+    EXPECT_EQ(a.po(), b.po());
+    EXPECT_EQ(a.dep(), b.dep());
+    EXPECT_EQ(a.morallyStrong(), b.morallyStrong());
+    EXPECT_EQ(a.barrierSync(), b.barrierSync());
+    EXPECT_EQ(a.msCliques(), b.msCliques());
+    EXPECT_EQ(a.reads(), b.reads());
+    for (EventId r : a.reads())
+        EXPECT_EQ(a.readSources(r), b.readSources(r));
+    EXPECT_EQ(a.scFences(), b.scFences());
+    EXPECT_EQ(a.proxyFences(), b.proxyFences());
+    ASSERT_EQ(a.releasePatterns().size(), b.releasePatterns().size());
+    for (std::size_t i = 0; i < a.releasePatterns().size(); i++) {
+        EXPECT_EQ(a.releasePatterns()[i].first,
+                  b.releasePatterns()[i].first);
+        EXPECT_EQ(a.releasePatterns()[i].write,
+                  b.releasePatterns()[i].write);
+    }
+    ASSERT_EQ(a.acquirePatterns().size(), b.acquirePatterns().size());
+    for (std::size_t i = 0; i < a.acquirePatterns().size(); i++) {
+        EXPECT_EQ(a.acquirePatterns()[i].read,
+                  b.acquirePatterns()[i].read);
+        EXPECT_EQ(a.acquirePatterns()[i].last,
+                  b.acquirePatterns()[i].last);
+    }
+    EXPECT_EQ(a.usesMixedProxies(), b.usesMixedProxies());
+    EXPECT_EQ(a.overlapPairs(), b.overlapPairs());
+    EXPECT_EQ(a.mustCause(), b.mustCause());
+    EXPECT_EQ(a.depClosure(), b.depClosure());
+    EXPECT_EQ(a.hasAtomicReads(), b.hasAtomicReads());
+    ASSERT_EQ(a.locationCount(), b.locationCount());
+    for (LocationId loc = 0;
+         loc < static_cast<LocationId>(a.locationCount()); loc++) {
+        EXPECT_EQ(a.locationName(loc), b.locationName(loc));
+        EXPECT_EQ(a.initValue(loc), b.initValue(loc));
+        EXPECT_EQ(a.initWrite(loc), b.initWrite(loc));
+        EXPECT_EQ(a.writesAt(loc), b.writesAt(loc));
+    }
+}
+
+std::map<std::string, std::uint64_t, std::less<>>
+counters(const CheckStats &stats)
+{
+    obs::MetricsRegistry registry;
+    stats.publish(registry);
+    return registry.counters();
+}
+
+/** The view equals a direct expansion, and checks the same. */
+void
+expectViewMatchesDirect(const LitmusTest &test, const Checker &checker60,
+                        std::size_t &mixed)
+{
+    const Program ptx75(test, ProxyMode::Ptx75);
+    const Program view = ptx75.ptx60View();
+    const Program direct(test, ProxyMode::Ptx60);
+    expectSameProgram(view, direct, test.name());
+    EXPECT_FALSE(view.usesMixedProxies()) << test.name();
+    if (ptx75.usesMixedProxies())
+        mixed++;
+
+    const auto by_view = checker60.check(view);
+    const auto by_direct = checker60.check(direct);
+    EXPECT_EQ(by_view.outcomes, by_direct.outcomes) << test.name();
+    EXPECT_EQ(counters(by_view.stats), counters(by_direct.stats))
+        << test.name();
+    EXPECT_EQ(by_view.budgetExceeded, by_direct.budgetExceeded);
+    ASSERT_EQ(by_view.witnesses.size(), by_direct.witnesses.size());
+    for (const auto &[outcome, witness] : by_view.witnesses) {
+        EXPECT_EQ(witness.toString(),
+                  by_direct.witnesses.at(outcome).toString())
+            << test.name();
+    }
+}
+
+TEST(Program, Ptx60ViewEqualsDirectExpansion)
+{
+    // Every built-in and every unique program synthesis classifies at
+    // n <= 3: the view of the PTX 7.5 expansion is the direct PTX 6.0
+    // expansion, field by field, and the PTX 6.0 check of either gives
+    // the same outcomes, witnesses and counters.
+    CheckOptions opts;
+    opts.mode = ProxyMode::Ptx60;
+    const Checker checker60(opts);
+    std::size_t programs = 0;
+    std::size_t mixed = 0;
+    for (const auto &test : litmus::allTests()) {
+        expectViewMatchesDirect(test, checker60, mixed);
+        programs++;
+    }
+    EXPECT_EQ(programs, 96u);
+    for (std::size_t n = 1; n <= 3; n++) {
+        synth::SynthOptions synth_opts;
+        synth_opts.instructions = n;
+        synth::Synthesizer(synth_opts)
+            .forEachProgram([&](const LitmusTest &test) {
+                expectViewMatchesDirect(test, checker60, mixed);
+                programs++;
+            });
+    }
+    // 96 built-ins plus the n = 1, 2, 3 populations (0, 36 and 3168
+    // unique programs); most of them mix proxies, so the erasure has
+    // work to do.
+    EXPECT_EQ(programs, 96u + 36u + 3168u);
+    EXPECT_GT(mixed, programs / 2);
 }
 
 } // namespace
