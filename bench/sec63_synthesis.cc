@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <string>
 
 #include <benchmark/benchmark.h>
 
@@ -36,9 +37,6 @@ optionsFor(std::size_t instructions)
     opts.maxLocations = 2;
     opts.withProxies = true;
     opts.withAtomics = false;
-    // Fence-minimality re-checks each test once per fence; affordable
-    // only at small sizes.
-    opts.classifyFenceMinimal = instructions <= 3;
     return opts;
 }
 
@@ -64,16 +62,18 @@ printScalingTable()
         auto opts = optionsFor(n);
         auto report = synth::Synthesizer(opts).run();
         const auto &s = report.stats;
+        const std::string fence_min = s.fenceMinimalCounted
+                                          ? std::to_string(s.fenceMinimal)
+                                          : "n/a";
         std::printf("%-6zu %-12llu %-10llu %-10llu %-8llu %-8llu "
-                    "%-10llu %-10.2f\n",
+                    "%-10s %-10.2f\n",
                     n,
                     static_cast<unsigned long long>(s.programsEnumerated),
                     static_cast<unsigned long long>(s.uniquePrograms),
                     static_cast<unsigned long long>(s.checked),
                     static_cast<unsigned long long>(s.weak),
                     static_cast<unsigned long long>(s.proxySensitive),
-                    static_cast<unsigned long long>(s.fenceMinimal),
-                    s.seconds);
+                    fence_min.c_str(), s.seconds);
         if (previous > 0.0 && s.seconds > 0.0) {
             std::printf("       (x%.1f over n-1)\n",
                         s.seconds / previous);
@@ -81,11 +81,12 @@ printScalingTable()
         previous = s.seconds;
     }
     rule();
-    std::printf("(fence-minimal classification disabled above n=3 to "
+    std::printf("(fence-minimal classification is n/a above n=%zu to "
                 "keep the sweep tractable,\n mirroring the paper's "
                 "observation that the technique stops scaling;\n set "
                 "MIXEDPROXY_SYNTH_FULL=1 for the n=5 point: ~2 min on "
-                "one core, see EXPERIMENTS.md E7)\n\n");
+                "one core, see EXPERIMENTS.md E7)\n\n",
+                synth::kMaxFenceMinimalInstructions);
 }
 
 void

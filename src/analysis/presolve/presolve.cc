@@ -40,10 +40,8 @@ namespace {
 std::optional<std::uint64_t>
 staticWriteValue(const Program &program, const Event &e)
 {
-    if (e.isInit) {
-        return program.test().initOf(
-            program.locationName(e.location));
-    }
+    if (e.isInit)
+        return program.initValue(e.location);
     if (e.isAsyncCopy() || !e.instr)
         return std::nullopt;
     const auto *instr = e.instr;

@@ -64,9 +64,6 @@ class LitmusTest
     /** Append a thread; returns its index. */
     std::size_t addThread(Thread thread);
 
-    /** Invalidate the memoized validate() verdict (done by mutators). */
-    void touch() { _validated = false; }
-
     /** Find a thread index by name; throws FatalError if absent. */
     std::size_t threadIndex(const std::string &name) const;
 

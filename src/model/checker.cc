@@ -1645,8 +1645,7 @@ class IncrementalEnumerator
 
 std::optional<litmus::Outcome>
 evaluateCandidate(const Program &program,
-                  const CandidateExecution &candidate,
-                  bool staticFastPath)
+                  const CandidateExecution &candidate)
 {
     const auto &events = program.events();
     const std::size_t n = events.size();
@@ -1676,8 +1675,7 @@ evaluateCandidate(const Program &program,
     if (!vals.feasible)
         return std::nullopt;
 
-    DerivedRelations derived =
-        computeDerived(program, rf, vals.live, staticFastPath);
+    DerivedRelations derived = computeDerived(program, rf, vals.live);
 
     // ---- Axiom: Causality, part (a) ------------------------------
     for (EventId r : program.reads()) {

@@ -412,8 +412,7 @@ struct CandidateExecution
  */
 std::optional<litmus::Outcome>
 evaluateCandidate(const Program &program,
-                  const CandidateExecution &candidate,
-                  bool staticFastPath = true);
+                  const CandidateExecution &candidate);
 
 /**
  * Evaluate @p test's assertions against @p result's outcome set,

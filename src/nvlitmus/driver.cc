@@ -516,8 +516,6 @@ runParsed(const DriverOptions &opts, engine::Engine &eng,
     if (opts.synthInstructions != 0) {
         engine::Request request =
             engine::Request::forSynth(opts.synthInstructions);
-        request.synth.classifyFenceMinimal =
-            opts.synthInstructions <= 3;
         request.synth.jobs = opts.jobs;
         // The suite directory is made before any synthesis, so a bad
         // path fails fast; the tests stream into it as they classify.

@@ -1,5 +1,6 @@
 #include "generator.hh"
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <filesystem>
@@ -133,8 +134,11 @@ buildProtos(const std::vector<Template> &alpha)
     return table;
 }
 
-/** Materialize a skeleton as a LitmusTest. */
-litmus::LitmusTest
+/**
+ * Materialize a skeleton as a LitmusTest; nullopt when the program is
+ * not valid (e.g. mismatched barrier sequences within the CTA).
+ */
+std::optional<litmus::LitmusTest>
 materialize(const Skeleton &program, const std::vector<Template> &alpha,
             const ProtoTable &protos, std::size_t index, bool same_cta)
 {
@@ -192,7 +196,11 @@ materialize(const Skeleton &program, const std::vector<Template> &alpha,
         }
         test.addThread(std::move(thread));
     }
-    test.validate();
+    try {
+        test.validate();
+    } catch (const FatalError &) {
+        return std::nullopt;
+    }
     return test;
 }
 
@@ -238,7 +246,8 @@ SynthStats::publish(obs::MetricsRegistry &registry) const
     registry.add("synth.skipped_too_expensive", skippedTooExpensive);
     registry.add("synth.weak", weak);
     registry.add("synth.proxy_sensitive", proxySensitive);
-    registry.add("synth.fence_minimal", fenceMinimal);
+    if (fenceMinimalCounted)
+        registry.add("synth.fence_minimal", fenceMinimal);
     registry.add("synth.presolve.pruned_ptx60", presolvePrunedPtx60);
     registry.add("synth.presolve.pruned_fence_checks",
                  presolvePrunedFenceChecks);
@@ -253,8 +262,10 @@ SynthReport::summary() const
        << ", checked " << stats.checked << " (skipped "
        << stats.skippedTooExpensive << "): weak " << stats.weak
        << ", proxy-sensitive " << stats.proxySensitive
-       << ", fence-minimal " << stats.fenceMinimal << " in "
-       << stats.seconds << " s";
+       << ", fence-minimal "
+       << (stats.fenceMinimalCounted ? std::to_string(stats.fenceMinimal)
+                                     : "n/a")
+       << " in " << stats.seconds << " s";
     return os.str();
 }
 
@@ -278,10 +289,18 @@ namespace {
  */
 constexpr std::size_t kChunk = 4096;
 
-/** What classifying one unique skeleton produced. */
+/** A checker of one model with the synthesis budget. */
+model::Checker
+budgetedChecker(model::ProxyMode mode)
+{
+    return model::Checker({.mode = mode,
+                           .collectWitnesses = false,
+                           .maxExecutions = kMaxExecutionsPerCheck});
+}
+
+/** What classifying one unique skeleton produced (default: counts nowhere). */
 struct Classified
 {
-    bool valid = false;        ///< materialize succeeded
     bool checked75 = false;    ///< PTX 7.5 check finished in budget
     bool tooExpensive = false; ///< some check exceeded its budget
     std::uint64_t prunedPtx60 = 0;       ///< pruned PTX 6.0 checks
@@ -289,7 +308,125 @@ struct Classified
     SynthesizedTest entry; ///< the test is kept only if interesting
 };
 
+/**
+ * @p test has a fence and removing any one changes its PTX 7.5 outcome
+ * set. Sets c.tooExpensive when a recheck exceeds its budget.
+ */
+bool
+everyFenceLoadBearing(const litmus::LitmusTest &test,
+                      const TwoModelVerdict &verdict, Classified &c)
+{
+    const auto checker75 = budgetedChecker(model::ProxyMode::Ptx75);
+    bool has_fence = false;
+    for (std::size_t t = 0; t < test.threads().size(); t++) {
+        const auto &instrs = test.threads()[t].instructions;
+        for (std::size_t j = 0; j < instrs.size(); j++) {
+            if (!instrs[j].isFence())
+                continue;
+            has_fence = true;
+            if (verdict.singleProxy &&
+                instrs[j].opcode == litmus::Opcode::FenceProxy) {
+                // A proxy fence in a single-proxy program anchors no
+                // release/acquire pattern and bridges no cross-proxy
+                // pair: removing it provably leaves the outcome set
+                // unchanged, which is exactly the recheck's break
+                // condition.
+                c.prunedFenceChecks++;
+                return false;
+            }
+            auto reduced = checker75.check(withoutInstruction(test, t, j));
+            c.tooExpensive = reduced.budgetExceeded;
+            if (c.tooExpensive || reduced.outcomes == verdict.ptx75Outcomes)
+                return false;
+        }
+    }
+    return has_fence;
+}
+
+/**
+ * Classify one materialized program as weak (against the SC reference
+ * executor), proxy-sensitive and, with @p fenceMinimality,
+ * fence-minimal. The test is kept in the entry only if interesting.
+ */
+Classified
+classify(litmus::LitmusTest test, bool fenceMinimality)
+{
+    obs::Span check_span("synth.check");
+    Classified c;
+    try {
+        const TwoModelVerdict verdict = checkBothModels(test);
+        c.checked75 = verdict.checked75;
+        c.tooExpensive = verdict.tooExpensive;
+        if (c.tooExpensive)
+            return c;
+        c.prunedPtx60 = verdict.singleProxy ? 1 : 0;
+        c.entry.ptx75Outcomes = verdict.ptx75Outcomes.size();
+        c.entry.ptx60Outcomes = verdict.ptx60Outcomes;
+        c.entry.proxySensitive = verdict.proxySensitive;
+
+        const auto sc = scOutcomes(test);
+        c.entry.weak = std::any_of(
+            verdict.ptx75Outcomes.begin(), verdict.ptx75Outcomes.end(),
+            [&](const litmus::Outcome &o) { return !sc.count(o); });
+        c.entry.fenceMinimal =
+            fenceMinimality && everyFenceLoadBearing(test, verdict, c);
+    } catch (const FatalError &) {
+        c.tooExpensive = true;
+    }
+    if (!c.tooExpensive &&
+        (c.entry.weak || c.entry.proxySensitive || c.entry.fenceMinimal))
+        c.entry.test = std::move(test);
+    return c;
+}
+
 } // namespace
+
+TwoModelVerdict
+checkBothModels(const litmus::LitmusTest &test)
+{
+    TwoModelVerdict verdict;
+    // One static expansion serves both checks: the Program carries the
+    // precomputed base layers (dep closure, must base causality) the
+    // incremental enumeration core starts from, so expanding per model
+    // would redo exactly the work the layering is meant to share. The
+    // expansion and the view are timed as the checker times its own.
+    std::optional<model::Program> prog75;
+    {
+        obs::Span expand_span("check.expand");
+        prog75.emplace(test, model::ProxyMode::Ptx75);
+    }
+    auto r75 = budgetedChecker(model::ProxyMode::Ptx75).check(*prog75);
+    if (r75.budgetExceeded) {
+        verdict.tooExpensive = true;
+        return verdict;
+    }
+    verdict.checked75 = true;
+
+    // Single-proxy pruning: a program all of whose accesses go through
+    // one proxy is interpreted identically by both models — the same
+    // fact the checker's single-proxy fast path rests on — so both
+    // admit exactly r75's outcomes (and would enumerate the same
+    // candidates, so the budget verdict matches too).
+    verdict.singleProxy = !prog75->usesMixedProxies();
+    if (verdict.singleProxy) {
+        verdict.ptx60Outcomes = r75.outcomes.size();
+    } else {
+        std::optional<model::Program> prog60;
+        {
+            obs::Span expand_span("check.expand");
+            prog60.emplace(prog75->ptx60View());
+        }
+        auto r60 = budgetedChecker(model::ProxyMode::Ptx60).check(*prog60);
+        if (r60.budgetExceeded) {
+            verdict.tooExpensive = true;
+            return verdict;
+        }
+        verdict.ptx60Outcomes = r60.outcomes.size();
+        verdict.proxySensitive = r60.outcomes != r75.outcomes;
+    }
+    verdict.ptx75Outcomes = std::move(r75.outcomes);
+    return verdict;
+}
 
 void
 Synthesizer::forEachProgram(
@@ -303,14 +440,9 @@ Synthesizer::forEachProgram(
         if (opts.maxUniquePrograms != 0 &&
             index > opts.maxUniquePrograms)
             break;
-        litmus::LitmusTest test;
-        try {
-            test = materialize(generator.current(), alpha, protos, index,
-                               opts.withBarriers);
-        } catch (const FatalError &) {
-            continue;
-        }
-        visit(test);
+        if (auto test = materialize(generator.current(), alpha, protos,
+                                    index, opts.withBarriers))
+            visit(*test);
     }
 }
 
@@ -321,137 +453,12 @@ Synthesizer::run() const
     obs::Span span("synth");
     auto start = std::chrono::steady_clock::now();
     SynthReport report;
+    const bool fence_minimality =
+        opts.classifyFenceMinimal &&
+        opts.instructions <= kMaxFenceMinimalInstructions;
+    report.stats.fenceMinimalCounted = fence_minimality;
     const auto alpha = alphabet(opts);
     const ProtoTable protos = buildProtos(alpha);
-
-    model::CheckOptions check75;
-    check75.collectWitnesses = false;
-    check75.maxExecutions = kMaxExecutionsPerCheck;
-    model::Checker checker75(check75);
-    model::CheckOptions check60 = check75;
-    check60.mode = model::ProxyMode::Ptx60;
-    model::Checker checker60(check60);
-
-    // Classify unique program number `index` (1-based) into `c`.
-    auto classify = [&](const Skeleton &skeleton, std::size_t index,
-                        Classified &c) {
-        litmus::LitmusTest test;
-        try {
-            test = materialize(skeleton, alpha, protos, index,
-                               opts.withBarriers);
-        } catch (const FatalError &) {
-            // E.g. mismatched barrier sequences within the CTA.
-            return;
-        }
-        c.valid = true;
-
-        obs::Span check_span("synth.check");
-        try {
-            // One static expansion serves the PTX 7.5 check,
-            // single-proxy pruning and, through its PTX 6.0 view, the
-            // PTX 6.0 check below: the Program carries the precomputed
-            // base layers (dep closure, must base causality) the
-            // incremental enumeration core starts from, so expanding
-            // per consumer would redo exactly the work the layering is
-            // meant to share. The expansion and the view are timed as
-            // the checker times its own expansions.
-            std::optional<model::Program> prog75;
-            {
-                obs::Span expand_span("check.expand");
-                prog75.emplace(test, model::ProxyMode::Ptx75);
-            }
-            auto r75 = checker75.check(*prog75);
-            if (r75.budgetExceeded) {
-                c.tooExpensive = true;
-                return;
-            }
-            c.entry.ptx75Outcomes = r75.outcomes.size();
-            c.checked75 = true;
-
-            // Single-proxy pruning: a program all of whose accesses go
-            // through one proxy is interpreted identically by both
-            // models and by the proxy rules — the same fact the
-            // checker's single-proxy fast path rests on
-            // (docs/static_solver.md "Synthesis pruning"), so two
-            // whole classes of checks are provably redundant for it.
-            const bool single_proxy = !prog75->usesMixedProxies();
-
-            if (opts.classifyAgainstSc) {
-                auto sc = scOutcomes(test);
-                c.entry.scOutcomeCount = sc.size();
-                for (const auto &outcome : r75.outcomes) {
-                    if (!sc.count(outcome)) {
-                        c.entry.weak = true;
-                        break;
-                    }
-                }
-            }
-            if (opts.classifyAgainstPtx60) {
-                if (single_proxy) {
-                    // Both models admit exactly r75's outcomes (and
-                    // would enumerate the same candidates, so the
-                    // budget verdict matches too).
-                    c.entry.ptx60Outcomes = r75.outcomes.size();
-                    c.entry.proxySensitive = false;
-                    c.prunedPtx60++;
-                } else {
-                    std::optional<model::Program> prog60;
-                    {
-                        obs::Span expand_span("check.expand");
-                        prog60.emplace(prog75->ptx60View());
-                    }
-                    auto r60 = checker60.check(*prog60);
-                    if (r60.budgetExceeded) {
-                        c.tooExpensive = true;
-                        return;
-                    }
-                    c.entry.ptx60Outcomes = r60.outcomes.size();
-                    c.entry.proxySensitive = r60.outcomes != r75.outcomes;
-                }
-            }
-            if (opts.classifyFenceMinimal) {
-                bool has_fence = false;
-                bool all_load_bearing = true;
-                for (std::size_t t = 0;
-                     t < test.threads().size() && all_load_bearing; t++) {
-                    const auto &instrs = test.threads()[t].instructions;
-                    for (std::size_t j = 0; j < instrs.size(); j++) {
-                        if (!instrs[j].isFence())
-                            continue;
-                        has_fence = true;
-                        if (single_proxy &&
-                            instrs[j].opcode == litmus::Opcode::FenceProxy) {
-                            // A proxy fence in a single-proxy program
-                            // anchors no release/acquire pattern and
-                            // bridges no cross-proxy pair: removing it
-                            // provably leaves the outcome set
-                            // unchanged, which is exactly the
-                            // recheck's break condition.
-                            c.prunedFenceChecks++;
-                            all_load_bearing = false;
-                            break;
-                        }
-                        auto reduced = withoutInstruction(test, t, j);
-                        auto rr = checker75.check(reduced);
-                        if (rr.budgetExceeded) {
-                            c.tooExpensive = true;
-                            return;
-                        }
-                        if (rr.outcomes == r75.outcomes) {
-                            all_load_bearing = false;
-                            break;
-                        }
-                    }
-                }
-                c.entry.fenceMinimal = has_fence && all_load_bearing;
-            }
-        } catch (const FatalError &) {
-            c.tooExpensive = true;
-            return;
-        }
-        if (c.entry.weak || c.entry.proxySensitive || c.entry.fenceMinimal)
-            c.entry.test = std::move(test);
-    };
 
     // Serial orderly generation feeds fixed-size chunks; each chunk is
     // classified in parallel, folded in index order, then reused.
@@ -463,13 +470,14 @@ Synthesizer::run() const
     auto flush = [&] {
         const std::size_t base = report.stats.uniquePrograms - filled;
         runtime::parallelFor(filled, opts.jobs, [&](std::size_t i) {
-            classified[i] = Classified();
-            classify(chunk[i], base + i + 1, classified[i]);
+            auto test = materialize(chunk[i], alpha, protos, base + i + 1,
+                                    opts.withBarriers);
+            classified[i] = test ? classify(std::move(*test),
+                                            fence_minimality)
+                                 : Classified();
         });
         for (std::size_t i = 0; i < filled; i++) {
             Classified &c = classified[i];
-            if (!c.valid)
-                continue;
             if (c.checked75)
                 report.stats.checked++;
             report.stats.presolvePrunedPtx60 += c.prunedPtx60;

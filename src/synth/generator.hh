@@ -5,8 +5,8 @@
  *
  * The synthesizer enumerates all small programs over a fixed instruction
  * alphabet, one per class modulo thread/location symmetry, checks
- * each under the PTX 7.5 (and optionally PTX 6.0) model, and classifies
- * the interesting ones:
+ * each under the PTX 7.5 and PTX 6.0 models, and classifies the
+ * interesting ones:
  *
  *  - weak: the relaxed model admits outcomes sequential consistency
  *    does not (classic litmus tests);
@@ -14,7 +14,8 @@
  *    proxy-oblivious model forbids (the "non-standard patterns"
  *    the paper reports finding);
  *  - fence-minimal: removing any single fence strictly enlarges the
- *    admitted outcome set (every fence is load-bearing).
+ *    admitted outcome set (every fence is load-bearing); judged only
+ *    up to kMaxFenceMinimalInstructions instructions.
  *
  * The enumeration cost is exponential in the instruction count; the
  * paper reports ~6 instructions as the practical limit, which
@@ -26,9 +27,11 @@
 
 #include <cstdint>
 #include <functional>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "litmus/outcome.hh"
 #include "litmus/test.hh"
 #include "obs/obs.hh"
 
@@ -41,6 +44,35 @@ namespace mixedproxy::synth {
  */
 inline constexpr std::uint64_t kMaxExecutionsPerCheck = 2'000'000;
 
+/**
+ * Largest instruction count at which a run classifies fence-minimality
+ * (one more PTX 7.5 check per fence of every program); above it the
+ * report says "fence-minimal n/a" (SynthStats::fenceMinimalCounted).
+ */
+inline constexpr std::size_t kMaxFenceMinimalInstructions = 3;
+
+/** What checkBothModels found; only checked75 is set if tooExpensive. */
+struct TwoModelVerdict
+{
+    bool checked75 = false;    ///< the PTX 7.5 check finished in budget
+    bool tooExpensive = false; ///< a check exceeded its budget
+    bool singleProxy = false;  ///< pruning answered the PTX 6.0 check
+    std::set<litmus::Outcome> ptx75Outcomes;
+    std::size_t ptx60Outcomes = 0;
+    bool proxySensitive = false; ///< the two outcome sets differ
+};
+
+/**
+ * Check @p test under PTX 7.5, then PTX 6.0, each within
+ * kMaxExecutionsPerCheck, from one PTX 7.5 expansion: the PTX 6.0 check
+ * reads its ptx60View(), or single-proxy pruning (docs/static_solver.md
+ * "Synthesis pruning") answers it. Synthesis classification and
+ * proxySensitivityPredicate share this step.
+ *
+ * @throws FatalError if @p test does not expand.
+ */
+TwoModelVerdict checkBothModels(const litmus::LitmusTest &test);
+
 /** One synthesized-and-classified test. */
 struct SynthesizedTest
 {
@@ -50,7 +82,6 @@ struct SynthesizedTest
     bool fenceMinimal = false;
     std::size_t ptx75Outcomes = 0;
     std::size_t ptx60Outcomes = 0;
-    std::size_t scOutcomeCount = 0;
 };
 
 /** Options controlling one synthesis run. */
@@ -86,13 +117,7 @@ struct SynthOptions
     /** Include bar.sync in the alphabet (two-thread rendezvous). */
     bool withBarriers = false;
 
-    /** Classify proxy-sensitivity by also checking under PTX 6.0. */
-    bool classifyAgainstPtx60 = true;
-
-    /** Classify weakness against the SC reference executor. */
-    bool classifyAgainstSc = true;
-
-    /** Classify fence-minimality by re-checking with fences removed. */
+    /** Classify fence-minimality (up to kMaxFenceMinimalInstructions). */
     bool classifyFenceMinimal = true;
 
     /** Stop after this many unique programs (0 = unlimited). */
@@ -143,6 +168,9 @@ struct SynthStats
     std::uint64_t proxySensitive = 0;
     std::uint64_t fenceMinimal = 0;
 
+    /** Unset, summary() says "fence-minimal n/a" and publish() omits it. */
+    bool fenceMinimalCounted = false;
+
     /**
      * Checks skipped by single-proxy pruning (docs/static_solver.md
      * "Synthesis pruning"): PTX 6.0 classification checks and
@@ -154,7 +182,7 @@ struct SynthStats
 
     double seconds = 0.0;
 
-    /** Add every field to @p registry under the "synth." prefix. */
+    /** Add the counted fields to @p registry under "synth.". */
     void publish(obs::MetricsRegistry &registry) const;
 };
 
@@ -213,8 +241,6 @@ class Synthesizer
     void forEachProgram(
         const std::function<void(const litmus::LitmusTest &)> &visit)
         const;
-
-    const SynthOptions &options() const { return opts; }
 
   private:
     SynthOptions opts;

@@ -8,15 +8,12 @@ namespace {
 
 /** Copy aliases and init values (the address map) of @p test. */
 litmus::LitmusTest
-cloneSkeleton(const litmus::LitmusTest &test, const char *suffix)
+cloneSkeleton(const litmus::LitmusTest &test)
 {
     // Avoid stacking suffixes across repeated mutations.
     std::string name = test.name();
-    if (name.size() < std::string(suffix).size() ||
-        name.compare(name.size() - std::string(suffix).size(),
-                     std::string::npos, suffix) != 0) {
-        name += suffix;
-    }
+    if (!name.ends_with("_shrunk"))
+        name += "_shrunk";
     litmus::LitmusTest out(name);
     for (const auto &loc : test.locations()) {
         for (const auto &va : test.addressesOf(loc)) {
@@ -40,7 +37,7 @@ withoutInstruction(const litmus::LitmusTest &test, std::size_t thread,
     if (index >= test.threads()[thread].instructions.size())
         panic("withoutInstruction: no instruction ", index);
 
-    litmus::LitmusTest out = cloneSkeleton(test, "_shrunk");
+    litmus::LitmusTest out = cloneSkeleton(test);
     for (std::size_t t = 0; t < test.threads().size(); t++) {
         litmus::Thread copy = test.threads()[t];
         if (t == thread) {
@@ -59,7 +56,7 @@ withoutThread(const litmus::LitmusTest &test, std::size_t thread)
 {
     if (thread >= test.threads().size())
         panic("withoutThread: no thread ", thread);
-    litmus::LitmusTest out = cloneSkeleton(test, "_shrunk");
+    litmus::LitmusTest out = cloneSkeleton(test);
     for (std::size_t t = 0; t < test.threads().size(); t++) {
         if (t != thread)
             out.addThread(test.threads()[t]);

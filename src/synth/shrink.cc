@@ -1,8 +1,5 @@
 #include "shrink.hh"
 
-#include <optional>
-
-#include "model/program.hh"
 #include "obs/obs.hh"
 #include "relation/error.hh"
 #include "synth/generator.hh"
@@ -24,8 +21,7 @@ bool
 holdsOnValid(const TestPredicate &predicate,
              const litmus::LitmusTest &candidate, ShrinkStats *stats)
 {
-    if (stats)
-        stats->candidatesTried++;
+    stats->candidatesTried++;
     try {
         candidate.validate();
         return predicate(candidate);
@@ -65,8 +61,7 @@ shrink(const litmus::LitmusTest &test, const TestPredicate &predicate,
             auto candidate = withoutThread(current, t);
             if (holdsOnValid(predicate, candidate, stats)) {
                 current = std::move(candidate);
-                if (stats)
-                    stats->removalsAccepted++;
+                stats->removalsAccepted++;
                 changed = true;
             }
         }
@@ -81,8 +76,7 @@ shrink(const litmus::LitmusTest &test, const TestPredicate &predicate,
                     continue;
                 if (holdsOnValid(predicate, candidate, stats)) {
                     current = std::move(candidate);
-                    if (stats)
-                        stats->removalsAccepted++;
+                    stats->removalsAccepted++;
                     changed = true;
                 }
             }
@@ -96,28 +90,11 @@ shrink(const litmus::LitmusTest &test, const TestPredicate &predicate,
 TestPredicate
 proxySensitivityPredicate()
 {
-    model::CheckOptions opts75;
-    opts75.collectWitnesses = false;
-    opts75.maxExecutions = kMaxExecutionsPerCheck;
-    model::CheckOptions opts60 = opts75;
-    opts60.mode = model::ProxyMode::Ptx60;
-    return [opts75, opts60](const litmus::LitmusTest &candidate) {
+    return [](const litmus::LitmusTest &candidate) {
         try {
-            // One expansion; the PTX 6.0 check reads its view.
-            std::optional<model::Program> prog75, prog60;
-            {
-                obs::Span expand_span("check.expand");
-                prog75.emplace(candidate, model::ProxyMode::Ptx75);
-            }
-            auto r75 = model::Checker(opts75).check(*prog75);
-            {
-                obs::Span expand_span("check.expand");
-                prog60.emplace(prog75->ptx60View());
-            }
-            auto r60 = model::Checker(opts60).check(*prog60);
-            if (r75.budgetExceeded || r60.budgetExceeded)
-                return false; // too expensive: "does not preserve"
-            return r75.outcomes != r60.outcomes;
+            // A candidate too expensive to check is not proxy-sensitive:
+            // "does not preserve".
+            return checkBothModels(candidate).proxySensitive;
         } catch (const FatalError &) {
             return false; // malformed candidate: "does not preserve"
         }

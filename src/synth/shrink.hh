@@ -57,9 +57,10 @@ litmus::LitmusTest shrink(const litmus::LitmusTest &test,
 
 /**
  * Predicate: the proxy-aware and proxy-oblivious models admit
- * different outcome sets (the test is proxy-sensitive). A candidate
- * whose check exceeds kMaxExecutionsPerCheck (synth/generator.hh) does
- * not preserve it.
+ * different outcome sets (the test is proxy-sensitive), judged by
+ * checkBothModels (synth/generator.hh) as synthesis judges it,
+ * single-proxy pruning included. A candidate whose check exceeds
+ * kMaxExecutionsPerCheck does not preserve it.
  */
 TestPredicate proxySensitivityPredicate();
 

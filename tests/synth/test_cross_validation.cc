@@ -29,11 +29,11 @@ synthesizedCorpus()
     opts.maxLocations = 2;
     opts.withProxies = true;
     opts.classifyFenceMinimal = false;
-    opts.classifyAgainstSc = false;
-    opts.classifyAgainstPtx60 = true; // keep only interesting ones
     auto report = Synthesizer(opts).run();
     std::vector<litmus::LitmusTest> out;
     for (const auto &entry : report.interesting) {
+        if (!entry.proxySensitive)
+            continue;
         out.push_back(entry.test);
         if (out.size() >= 120)
             break;

@@ -69,10 +69,41 @@ TEST(Synthesizer, NoProxyAlphabetFindsNoProxySensitivity)
 TEST(Synthesizer, FindsWeakBehaviorsAtFourInstructions)
 {
     // Message passing / store buffering shapes appear at n == 4.
-    auto opts = smallOptions(4, false);
-    opts.classifyFenceMinimal = false; // keep the test fast
-    auto report = Synthesizer(opts).run();
+    auto report = Synthesizer(smallOptions(4, false)).run();
     EXPECT_GT(report.stats.weak, 0u) << report.summary();
+}
+
+TEST(Synthesizer, FenceMinimalityIsNotApplicableAboveThree)
+{
+    // Above kMaxFenceMinimalInstructions a run does not judge
+    // fence-minimality: the summary says so instead of printing a
+    // count of 0, and the metric is not published.
+    obs::Session session;
+    session.enable();
+    auto opts = smallOptions(kMaxFenceMinimalInstructions + 1, true);
+    opts.maxUniquePrograms = 200;
+    opts.session = &session;
+    const auto report = Synthesizer(opts).run();
+    EXPECT_FALSE(report.stats.fenceMinimalCounted);
+    EXPECT_NE(report.summary().find(", fence-minimal n/a in "),
+              std::string::npos)
+        << report.summary();
+    EXPECT_EQ(session.metrics.counters().count("synth.fence_minimal"),
+              0u);
+    EXPECT_EQ(session.metrics.counters().count("synth.weak"), 1u);
+
+    // At the limit the count is printed and published.
+    session.metrics.clear();
+    opts.instructions = kMaxFenceMinimalInstructions;
+    const auto counted = Synthesizer(opts).run();
+    EXPECT_TRUE(counted.stats.fenceMinimalCounted);
+    EXPECT_NE(counted.summary().find(
+                  ", fence-minimal " +
+                  std::to_string(counted.stats.fenceMinimal) + " in "),
+              std::string::npos)
+        << counted.summary();
+    EXPECT_EQ(session.metrics.counters().count("synth.fence_minimal"),
+              1u);
 }
 
 TEST(Synthesizer, DedupReducesPrograms)
@@ -208,7 +239,6 @@ TEST(Synthesizer, ParallelRunMatchesSerialRun)
         EXPECT_EQ(a.fenceMinimal, b.fenceMinimal);
         EXPECT_EQ(a.ptx75Outcomes, b.ptx75Outcomes);
         EXPECT_EQ(a.ptx60Outcomes, b.ptx60Outcomes);
-        EXPECT_EQ(a.scOutcomeCount, b.scOutcomeCount);
     }
 }
 
@@ -373,7 +403,6 @@ TEST(Synthesizer, SinkReceivesTheInterestingTestsInReportOrder)
             EXPECT_EQ(a.fenceMinimal, b.fenceMinimal);
             EXPECT_EQ(a.ptx75Outcomes, b.ptx75Outcomes);
             EXPECT_EQ(a.ptx60Outcomes, b.ptx60Outcomes);
-            EXPECT_EQ(a.scOutcomeCount, b.scOutcomeCount);
         }
     }
 }

@@ -4,6 +4,8 @@
  */
 
 #include <filesystem>
+#include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -137,6 +139,33 @@ TEST(Shrink, FixpointIsStable)
     auto once = shrink(test, predicate);
     auto twice = shrink(once, predicate);
     EXPECT_EQ(once.instructionCount(), twice.instructionCount());
+}
+
+TEST(Shrink, ProxySensitivityPredicateAgreesWithSynthesis)
+{
+    // The shrinker judges proxy-sensitivity as synthesis classifies
+    // it: over every n=3 program, the predicate holds exactly on the
+    // programs the run reports as proxy-sensitive.
+    SynthOptions opts;
+    opts.instructions = 3;
+    std::set<std::string> sensitive;
+    opts.sink = [&](SynthesizedTest &&entry) {
+        if (entry.proxySensitive)
+            sensitive.insert(entry.test.name());
+    };
+    const Synthesizer synthesizer(opts);
+    const auto report = synthesizer.run();
+    ASSERT_EQ(sensitive.size(), report.stats.proxySensitive);
+    ASSERT_GT(sensitive.size(), 0u);
+
+    const auto predicate = proxySensitivityPredicate();
+    std::size_t programs = 0;
+    synthesizer.forEachProgram([&](const litmus::LitmusTest &test) {
+        programs++;
+        EXPECT_EQ(predicate(test), sensitive.count(test.name()) != 0)
+            << test.toString();
+    });
+    EXPECT_EQ(programs, report.stats.checked);
 }
 
 TEST(SuiteExport, WritesClassifiedLitmusFiles)
