@@ -73,14 +73,10 @@ main()
 {
     std::cout << "=== path (3b): load overtakes the delayed store ===\n";
     Machine path3b(fig4(false));
-    path3b.enableTrace();
     stepThread(path3b); // st -> store queue
     stepThread(path3b); // ld.const misses, reads L2 before the drain
     drainAll(path3b);   // store finally reaches the L2
     auto outcome3b = path3b.outcome();
-    std::cout << "  machine trace:\n";
-    for (const auto &line : path3b.trace())
-        std::cout << "    " << line << "\n";
     std::cout << "  outcome: " << outcome3b.toString() << "\n\n";
 
     std::cout << "=== path (3a): stale hit in the constant cache ===\n";

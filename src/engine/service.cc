@@ -176,7 +176,8 @@ serveStream(Engine &engine, const ServeOptions &options,
             EventLog *log, std::uint64_t *nextRequestId)
 {
     // The session bound on the serving thread at entry, if any, is the
-    // parent every request's session merges into.
+    // parent every request's session merges into and whose tracer it
+    // writes its spans to.
     obs::Session *parent = obs::current();
     std::mutex mergeMutex;
     std::atomic<bool> shutdown{false};
@@ -214,13 +215,15 @@ serveStream(Engine &engine, const ServeOptions &options,
                 // Every request records into its own session — always
                 // enabled, so per-op latency and engine.cache.* reach
                 // the live metrics registry even when the CLI has no
-                // observability sinks. The trace merges (and keeps
-                // accumulating memory) only when a parent listens.
+                // observability sinks. Spans are written only when the
+                // parent has a tracer.
                 obs::Session session;
-                if (parent && parent->enabled())
+                if (parent && parent->enabled()) {
                     session.enableWithOrigin(parent->origin());
-                else
+                    session.tracer = parent->tracer;
+                } else {
                     session.enable();
+                }
                 session.requestId = requestId;
 
                 bool wantsShutdown = false;
@@ -251,7 +254,6 @@ serveStream(Engine &engine, const ServeOptions &options,
                 if (parent && parent->enabled()) {
                     std::lock_guard lock(mergeMutex);
                     parent->metrics.mergeFrom(session.metrics);
-                    parent->tracer.append(session.tracer);
                 }
 
                 if (log) {

@@ -153,8 +153,9 @@ struct RequestOutcome
  * Serve the line-delimited JSON protocol from @p in to @p out until
  * EOF or a {"cmd":"shutdown"} request. Protocol errors are per-request
  * error responses, never process failures. Each request's own session
- * merges into the session bound on the calling thread at entry (none
- * bound = no aggregation).
+ * merges its metrics into the session bound on the calling thread at
+ * entry and writes its spans through that session's tracer (none bound
+ * = no aggregation, no trace).
  *
  * @return process exit code (0 on orderly shutdown, 2 on a transport
  *         failure reported to @p err).

@@ -133,9 +133,7 @@ Machine::Machine(const Machine &other)
       locNames(other.locNames), tagToLoc(other.tagToLoc),
       sysmem(other.sysmem), sysmemUid(other.sysmemUid), l2(other.l2),
       gpuIndex(other.gpuIndex), sms(other.sms), threads(other.threads),
-      nextAsyncSequence(other.nextAsyncSequence),
-      traceEnabled(other.traceEnabled), _trace(other._trace),
-      _stats(other._stats)
+      nextAsyncSequence(other.nextAsyncSequence), _stats(other._stats)
 {}
 
 Machine &
@@ -157,8 +155,6 @@ Machine::operator=(const Machine &other)
     sms = other.sms;
     threads = other.threads;
     nextAsyncSequence = other.nextAsyncSequence;
-    traceEnabled = other.traceEnabled;
-    _trace = other._trace;
     tracer = nullptr; // forks must not interleave into the stream
     _stats = other._stats;
     return *this;
@@ -265,20 +261,10 @@ Machine::execute(const Action &action)
         performAsyncCopy(action.sm, action.tag);
         return;
       case Action::Kind::WritebackL2:
-        traceLine("gpu" + std::to_string(action.sm) + " writeback [" +
-                  locNames[static_cast<std::size_t>(action.tag)] +
-                  "] -> sysmem");
         writebackLine(action.sm, action.tag);
         return;
     }
     panic("unknown Action kind");
-}
-
-void
-Machine::traceLine(std::string line)
-{
-    if (traceEnabled)
-        _trace.push_back(std::move(line));
 }
 
 bool
@@ -504,10 +490,6 @@ Machine::drain(std::size_t sm, bool surface, VirtualTag tag)
     StoreQueue &queue =
         surface ? sms[sm].surfaceQueue : sms[sm].genericQueue;
     PendingStore store = queue.drainTag(tag);
-    traceLine("sm" + std::to_string(sm) +
-              (surface ? ".surface" : ".generic") + " drain [" +
-              locNames[static_cast<std::size_t>(store.location)] +
-              "] = " + std::to_string(store.value) + " -> L2");
     applyStoreToL2(sm, store);
 }
 
@@ -966,11 +948,6 @@ Machine::performAsyncCopy(std::size_t sm, int sequence)
         // The engine's own non-coherent path: straight to/from the L2,
         // oblivious to anything buffered in the SM's queues or caches.
         std::uint64_t value = readL2(sm, it->srcLoc);
-        traceLine("sm" + std::to_string(sm) + " async copy [" +
-                  locNames[static_cast<std::size_t>(it->dstLoc)] +
-                  "] = " + std::to_string(value) + " (from [" +
-                  locNames[static_cast<std::size_t>(it->srcLoc)] +
-                  "])");
         std::uint64_t uid = 0;
         if (tracer) {
             // The copy's write materializes when the engine performs
@@ -1014,14 +991,6 @@ Machine::stepThread(std::size_t index)
         panic("stepping a finished thread");
     const Instruction &instr = instrs[thread.pc++];
 
-    if (traceEnabled) {
-        // Loads patch "; rD = value" onto this line once they resolve.
-        _trace.push_back(test->threads()[index].name + ": " +
-                         instr.toString());
-    }
-    const std::size_t trace_index =
-        traceEnabled ? _trace.size() - 1 : 0;
-
     switch (instr.opcode) {
       case Opcode::Ld:
         if (instr.proxy == litmus::ProxyKind::Constant) {
@@ -1036,30 +1005,18 @@ Machine::stepThread(std::size_t index)
         } else {
             thread.registers[instr.destReg] = genericLoad(thread, instr);
         }
-        if (traceEnabled) {
-            _trace[trace_index] += "  ; " + instr.destReg + " = " +
-                std::to_string(thread.registers[instr.destReg]);
-        }
         return;
       case Opcode::St:
         genericStore(thread, instr);
         return;
       case Opcode::Atom:
         atomic(thread, instr);
-        if (traceEnabled && !instr.destReg.empty()) {
-            _trace[trace_index] += "  ; " + instr.destReg + " = " +
-                std::to_string(thread.registers[instr.destReg]);
-        }
         return;
       case Opcode::Tex:
       case Opcode::Suld:
         thread.registers[instr.destReg] = proxyCacheLoad(
             thread, sms[thread.sm].tex, instr, latency::texHit,
             _stats.texHits, _stats.texMisses);
-        if (traceEnabled) {
-            _trace[trace_index] += "  ; " + instr.destReg + " = " +
-                std::to_string(thread.registers[instr.destReg]);
-        }
         return;
       case Opcode::Sust:
         surfaceStore(thread, instr);

@@ -140,12 +140,6 @@ class Machine
 
     CoherenceMode mode() const { return _mode; }
 
-    /** Start recording a human-readable execution trace. */
-    void enableTrace() { traceEnabled = true; }
-
-    /** The recorded trace: one line per action, in execution order. */
-    const std::vector<std::string> &trace() const { return _trace; }
-
     /**
      * Attach a mixedproxy.trace.v1 writer and emit the trace header.
      * Must be called before the first execute(); the writer must
@@ -281,12 +275,6 @@ class Machine
     std::vector<Sm> sms;
     std::vector<ThreadState> threads;
     int nextAsyncSequence = 0;
-
-    bool traceEnabled = false;
-    std::vector<std::string> _trace;
-
-    /** Append a line to the trace when tracing is on. */
-    void traceLine(std::string line);
 
     /**
      * Attached interchange-trace writer (not owned; null when the run

@@ -673,6 +673,19 @@ runCli(const std::vector<std::string> &args, std::ostream &out,
     obs::Session session;
     if (observing)
         session.enable();
+    // --trace-out writes each span as it closes, so its file opens (or
+    // the run is refused) before any work starts.
+    std::ofstream traceFile;
+    std::optional<obs::Tracer> tracer;
+    if (!opts.traceOut.empty()) {
+        traceFile.open(opts.traceOut);
+        if (!traceFile) {
+            err << "nvlitmus: cannot write trace to '" << opts.traceOut
+                << "'\n";
+            return 2;
+        }
+        session.tracer = &tracer.emplace(traceFile);
+    }
     // One engine — and thus one verdict cache — for the whole run;
     // every batch slot and daemon request goes through it.
     engine::Engine eng(engineConfigOf(opts));
@@ -700,9 +713,7 @@ runCli(const std::vector<std::string> &args, std::ostream &out,
                 code = 2;
             }
         }
-        if (!opts.traceOut.empty() &&
-            !writeFileOrFail(opts.traceOut,
-                             obs::chromeTraceJson(session.tracer))) {
+        if (tracer && !tracer->finish()) {
             err << "nvlitmus: cannot write trace to '" << opts.traceOut
                 << "'\n";
             code = 2;

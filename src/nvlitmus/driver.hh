@@ -86,9 +86,9 @@ struct DriverOptions
     /**
      * Observability sinks (docs/observability.md). Any of these three
      * attaches the obs session for the whole run: --timing prints the
-     * per-phase wall-time table on stderr, --trace-out writes Chrome
-     * trace_event JSON, --stats-json writes the structured metrics
-     * report.
+     * per-phase wall-time table on stderr, --trace-out streams Chrome
+     * trace_event JSON to its file as spans close, --stats-json writes
+     * the structured metrics report.
      */
     bool timing = false;
     std::string traceOut;

@@ -33,16 +33,13 @@ Span::end()
     double seconds =
         std::chrono::duration<double>(stop - _start).count();
     s.metrics.record(_name, seconds);
-    TraceEvent event;
-    event.name = _name;
-    event.startUs =
-        std::chrono::duration<double, std::micro>(_start - s.origin())
-            .count();
-    event.durationUs = seconds * 1e6;
-    event.depth = _depth;
-    event.tid = s.threadId;
-    event.requestId = s.requestId;
-    s.tracer.record(std::move(event));
+    if (s.tracer) {
+        s.tracer->write(
+            {_name,
+             std::chrono::duration<double, std::micro>(_start - s.origin())
+                 .count(),
+             seconds * 1e6, _depth, s.threadId, s.requestId});
+    }
 }
 
 } // namespace mixedproxy::obs

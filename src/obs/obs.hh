@@ -11,18 +11,20 @@
  * the bound). Libraries only ever *emit*, via obs::Span, obs::count,
  * and the publish() methods on their stats structs.
  *
- * A run is a value, not a process: obs::Session owns one
- * registry + tracer + clock origin, and any number of sessions can be
- * live at once — the parallel batch runtime gives every worker its own
- * and merges them afterwards (docs/parallelism.md). Emission has one
- * route to its sink: the calling thread's "current session", bound for
- * a scope with obs::ScopedSession. Library entry points take no session
+ * A run is a value, not a process: obs::Session owns one registry +
+ * clock origin and names the tracer (if any) its spans are written to,
+ * and any number of sessions can be live at once — the parallel batch
+ * runtime gives every worker its own, sharing the parent's tracer, and
+ * merges the registries afterwards (docs/parallelism.md). Emission has
+ * one route to its sink: the calling thread's "current session", bound
+ * for a scope with obs::ScopedSession. Library entry points take no session
  * argument; they record into whatever the caller bound (the one option
  * field left, synth::SynthOptions::session, is bound the same way).
  *
- * Each thread records only into its own bound session, so recording is
- * data-race-free without any locking; merging sessions is the caller's
- * (or the runtime's) explicit, post-barrier step.
+ * Each thread records metrics only into its own bound session, so
+ * that is data-race-free without any locking; merging registries is
+ * the caller's (or the runtime's) explicit, post-barrier step. The one
+ * shared sink is the Tracer, which serializes its writes.
  */
 
 #ifndef MIXEDPROXY_OBS_OBS_HH
@@ -37,18 +39,25 @@
 namespace mixedproxy::obs {
 
 /**
- * One observability session: a metrics registry, a span tracer, the
- * clock origin trace timestamps are relative to, and the recording
- * flag. Sessions are plain values; create as many as you need. A
- * session records only while enabled() *and* bound as the calling
- * thread's current session (ScopedSession). Never bind one session on
+ * One observability session: a metrics registry, the tracer spans are
+ * written to, the clock origin trace timestamps are relative to, and
+ * the recording flag. Sessions are plain values; create as many as you
+ * need. A session records only while enabled() *and* bound as the
+ * calling thread's current session (ScopedSession). Never bind one session on
  * two threads at once.
  */
 class Session
 {
   public:
     MetricsRegistry metrics;
-    Tracer tracer;
+
+    /**
+     * Where closed spans are written (not owned; null = spans record
+     * only their timer sample). enable() keeps it; worker and daemon
+     * request sessions copy their parent's, so every span of a run
+     * lands in one trace.
+     */
+    Tracer *tracer = nullptr;
 
     /**
      * Worker lane for trace export: every span recorded into this
@@ -80,15 +89,14 @@ class Session
     void enableWithOrigin(std::chrono::steady_clock::time_point origin)
     {
         metrics.clear();
-        tracer.clear();
         depth = 0;
         _origin = origin;
         _enabled = true;
     }
 
     /**
-     * Stop recording. The data stays readable (for export or merging)
-     * until the next enable().
+     * Stop recording. The metrics stay readable (for export or
+     * merging) until the next enable().
      */
     void disable() { _enabled = false; }
 
@@ -187,11 +195,11 @@ gauge(const char *name, double value)
 
 /**
  * RAII trace span. When a session is bound, construction reads the
- * monotonic clock and destruction records (a) one TraceEvent and (b)
- * one timer sample named after the span — so every span phase
- * automatically appears in both the Chrome trace and the --timing /
- * stats-JSON histograms. When nothing is bound, construction and
- * destruction are each a single branch.
+ * monotonic clock and destruction records one timer sample named after
+ * the span and, when the session has a tracer, writes one TraceEvent
+ * through it — so every span phase appears in the --timing /
+ * stats-JSON histograms and in the Chrome trace. When nothing is
+ * bound, construction and destruction are each a single branch.
  *
  * The span captures its session at construction: if the session stops
  * recording before the span closes, the span still rebalances the

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "obs/build_info.hh"
+#include "obs/trace.hh"
 
 namespace mixedproxy::obs {
 
@@ -48,28 +49,40 @@ jsonNumber(double value)
 
 } // namespace
 
-std::string
-chromeTraceJson(const Tracer &tracer)
+Tracer::Tracer(std::ostream &out) : _out(out)
 {
-    std::ostringstream os;
-    os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-    bool first = true;
-    for (const TraceEvent &event : tracer.events()) {
-        if (!first)
-            os << ",";
-        first = false;
-        os << "\n{\"name\":\"" << jsonEscape(event.name)
-           << "\",\"cat\":\"mixedproxy\",\"ph\":\"X\",\"pid\":0,"
-              "\"tid\":"
-           << event.tid << ",\"ts\":" << jsonNumber(event.startUs)
-           << ",\"dur\":" << jsonNumber(event.durationUs)
-           << ",\"args\":{\"depth\":" << event.depth;
-        if (event.requestId != 0)
-            os << ",\"request_id\":" << event.requestId;
-        os << "}}";
+    _out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+}
+
+void
+Tracer::write(const TraceEvent &event)
+{
+    // Format outside the lock; only the append is serialized.
+    std::string line = "{\"name\":\"" + jsonEscape(event.name) +
+                       "\",\"cat\":\"mixedproxy\",\"ph\":\"X\",\"pid\":0,"
+                       "\"tid\":" +
+                       std::to_string(event.tid) +
+                       ",\"ts\":" + jsonNumber(event.startUs) +
+                       ",\"dur\":" + jsonNumber(event.durationUs) +
+                       ",\"args\":{\"depth\":" + std::to_string(event.depth);
+    if (event.requestId != 0)
+        line += ",\"request_id\":" + std::to_string(event.requestId);
+    line += "}}";
+    std::lock_guard lock(_mutex);
+    _out << (_first ? "\n" : ",\n") << line;
+    _first = false;
+}
+
+bool
+Tracer::finish()
+{
+    std::lock_guard lock(_mutex);
+    if (!_finished) {
+        _finished = true;
+        _out << "\n]}\n";
+        _out.flush();
     }
-    os << "\n]}\n";
-    return os.str();
+    return static_cast<bool>(_out);
 }
 
 namespace {

@@ -1,13 +1,14 @@
 /**
  * @file
- * Exporters for the observability session: Chrome trace_event JSON
- * (loadable in chrome://tracing and Perfetto), the structured stats
- * JSON report, and the human-readable per-phase timing table that
- * `nvlitmus --timing` prints.
+ * Exporters for the observability session: the structured stats JSON
+ * report, the Prometheus text, and the human-readable per-phase timing
+ * table that `nvlitmus --timing` prints. The Chrome trace_event writer
+ * is obs::Tracer (obs/trace.hh); report.cc implements it next to the
+ * other JSON emitters.
  *
- * Both JSON emitters are hand-rolled (zero-dependency constraint) and
- * emit complete, parseable documents; tests/obs/ validates them with a
- * full JSON syntax checker.
+ * The JSON emitters are hand-rolled (zero-dependency constraint) and
+ * emit complete, parseable documents; tests/obs/ validates them with
+ * the repo's strict JSON parser.
  */
 
 #ifndef MIXEDPROXY_OBS_REPORT_HH
@@ -18,7 +19,6 @@
 #include <string_view>
 
 #include "obs/metrics.hh"
-#include "obs/trace.hh"
 
 namespace mixedproxy::obs {
 
@@ -28,14 +28,6 @@ namespace mixedproxy::obs {
  * trace reports and engine::json's dump() all write strings with it.
  */
 std::string jsonEscape(std::string_view text);
-
-/**
- * Render @p tracer as Chrome trace_event JSON: an object with a
- * "traceEvents" array of complete ("ph":"X") events, all on pid 0 /
- * tid 0, with timestamps and durations in microseconds. Open in
- * chrome://tracing or https://ui.perfetto.dev.
- */
-std::string chromeTraceJson(const Tracer &tracer);
 
 /**
  * Render @p registry as the structured stats report:

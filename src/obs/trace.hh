@@ -1,29 +1,30 @@
 /**
  * @file
- * The trace-event recorder behind obs::Span.
+ * The trace-event writer behind obs::Span.
  *
- * Spans record complete ("X" phase) events: name, start timestamp, and
+ * Spans become complete ("X" phase) events: name, start timestamp, and
  * duration, in microseconds relative to the session origin, plus the
  * nesting depth at entry. Chrome's trace viewer and Perfetto both
  * reconstruct the flame graph from complete events on one track when
- * they nest properly in time, which RAII scoping guarantees here. The
- * exporter lives in obs/report.hh.
+ * they nest properly in time, which RAII scoping guarantees here.
+ *
+ * Nothing is kept: the Tracer writes each closed span to its stream as
+ * it arrives, so a traced run's memory does not grow with its length.
  */
 
 #ifndef MIXEDPROXY_OBS_TRACE_HH
 #define MIXEDPROXY_OBS_TRACE_HH
 
 #include <cstdint>
+#include <mutex>
+#include <ostream>
 #include <string_view>
-#include <vector>
 
 namespace mixedproxy::obs {
 
 /** One completed span. */
 struct TraceEvent
 {
-    /// Phase name; must outlive the tracer (the Span contract already
-    /// requires string literals, so no copy is taken).
     std::string_view name;
     double startUs = 0.0; ///< microseconds since session origin
     double durationUs = 0.0;
@@ -38,27 +39,39 @@ struct TraceEvent
     std::uint64_t requestId = 0;
 };
 
-/** Append-only store of completed spans, in completion order. */
+/**
+ * Streams completed spans as one Chrome trace_event JSON document (an
+ * object with a "traceEvents" array, all events on pid 0; open it in
+ * chrome://tracing or https://ui.perfetto.dev). Construction writes the
+ * document head, write() appends one event, finish() closes the
+ * document. write() takes the tracer's one lock, so sessions on any
+ * number of threads may share a tracer.
+ */
 class Tracer
 {
   public:
-    void record(TraceEvent event) { _events.push_back(std::move(event)); }
+    explicit Tracer(std::ostream &out);
 
-    const std::vector<TraceEvent> &events() const { return _events; }
+    /** Closes the document if finish() has not. */
+    ~Tracer() { finish(); }
 
-    /** Append every event of @p other, preserving order. */
-    void append(const Tracer &other)
-    {
-        _events.insert(_events.end(), other._events.begin(),
-                       other._events.end());
-    }
+    Tracer(const Tracer &) = delete;
+    Tracer &operator=(const Tracer &) = delete;
 
-    void clear() { _events.clear(); }
+    /** Append @p event to the document. */
+    void write(const TraceEvent &event);
 
-    bool empty() const { return _events.empty(); }
+    /**
+     * Close the document and flush the stream (once; later calls only
+     * report). @return false if the stream failed at any point.
+     */
+    bool finish();
 
   private:
-    std::vector<TraceEvent> _events;
+    std::mutex _mutex;
+    std::ostream &_out;
+    bool _first = true;
+    bool _finished = false;
 };
 
 } // namespace mixedproxy::obs

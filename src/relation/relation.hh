@@ -29,7 +29,6 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <initializer_list>
 #include <optional>
 #include <sstream>
@@ -91,26 +90,6 @@ class Relation
         from.forEach([&](EventId a) {
             to.forEach([&](EventId b) { r.insert(a, b); });
         });
-        return r;
-    }
-
-    /**
-     * Build a relation by testing every ordered pair with a predicate.
-     *
-     * @param n Universe size.
-     * @param pred Returns true when (a, b) should be in the relation.
-     */
-    template <typename Pred>
-    static Relation
-    fromPredicate(std::size_t n, Pred &&pred)
-    {
-        Relation r(n);
-        for (EventId a = 0; a < n; a++) {
-            for (EventId b = 0; b < n; b++) {
-                if (pred(a, b))
-                    r.insert(a, b);
-            }
-        }
         return r;
     }
 
@@ -270,13 +249,6 @@ class Relation
         }
         kernel::frontierClosure(r.words.data(), n, wordsPerRow());
         return r;
-    }
-
-    /** Reflexive transitive closure (Alloy *r). */
-    Relation
-    reflexiveTransitiveClosure() const
-    {
-        return transitiveClosure() | identity(n);
     }
 
     /**
@@ -459,26 +431,6 @@ class Relation
         return true;
     }
 
-    /**
-     * True if every distinct pair of members of @p s is related one way
-     * or the other (a strict total order candidate on s).
-     */
-    bool
-    totalOn(const EventSet &s) const
-    {
-        if (s.universeSize() != n)
-            panic("Relation::totalOn: universe mismatch");
-        auto ids = s.members();
-        for (std::size_t i = 0; i < ids.size(); i++) {
-            for (std::size_t j = i + 1; j < ids.size(); j++) {
-                if (!contains(ids[i], ids[j]) &&
-                    !contains(ids[j], ids[i]))
-                    return false;
-            }
-        }
-        return true;
-    }
-
     /** All pairs in lexicographic order. */
     std::vector<EventPair>
     pairs() const
@@ -539,22 +491,10 @@ class Relation
     }
 
     /**
-     * One topological order of @p s consistent with this relation, or
-     * nullopt if the relation restricted to s is cyclic.
-     */
-    std::optional<std::vector<EventId>>
-    topologicalOrder(const EventSet &s) const
-    {
-        std::vector<EventId> out;
-        if (!topologicalOrderInto(s, out))
-            return std::nullopt;
-        return out;
-    }
-
-    /**
-     * Same, but written into caller-owned scratch (cleared first) so
-     * hot loops can reuse the vector's capacity across calls; returns
-     * false on a cycle. The checker's value evaluation calls this once
+     * One topological order of @p s consistent with this relation,
+     * written into caller-owned scratch (cleared first) so hot loops
+     * can reuse the vector's capacity across calls; returns false if
+     * the relation restricted to s is cyclic. The checker's value evaluation calls this once
      * per rf assignment.
      */
     bool
@@ -733,9 +673,8 @@ struct TotalOrderScratch
  *
  * The push/pop hooks let the caller maintain incremental per-prefix
  * state (the checker re-checks per-location axioms as the coherence
- * order is extended). Enumeration order is identical to
- * forEachTotalOrder: at each step candidates are tried in ascending id
- * order.
+ * order is extended). At each step candidates are tried in ascending
+ * id order.
  *
  * The working vectors live in @p scratch, so a caller that enumerates
  * orders many times reuses their capacity.
@@ -756,21 +695,6 @@ forEachTotalOrderVisit(const EventSet &subset, const Relation &partial,
                                       scratch.placed, scratch.prefix,
                                       visitor);
 }
-
-/**
- * Enumerate every strict total order of @p subset consistent with the
- * partial constraint @p partial, invoking @p visit with each order (as a
- * vector of ids, least first). Enumeration stops early if @p visit
- * returns false.
- *
- * This drives the coherence-order and Fence-SC-order enumeration in the
- * model checker.
- *
- * @return false if @p visit ever returned false (enumeration aborted).
- */
-bool forEachTotalOrder(
-    const EventSet &subset, const Relation &partial,
-    const std::function<bool(const std::vector<EventId> &)> &visit);
 
 } // namespace mixedproxy::relation
 

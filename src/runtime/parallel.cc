@@ -41,6 +41,7 @@ parallelFor(std::size_t n, std::size_t jobs,
     std::vector<obs::Session> workerSessions(observing ? workers : 0);
     for (std::size_t w = 0; w < workerSessions.size(); w++) {
         workerSessions[w].threadId = static_cast<int>(w) + 1;
+        workerSessions[w].tracer = parent->tracer;
         workerSessions[w].enableWithOrigin(parent->origin());
     }
 
@@ -77,7 +78,6 @@ parallelFor(std::size_t n, std::size_t jobs,
         for (obs::Session &session : workerSessions) {
             session.disable();
             parent->metrics.mergeFrom(session.metrics);
-            parent->tracer.append(session.tracer);
         }
     }
 

@@ -11,11 +11,11 @@
  *    every i in [0, n); callers write into slot i of a
  *    pre-sized vector and fold the slots in index order afterwards.
  *    Which worker ran which index never matters.
- *  - Per-worker obs::Session. Each worker thread records metrics and
- *    spans into its own session (bound as the thread's current
- *    session for the duration); after the barrier the worker
- *    registries and tracers are merged into the parent session in
- *    worker order via MetricsRegistry::mergeFrom / Tracer::append.
+ *  - Per-worker obs::Session. Each worker thread records metrics into
+ *    its own session (bound as the thread's current session for the
+ *    duration) and writes spans through the parent's tracer under its
+ *    own lane; after the barrier the worker registries are merged into
+ *    the parent session in worker order via MetricsRegistry::mergeFrom.
  *    Counters and timer sample counts are additive, so the merged
  *    totals are partition-independent.
  *  - Deterministic errors. An exception thrown by body(i) is captured
@@ -40,9 +40,9 @@ namespace mixedproxy::runtime {
 /**
  * Run body(i) for every i in [0, n), on min(jobs, n) workers; jobs <= 1
  * runs inline on the calling thread. Each parallel worker records into
- * its own session, adopting the clock origin of the calling thread's
- * bound session and merged into it after the barrier (nothing is
- * recorded when none is bound). Returns after all indices complete;
+ * its own session, adopting the clock origin and tracer of the calling
+ * thread's bound session and merged into it after the barrier (nothing
+ * is recorded when none is bound). Returns after all indices complete;
  * rethrows the lowest-index captured exception, if any.
  */
 void parallelFor(std::size_t n, std::size_t jobs,

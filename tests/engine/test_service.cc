@@ -5,8 +5,10 @@
  * session merge into the server's parent session.
  */
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -19,6 +21,7 @@
 #include "engine/json.hh"
 #include "engine/service.hh"
 #include "obs/obs.hh"
+#include "support/chrome_trace.hh"
 
 namespace {
 
@@ -545,7 +548,9 @@ TEST(Service, JsonlLogValidatesSchemaAndRequestIds)
 TEST(Service, RequestIdsStampParentTraceAcrossJobs)
 {
     Engine engine;
+    test_support::TraceCapture capture;
     obs::Session parent;
+    parent.tracer = &capture.tracer;
     parent.enable();
     {
         std::istringstream in(
@@ -561,13 +566,63 @@ TEST(Service, RequestIdsStampParentTraceAcrossJobs)
     }
     parent.disable();
     std::set<std::uint64_t> ids;
-    for (const obs::TraceEvent &event : parent.tracer.events()) {
-        EXPECT_NE(event.requestId, 0u) << event.name;
-        ids.insert(event.requestId);
+    for (const auto &span : capture.spans()) {
+        EXPECT_NE(span.requestId, 0u) << span.name;
+        ids.insert(span.requestId);
     }
     // Every span of every request is stamped; the three requests get
     // ids 1..3 in arrival order regardless of worker interleaving.
     EXPECT_EQ(ids, (std::set<std::uint64_t>{1, 2, 3}));
+}
+
+TEST(Service, TracedParentGetsEachRequestsSpansUnderItsId)
+{
+    Engine engine;
+    test_support::TraceCapture capture;
+    obs::Session parent;
+    parent.tracer = &capture.tracer;
+    parent.enable();
+    {
+        // Ids follow arrival order: 1 and 3 check, 2 is a ping, which
+        // opens no span.
+        std::istringstream in("{\"test\":\"fig9_message_passing\"}\n"
+                              "{\"cmd\":\"ping\"}\n"
+                              "{\"test\":\"fig2_iriw_weak\"}\n");
+        std::ostringstream out;
+        std::ostringstream err;
+        ServeOptions options;
+        options.jobs = 2;
+        obs::ScopedSession bind(&parent);
+        ASSERT_EQ(serve(engine, options, in, out, err), 0);
+    }
+    parent.disable();
+    std::map<std::uint64_t, std::vector<test_support::WrittenSpan>> byId;
+    for (auto &span : capture.spans())
+        byId[span.requestId].push_back(std::move(span));
+    ASSERT_EQ(byId.size(), 2u);
+    for (std::uint64_t id : {1u, 3u}) {
+        const auto &spans = byId[id];
+        // One request span at the root of the request's session, and
+        // every other span of the request nested inside it.
+        const auto root = std::find_if(
+            spans.begin(), spans.end(),
+            [](const auto &span) { return span.name == "engine.request"; });
+        ASSERT_NE(root, spans.end()) << "request " << id;
+        EXPECT_EQ(root->depth, 0);
+        std::size_t checks = 0;
+        for (const auto &span : spans) {
+            if (&span == &*root)
+                continue;
+            EXPECT_NE(span.name, "engine.request") << "request " << id;
+            EXPECT_GE(span.depth, 1) << span.name;
+            EXPECT_GE(span.startUs, root->startUs - 1e-3) << span.name;
+            EXPECT_LE(span.startUs + span.durationUs,
+                      root->startUs + root->durationUs + 1e-3)
+                << span.name;
+            checks += span.name == "check";
+        }
+        EXPECT_EQ(checks, 1u) << "request " << id;
+    }
 }
 
 TEST(Service, RequestMetricsMergeIntoTheParentSession)

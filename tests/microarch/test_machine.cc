@@ -282,40 +282,6 @@ TEST(Machine, CtaFenceIsFreeUnderProxyButNotUnderFenceReuse)
     EXPECT_GE(reuse_machine.stats().fenceDrains, 1u);
 }
 
-TEST(Machine, TraceRecordsActionsAndValues)
-{
-    auto test = LitmusBuilder("trace")
-                    .alias("c", "g")
-                    .thread("t0", 0, 0, {"st.global.u32 [g], 42",
-                                         "ld.const.u32 r1, [c]"})
-                    .permit("t0.r1 == 0")
-                    .build();
-    Machine machine(test);
-    machine.enableTrace();
-    step(machine, 0); // store
-    step(machine, 0); // constant load (races ahead)
-    drainEverything(machine);
-    ASSERT_EQ(machine.trace().size(), 4u);
-    EXPECT_NE(machine.trace()[0].find("st.global.u32 [g], 42"),
-              std::string::npos);
-    EXPECT_NE(machine.trace()[1].find("r1 = 0"), std::string::npos)
-        << machine.trace()[1];
-    EXPECT_NE(machine.trace()[2].find("drain [g] = 42"),
-              std::string::npos)
-        << machine.trace()[2];
-    EXPECT_NE(machine.trace()[3].find("writeback [g] -> sysmem"),
-              std::string::npos)
-        << machine.trace()[3];
-}
-
-TEST(Machine, TraceDisabledByDefault)
-{
-    Machine machine(fig4Test(false));
-    while (!machine.finished())
-        machine.execute(machine.actions().front());
-    EXPECT_TRUE(machine.trace().empty());
-}
-
 TEST(Machine, StatsAccumulate)
 {
     Machine machine(fig4Test(false));

@@ -504,6 +504,22 @@ TEST(Cli, BadSynthOutFailsBeforeSynthesis)
     std::filesystem::remove("synth_out_file_tmp");
 }
 
+TEST(Cli, BadTraceOutFailsBeforeRunning)
+{
+    // The trace streams to its file while the run works, so an
+    // unwritable --trace-out path is refused before anything runs: no
+    // report on stdout, no phase table, only the error and exit 2.
+    std::string out;
+    std::string err;
+    EXPECT_EQ(run({"--synth=3", "--timing",
+                   "--trace-out=/nonexistent_dir_mp/d/t.json"},
+                  &out, &err),
+              2);
+    EXPECT_EQ(out, "");
+    EXPECT_EQ(err, "nvlitmus: cannot write trace to "
+                   "'/nonexistent_dir_mp/d/t.json'\n");
+}
+
 TEST(ParseArgs, LintFlags)
 {
     auto opts = parseArgs({"--lint", "a"});

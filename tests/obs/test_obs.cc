@@ -8,10 +8,12 @@
 #include <gtest/gtest.h>
 
 #include "obs/obs.hh"
+#include "support/chrome_trace.hh"
 
 namespace {
 
 using namespace mixedproxy::obs;
+using mixedproxy::test_support::TraceCapture;
 
 TEST(Obs, NothingBoundByDefaultRecordsNothing)
 {
@@ -30,15 +32,18 @@ TEST(Obs, NothingBoundByDefaultRecordsNothing)
 
 TEST(Obs, EnabledSpanRecordsEventAndTimerSample)
 {
+    TraceCapture capture;
     Session session;
+    session.tracer = &capture.tracer;
     session.enable();
     {
         ScopedSession bind(&session);
         Span span("phase");
     }
     session.disable();
-    ASSERT_EQ(session.tracer.events().size(), 1u);
-    const TraceEvent &e = session.tracer.events()[0];
+    const auto spans = capture.spans();
+    ASSERT_EQ(spans.size(), 1u);
+    const auto &e = spans[0];
     EXPECT_EQ(e.name, "phase");
     EXPECT_EQ(e.depth, 0);
     EXPECT_GE(e.durationUs, 0.0);
@@ -46,9 +51,24 @@ TEST(Obs, EnabledSpanRecordsEventAndTimerSample)
     EXPECT_EQ(session.metrics.timer("phase").count, 1u);
 }
 
-TEST(Obs, SpansNestAndRecordDepths)
+TEST(Obs, SessionWithoutTracerRecordsOnlyTheTimerSample)
 {
     Session session;
+    session.enable();
+    {
+        ScopedSession bind(&session);
+        Span span("phase");
+    }
+    session.disable();
+    EXPECT_EQ(session.tracer, nullptr);
+    EXPECT_EQ(session.metrics.timer("phase").count, 1u);
+}
+
+TEST(Obs, SpansNestAndRecordDepths)
+{
+    TraceCapture capture;
+    Session session;
+    session.tracer = &capture.tracer;
     session.enable();
     {
         ScopedSession bind(&session);
@@ -62,17 +82,18 @@ TEST(Obs, SpansNestAndRecordDepths)
     }
     session.disable();
     // Completion order: inner, inner, outer.
-    ASSERT_EQ(session.tracer.events().size(), 3u);
-    EXPECT_EQ(session.tracer.events()[0].name, "inner");
-    EXPECT_EQ(session.tracer.events()[0].depth, 1);
-    EXPECT_EQ(session.tracer.events()[1].name, "inner");
-    EXPECT_EQ(session.tracer.events()[1].depth, 1);
-    EXPECT_EQ(session.tracer.events()[2].name, "outer");
-    EXPECT_EQ(session.tracer.events()[2].depth, 0);
+    const auto events = capture.spans();
+    ASSERT_EQ(events.size(), 3u);
+    EXPECT_EQ(events[0].name, "inner");
+    EXPECT_EQ(events[0].depth, 1);
+    EXPECT_EQ(events[1].name, "inner");
+    EXPECT_EQ(events[1].depth, 1);
+    EXPECT_EQ(events[2].name, "outer");
+    EXPECT_EQ(events[2].depth, 0);
     // Children are contained in the parent's [start, start+duration].
-    const TraceEvent &outer_ev = session.tracer.events()[2];
+    const auto &outer_ev = events[2];
     for (std::size_t i = 0; i < 2; i++) {
-        const TraceEvent &child = session.tracer.events()[i];
+        const auto &child = events[i];
         EXPECT_GE(child.startUs, outer_ev.startUs);
         EXPECT_LE(child.startUs + child.durationUs,
                   outer_ev.startUs + outer_ev.durationUs + 1e-3);
@@ -98,7 +119,9 @@ TEST(Obs, CountAndGaugeWhileEnabled)
 
 TEST(Obs, EnableResetsPreviousSession)
 {
+    TraceCapture capture;
     Session session;
+    session.tracer = &capture.tracer;
     session.enable();
     {
         ScopedSession bind(&session);
@@ -107,8 +130,11 @@ TEST(Obs, EnableResetsPreviousSession)
     }
     session.enable(); // fresh timeline
     EXPECT_TRUE(session.metrics.empty());
-    EXPECT_TRUE(session.tracer.empty());
+    // The tracer is where spans go, not data: re-enabling keeps it, and
+    // what it already wrote stays written.
+    EXPECT_EQ(session.tracer, &capture.tracer);
     session.disable();
+    EXPECT_EQ(capture.spans().size(), 1u);
 }
 
 TEST(Obs, DataStaysReadableAfterDisable)
@@ -125,35 +151,39 @@ TEST(Obs, DataStaysReadableAfterDisable)
 
 TEST(Obs, SpanOutlivingDisableBalancesDepthWithoutRecording)
 {
+    TraceCapture capture;
     Session session;
+    session.tracer = &capture.tracer;
     session.enable();
     {
         ScopedSession bind(&session);
         Span outer("outer");
         session.disable();
     } // outer destructs disabled: depth must rebalance, no event
-    EXPECT_TRUE(session.tracer.empty());
+    EXPECT_TRUE(capture.spans().empty());
     EXPECT_EQ(session.depth, 0);
 }
 
 TEST(Obs, SpanOpenedBeforeBindingStaysDead)
 {
+    TraceCapture capture;
     Session session;
+    session.tracer = &capture.tracer;
     session.enable();
-    std::size_t before = 0;
     {
         Span dead("dead"); // constructed with nothing bound
         ScopedSession bind(&session);
-        before = session.tracer.events().size();
     } // never live, records nothing even though a session is now bound
-    EXPECT_EQ(session.tracer.events().size(), before);
     EXPECT_EQ(session.metrics.timer("dead").count, 0u);
     session.disable();
+    EXPECT_TRUE(capture.spans().empty());
 }
 
 TEST(Obs, ScopedSessionRoutesRecordingToAValueSession)
 {
+    TraceCapture capture;
     Session session;
+    session.tracer = &capture.tracer;
     session.enable();
     {
         ScopedSession bind(&session);
@@ -166,7 +196,7 @@ TEST(Obs, ScopedSessionRoutesRecordingToAValueSession)
     // Everything landed in the value; the binding is gone afterwards.
     EXPECT_EQ(session.metrics.counter("local"), 1u);
     EXPECT_EQ(session.metrics.timer("local_phase").count, 1u);
-    EXPECT_EQ(session.tracer.events().size(), 1u);
+    EXPECT_EQ(capture.spans().size(), 1u);
     EXPECT_FALSE(enabled());
 }
 
@@ -228,38 +258,46 @@ TEST(Obs, DisabledScopedSessionSuppressesRecording)
 
 TEST(Obs, SessionThreadIdTagsItsSpans)
 {
+    TraceCapture capture;
     Session session;
     session.threadId = 7;
+    session.tracer = &capture.tracer;
     session.enable();
     {
         ScopedSession bind(&session);
         Span span("lane");
     }
     session.disable();
-    ASSERT_EQ(session.tracer.events().size(), 1u);
-    EXPECT_EQ(session.tracer.events()[0].tid, 7);
+    const auto spans = capture.spans();
+    ASSERT_EQ(spans.size(), 1u);
+    EXPECT_EQ(spans[0].tid, 7);
 }
 
 TEST(Obs, EnableWithOriginSharesTheParentTimeline)
 {
+    TraceCapture capture;
     Session parent;
+    parent.tracer = &capture.tracer;
     parent.enable();
     {
         ScopedSession bind(&parent);
         Span span("parent_phase");
     }
     Session worker;
+    worker.tracer = parent.tracer;
     worker.enableWithOrigin(parent.origin());
     {
         ScopedSession bind(&worker);
         Span span("worker_phase");
     }
     // The worker span started after the parent span did, on the same
-    // clock — merged traces line up on one timeline.
-    ASSERT_EQ(parent.tracer.events().size(), 1u);
-    ASSERT_EQ(worker.tracer.events().size(), 1u);
-    EXPECT_GE(worker.tracer.events()[0].startUs,
-              parent.tracer.events()[0].startUs);
+    // clock — the shared trace lines up on one timeline.
+    const auto spans = capture.spans();
+    ASSERT_EQ(spans.size(), 2u);
+    EXPECT_EQ(spans[0].name, "parent_phase");
+    EXPECT_EQ(spans[1].name, "worker_phase");
+    EXPECT_GE(spans[1].startUs,
+              spans[0].startUs + spans[0].durationUs - 1e-3);
 }
 
 } // namespace

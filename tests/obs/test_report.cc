@@ -12,6 +12,7 @@
 
 #include "engine/json.hh"
 #include "obs/report.hh"
+#include "obs/trace.hh"
 
 namespace {
 
@@ -46,11 +47,22 @@ TEST(JsonEscape, EscapesSpecialCharacters)
     EXPECT_EQ(jsonEscape("a\bb\fc"), "a\\bb\\fc");
 }
 
+/** What a Tracer writes for @p events, closed. */
+std::string
+chromeTrace(std::initializer_list<TraceEvent> events)
+{
+    std::ostringstream out;
+    Tracer tracer(out);
+    for (const TraceEvent &event : events)
+        tracer.write(event);
+    EXPECT_TRUE(tracer.finish());
+    return out.str();
+}
+
 TEST(ChromeTrace, EmptyTracerIsValidJson)
 {
-    Tracer tracer;
     std::string error;
-    auto doc = json::parse(chromeTraceJson(tracer), &error);
+    auto doc = json::parse(chromeTrace({}), &error);
     ASSERT_TRUE(doc) << error;
     EXPECT_TRUE(at(*doc, "traceEvents").kind == Value::Kind::Array);
     EXPECT_EQ(at(*doc, "traceEvents").array.size(), 0u);
@@ -58,11 +70,10 @@ TEST(ChromeTrace, EmptyTracerIsValidJson)
 
 TEST(ChromeTrace, EventsCarryChromeFields)
 {
-    Tracer tracer;
-    tracer.record({"check", 10.0, 250.5, 0});
-    tracer.record({"check.derived", 20.0, 100.0, 1});
     std::string error;
-    auto doc = json::parse(chromeTraceJson(tracer), &error);
+    auto doc = json::parse(chromeTrace({{"check", 10.0, 250.5, 0},
+                                        {"check.derived", 20.0, 100.0, 1}}),
+                           &error);
     ASSERT_TRUE(doc) << error;
     EXPECT_EQ(at(*doc, "displayTimeUnit").string, "ms");
     const auto &events = at(*doc, "traceEvents").array;
@@ -81,13 +92,22 @@ TEST(ChromeTrace, EventsCarryChromeFields)
 
 TEST(ChromeTrace, EscapesEventNames)
 {
-    Tracer tracer;
-    tracer.record({"weird\"name\n", 0.0, 1.0, 0});
     std::string error;
-    auto doc = json::parse(chromeTraceJson(tracer), &error);
+    auto doc = json::parse(chromeTrace({{"weird\"name\n", 0.0, 1.0, 0}}),
+                           &error);
     ASSERT_TRUE(doc) << error;
     EXPECT_EQ(at(at(*doc, "traceEvents").array[0], "name").string,
               "weird\"name\n");
+}
+
+TEST(ChromeTrace, FinishReportsAFailedStream)
+{
+    std::ostringstream out;
+    Tracer tracer(out);
+    out.setstate(std::ios::badbit);
+    tracer.write({"check", 0.0, 1.0, 0});
+    EXPECT_FALSE(tracer.finish());
+    EXPECT_FALSE(tracer.finish()); // closes once, keeps reporting
 }
 
 TEST(StatsJson, EmptyRegistryIsValidAndComplete)
@@ -227,11 +247,10 @@ TEST(TimingTable, EmptyRegistryExplainsItself)
 
 TEST(ChromeTrace, RequestIdIsAnEventArgument)
 {
-    Tracer tracer;
-    tracer.record({"engine.request", 1.0, 2.0, 0, 3, 42});
-    tracer.record({"parse", 1.0, 2.0, 0, 0, 0});
     std::string error;
-    auto doc = json::parse(chromeTraceJson(tracer), &error);
+    auto doc = json::parse(chromeTrace({{"engine.request", 1.0, 2.0, 0, 3, 42},
+                                        {"parse", 1.0, 2.0, 0, 0, 0}}),
+                           &error);
     ASSERT_TRUE(doc) << error;
     const auto &events = at(*doc, "traceEvents").array;
     ASSERT_EQ(events.size(), 2u);

@@ -17,8 +17,57 @@ namespace {
 using mixedproxy::PanicError;
 using mixedproxy::relation::EventId;
 using mixedproxy::relation::EventSet;
-using mixedproxy::relation::forEachTotalOrder;
+using mixedproxy::relation::forEachTotalOrderVisit;
 using mixedproxy::relation::Relation;
+using mixedproxy::relation::TotalOrderScratch;
+
+/**
+ * Drive forEachTotalOrderVisit with a visitor that hands each complete
+ * order to @p visit and checks that push/pop keep the prefix balanced.
+ */
+template <typename Visit>
+bool
+forEachOrder(const EventSet &subset, const Relation &partial,
+             Visit &&visit)
+{
+    struct Visitor
+    {
+        Visit &visit;
+        std::size_t depth = 0;
+
+        void
+        push(EventId id, const std::vector<EventId> &prefix)
+        {
+            depth++;
+            EXPECT_EQ(prefix.size(), depth);
+            EXPECT_EQ(prefix.back(), id);
+        }
+
+        void
+        pop(EventId id, const std::vector<EventId> &prefix)
+        {
+            EXPECT_EQ(prefix.size(), depth);
+            EXPECT_EQ(prefix.back(), id);
+            depth--;
+        }
+
+        bool
+        complete(const std::vector<EventId> &order)
+        {
+            EXPECT_EQ(order.size(), depth);
+            return visit(order);
+        }
+    } visitor{visit};
+    TotalOrderScratch scratch;
+    return forEachTotalOrderVisit(subset, partial, visitor, scratch);
+}
+
+/** Position of @p id in @p order. */
+std::ptrdiff_t
+positionOf(const std::vector<EventId> &order, EventId id)
+{
+    return std::find(order.begin(), order.end(), id) - order.begin();
+}
 
 TEST(Relation, EmptyOnConstruction)
 {
@@ -101,15 +150,6 @@ TEST(Relation, TransitiveClosureCycle)
     EXPECT_FALSE(r.acyclic());
 }
 
-TEST(Relation, ReflexiveTransitiveClosure)
-{
-    Relation r(3, {{0, 1}});
-    Relation rtc = r.reflexiveTransitiveClosure();
-    EXPECT_TRUE(rtc.contains(0, 0));
-    EXPECT_TRUE(rtc.contains(2, 2));
-    EXPECT_TRUE(rtc.contains(0, 1));
-}
-
 TEST(Relation, AcyclicOnDags)
 {
     Relation dag(5, {{0, 1}, {0, 2}, {1, 3}, {2, 3}, {3, 4}});
@@ -149,25 +189,14 @@ TEST(Relation, Product)
     EXPECT_EQ(r, Relation(3, {{0, 1}, {0, 2}}));
 }
 
-TEST(Relation, FromPredicate)
+TEST(Relation, FilterKeepsMatchingPairs)
 {
-    Relation lt = Relation::fromPredicate(
-        4, [](EventId a, EventId b) { return a < b; });
+    Relation lt = Relation::full(4).filter(
+        [](EventId a, EventId b) { return a < b; });
     EXPECT_EQ(lt.pairCount(), 6u);
     EXPECT_TRUE(lt.acyclic());
-    EXPECT_TRUE(lt.totalOn(EventSet::full(4)));
-    // filter keeps exactly the pairs fromPredicate would build.
-    EXPECT_EQ(Relation::full(4).filter(
-                  [](EventId a, EventId b) { return a < b; }),
-              lt);
-}
-
-TEST(Relation, TotalOn)
-{
-    Relation r(3, {{0, 1}, {1, 2}});
-    EXPECT_FALSE(r.totalOn(EventSet::full(3))); // 0 vs 2 unrelated
-    r.insert(0, 2);
-    EXPECT_TRUE(r.totalOn(EventSet::full(3)));
+    EXPECT_EQ(lt, Relation(4, {{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3},
+                               {2, 3}}));
 }
 
 TEST(Relation, FindPath)
@@ -185,21 +214,19 @@ TEST(Relation, FindPath)
 TEST(Relation, TopologicalOrderRespectsEdges)
 {
     Relation r(5, {{0, 1}, {1, 2}, {3, 2}});
-    auto order = r.topologicalOrder(EventSet::full(5));
-    ASSERT_TRUE(order.has_value());
-    auto pos = [&](EventId id) {
-        return std::find(order->begin(), order->end(), id) -
-               order->begin();
-    };
-    EXPECT_LT(pos(0), pos(1));
-    EXPECT_LT(pos(1), pos(2));
-    EXPECT_LT(pos(3), pos(2));
+    std::vector<EventId> order{4}; // cleared first
+    ASSERT_TRUE(r.topologicalOrderInto(EventSet::full(5), order));
+    ASSERT_EQ(order.size(), 5u);
+    EXPECT_LT(positionOf(order, 0), positionOf(order, 1));
+    EXPECT_LT(positionOf(order, 1), positionOf(order, 2));
+    EXPECT_LT(positionOf(order, 3), positionOf(order, 2));
 }
 
 TEST(Relation, TopologicalOrderOnCycleFails)
 {
     Relation r(3, {{0, 1}, {1, 0}});
-    EXPECT_FALSE(r.topologicalOrder(EventSet::full(3)).has_value());
+    std::vector<EventId> order;
+    EXPECT_FALSE(r.topologicalOrderInto(EventSet::full(3), order));
 }
 
 TEST(Relation, UniverseMismatchPanics)
@@ -214,7 +241,7 @@ TEST(TotalOrderEnumeration, UnconstrainedIsFactorial)
 {
     EventSet s(4, {0, 1, 2});
     std::size_t count = 0;
-    forEachTotalOrder(s, Relation(4), [&](const auto &) {
+    forEachOrder(s, Relation(4), [&](const auto &) {
         count++;
         return true;
     });
@@ -226,10 +253,8 @@ TEST(TotalOrderEnumeration, RespectsPartialOrder)
     EventSet s(3, {0, 1, 2});
     Relation partial(3, {{0, 1}});
     std::size_t count = 0;
-    forEachTotalOrder(s, partial, [&](const std::vector<EventId> &order) {
-        auto p0 = std::find(order.begin(), order.end(), 0);
-        auto p1 = std::find(order.begin(), order.end(), 1);
-        EXPECT_LT(p0 - order.begin(), p1 - order.begin());
+    forEachOrder(s, partial, [&](const std::vector<EventId> &order) {
+        EXPECT_LT(positionOf(order, 0), positionOf(order, 1));
         count++;
         return true;
     });
@@ -241,7 +266,7 @@ TEST(TotalOrderEnumeration, CyclicConstraintYieldsNothing)
     EventSet s(2, {0, 1});
     Relation partial(2, {{0, 1}, {1, 0}});
     std::size_t count = 0;
-    forEachTotalOrder(s, partial, [&](const auto &) {
+    forEachOrder(s, partial, [&](const auto &) {
         count++;
         return true;
     });
@@ -251,7 +276,7 @@ TEST(TotalOrderEnumeration, CyclicConstraintYieldsNothing)
 TEST(TotalOrderEnumeration, EmptySubsetVisitsOnce)
 {
     std::size_t count = 0;
-    forEachTotalOrder(EventSet(3), Relation(3), [&](const auto &order) {
+    forEachOrder(EventSet(3), Relation(3), [&](const auto &order) {
         EXPECT_TRUE(order.empty());
         count++;
         return true;
@@ -263,7 +288,7 @@ TEST(TotalOrderEnumeration, EarlyAbort)
 {
     EventSet s(4, {0, 1, 2, 3});
     std::size_t count = 0;
-    bool completed = forEachTotalOrder(s, Relation(4), [&](const auto &) {
+    bool completed = forEachOrder(s, Relation(4), [&](const auto &) {
         count++;
         return count < 5;
     });

@@ -3,13 +3,17 @@
  * Tests for the batch runtime: the thread pool runs everything it is
  * given, parallelFor covers every index exactly once and keeps its
  * determinism contract (results by index, per-worker observability
- * sessions merged in order, lowest-index error wins), and the
- * registry/tracer merge primitives behave as documented.
+ * sessions merged in order, lowest-index error wins), worker spans are
+ * written through the parent's tracer on their own lanes, and the
+ * registry merge primitive behaves as documented.
  */
 
+#include <algorithm>
 #include <atomic>
+#include <map>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,10 +21,12 @@
 #include "obs/obs.hh"
 #include "runtime/parallel.hh"
 #include "runtime/thread_pool.hh"
+#include "support/chrome_trace.hh"
 
 namespace {
 
 using namespace mixedproxy;
+using test_support::TraceCapture;
 using runtime::parallelFor;
 using runtime::ThreadPool;
 
@@ -151,47 +157,106 @@ TEST(ParallelFor, NotObservingPassesNullSession)
 
 TEST(ParallelFor, WorkerSpansCarryDistinctThreadIds)
 {
+    TraceCapture capture;
     obs::Session session;
+    session.tracer = &capture.tracer;
+    session.enable();
+    // Each index records its worker's lane, so the written tids can be
+    // checked against the lane that really ran the span.
+    std::vector<int> lane(32, -1);
+    {
+        obs::ScopedSession bind(&session);
+        parallelFor(32, 4, [&](std::size_t i) {
+            obs::Span span("unit");
+            lane[i] = obs::current()->threadId;
+        });
+    }
+    session.disable();
+    const auto spans = capture.spans();
+    ASSERT_EQ(spans.size(), 32u);
+    std::multiset<int> written;
+    for (const auto &span : spans) {
+        EXPECT_EQ(span.name, "unit");
+        EXPECT_EQ(span.depth, 0);
+        EXPECT_GE(span.tid, 1); // workers are numbered from 1
+        EXPECT_LE(span.tid, 4);
+        written.insert(span.tid);
+    }
+    EXPECT_EQ(written, std::multiset<int>(lane.begin(), lane.end()));
+}
+
+TEST(ParallelFor, NestedWorkerSpansKeepTheirDepthAndOrigin)
+{
+    TraceCapture capture;
+    obs::Session session;
+    session.tracer = &capture.tracer;
     session.enable();
     {
         obs::ScopedSession bind(&session);
-        parallelFor(32, 4, [&](std::size_t) { obs::Span span("unit"); });
+        obs::Span batch("batch");
+        parallelFor(16, 4, [&](std::size_t) {
+            obs::Span outer("outer");
+            obs::Span inner("inner");
+        });
     }
     session.disable();
-    ASSERT_EQ(session.tracer.events().size(), 32u);
-    std::set<int> tids;
-    for (const auto &event : session.tracer.events()) {
-        EXPECT_EQ(event.name, "unit");
-        EXPECT_GE(event.tid, 1); // workers are numbered from 1
-        tids.insert(event.tid);
+    const auto spans = capture.spans();
+    ASSERT_EQ(spans.size(), 33u);
+    const auto batch =
+        std::find_if(spans.begin(), spans.end(),
+                     [](const auto &span) { return span.name == "batch"; });
+    ASSERT_NE(batch, spans.end());
+    EXPECT_EQ(batch->tid, 0);
+    EXPECT_EQ(batch->depth, 0);
+    std::map<std::string, int> count;
+    for (const auto &span : spans) {
+        count[span.name]++;
+        if (span.name == "batch")
+            continue;
+        // Worker sessions start at depth 0 and share the parent's
+        // origin: every worker span lies inside the enclosing batch.
+        EXPECT_EQ(span.depth, span.name == "outer" ? 0 : 1);
+        EXPECT_GE(span.tid, 1);
+        EXPECT_GE(span.startUs, batch->startUs - 1e-3);
+        EXPECT_LE(span.startUs + span.durationUs,
+                  batch->startUs + batch->durationUs + 1e-3);
     }
-    EXPECT_LE(tids.size(), 4u);
+    EXPECT_EQ(count["outer"], 16);
+    EXPECT_EQ(count["inner"], 16);
 }
 
 TEST(ParallelFor, SerialPathRecordsOnMainLane)
 {
+    TraceCapture capture;
     obs::Session session;
+    session.tracer = &capture.tracer;
     session.enable();
     {
         obs::ScopedSession bind(&session);
         parallelFor(3, 1, [&](std::size_t) { obs::Span span("unit"); });
     }
     session.disable();
-    ASSERT_EQ(session.tracer.events().size(), 3u);
-    for (const auto &event : session.tracer.events())
-        EXPECT_EQ(event.tid, 0);
+    const auto spans = capture.spans();
+    ASSERT_EQ(spans.size(), 3u);
+    for (const auto &span : spans)
+        EXPECT_EQ(span.tid, 0);
 }
 
 TEST(ParallelFor, DisabledParentSessionRecordsNothing)
 {
+    TraceCapture capture;
     obs::Session session; // never enabled
-    obs::ScopedSession bind(&session);
-    parallelFor(8, 4, [&](std::size_t) {
-        EXPECT_EQ(obs::current(), nullptr);
-        obs::count("should.not.appear");
-    });
+    session.tracer = &capture.tracer;
+    {
+        obs::ScopedSession bind(&session);
+        parallelFor(8, 4, [&](std::size_t) {
+            EXPECT_EQ(obs::current(), nullptr);
+            obs::count("should.not.appear");
+            obs::Span span("should.not.appear");
+        });
+    }
     EXPECT_TRUE(session.metrics.empty());
-    EXPECT_TRUE(session.tracer.empty());
+    EXPECT_TRUE(capture.spans().empty());
 }
 
 TEST(MetricsMerge, CountersAddGaugesOverwriteTimersCombine)
@@ -276,19 +341,35 @@ TEST(MetricsMerge, SampleRetentionStaysBounded)
     EXPECT_DOUBLE_EQ(t.p95, 1.0);
 }
 
-TEST(TracerAppend, ConcatenatesPreservingOrder)
+TEST(SharedTracer, SessionsWriteInCompletionOrder)
 {
-    obs::Tracer a;
-    a.record({"first", 0.0, 1.0, 0, 0});
-    obs::Tracer b;
-    b.record({"second", 2.0, 1.0, 0, 1});
-    b.record({"third", 4.0, 1.0, 1, 1});
-    a.append(b);
-    ASSERT_EQ(a.events().size(), 3u);
-    EXPECT_EQ(a.events()[0].name, "first");
-    EXPECT_EQ(a.events()[1].name, "second");
-    EXPECT_EQ(a.events()[2].name, "third");
-    EXPECT_EQ(a.events()[2].tid, 1);
+    // Sessions sharing one tracer (as worker and request sessions share
+    // their parent's) interleave into one document in the order their
+    // spans close, each on its own lane.
+    TraceCapture capture;
+    obs::Session a;
+    obs::Session b;
+    a.tracer = b.tracer = &capture.tracer;
+    b.threadId = 1;
+    a.enable();
+    b.enableWithOrigin(a.origin());
+    {
+        obs::ScopedSession bindA(&a);
+        obs::Span first("first");
+    }
+    {
+        obs::ScopedSession bindB(&b);
+        obs::Span third("third");
+        obs::Span second("second");
+    }
+    const auto spans = capture.spans();
+    ASSERT_EQ(spans.size(), 3u);
+    EXPECT_EQ(spans[0].name, "first");
+    EXPECT_EQ(spans[0].tid, 0);
+    EXPECT_EQ(spans[1].name, "second");
+    EXPECT_EQ(spans[1].depth, 1);
+    EXPECT_EQ(spans[2].name, "third");
+    EXPECT_EQ(spans[2].tid, 1);
 }
 
 } // namespace
