@@ -9,12 +9,12 @@
 
 #include "approx.hh"
 #include "litmus/expr.hh"
+#include "model/sc.hh"
 #include "obs/obs.hh"
 #include "relation/relation.hh"
 
 namespace mixedproxy::analysis::presolve {
 
-using model::CandidateExecution;
 using model::Event;
 using model::LocationId;
 using model::Program;
@@ -26,8 +26,9 @@ using relation::Relation;
 namespace {
 
 // ---------------------------------------------------------------------
-// Witness side: deterministic SC interleavings, verified exactly by the
-// checker's own axiom core (model::evaluateCandidate).
+// Witness side: deterministic SC interleavings (model::ScExecutor),
+// verified exactly by the checker's own axiom core
+// (model::evaluateCandidate).
 // ---------------------------------------------------------------------
 
 /**
@@ -63,162 +64,55 @@ staticWriteValue(const Program &program, const Event &e)
 }
 
 /**
- * One thread's events grouped per instruction, in program order. The
- * scheduler interleaves whole groups so an RMW's read and write (and
- * an async copy's fork) stay adjacent — every schedule is a real SC
- * interleaving of instructions.
+ * The deterministic schedule family, as the thread that takes each
+ * step: each thread sequentially (in order and reversed), plus a
+ * round-robin interleaving one instruction at a time. Cheap,
+ * reproducible, and in practice enough to witness the common "all
+ * program order" and "message passing" outcomes.
  */
-std::vector<std::vector<std::vector<EventId>>>
-instructionGroups(const Program &program)
+std::vector<std::vector<std::size_t>>
+schedules(const model::ScExecutor &sc)
 {
-    const auto &events = program.events();
-    int max_thread = -1;
-    for (const Event &e : events) {
-        if (!e.isInit)
-            max_thread = std::max(max_thread, e.thread);
-    }
-    std::vector<std::vector<std::vector<EventId>>> threads(
-        static_cast<std::size_t>(max_thread + 1));
-    for (const Event &e : events) {
-        if (e.isInit)
-            continue;
-        auto &groups = threads[static_cast<std::size_t>(e.thread)];
-        if (groups.empty() ||
-            events[groups.back().back()].instrIndex != e.instrIndex) {
-            groups.push_back({e.id});
-        } else {
-            groups.back().push_back(e.id);
-        }
-    }
-    return threads;
-}
-
-/**
- * Run one SC interleaving operationally and emit the candidate it
- * induces: each read observes the latest write to its location, each
- * location's coherence order is write-execution order. Nothing here is
- * trusted — the caller verifies the candidate against the axioms.
- */
-CandidateExecution
-simulate(const Program &program, const std::vector<EventId> &schedule)
-{
-    const auto &events = program.events();
-    std::vector<std::uint64_t> value(events.size(), 0);
-    std::vector<EventId> last_writer(program.locationCount());
-    for (LocationId loc = 0;
-         loc < static_cast<LocationId>(program.locationCount()); loc++) {
-        EventId init = program.initWrite(loc);
-        last_writer[static_cast<std::size_t>(loc)] = init;
-        value[init] = program.initValue(loc);
-    }
-
-    CandidateExecution cand;
-    auto operand = [&](const Event &e, const litmus::Operand &op,
-                       EventId def) -> std::uint64_t {
-        if (op.isImm())
-            return op.imm;
-        if (!op.isReg())
-            panic("operand of ", e.toString(), " has no value");
-        return value[def];
-    };
-
-    for (EventId id : schedule) {
-        const Event &e = events[id];
-        if (e.isRead()) {
-            EventId src =
-                last_writer[static_cast<std::size_t>(e.location)];
-            value[id] = value[src];
-            cand.sourceOf[id] = src;
-            continue;
-        }
-        if (!e.isWrite())
-            continue;
-        auto value_operand = [&] {
-            return operand(e, e.instr->value, program.valueDef(id));
-        };
-        bool live = true;
-        if (e.isAsyncCopy()) {
-            value[id] = value[e.asyncCopyPartner];
-        } else if (e.isAtomic()) {
-            std::uint64_t read_value = value[e.rmwPartner];
-            switch (e.instr->atomOp) {
-              case litmus::AtomOp::Add:
-                value[id] = read_value + value_operand();
-                break;
-              case litmus::AtomOp::Exch:
-                value[id] = value_operand();
-                break;
-              case litmus::AtomOp::Cas:
-                if (read_value == operand(e, e.instr->expected,
-                                          program.expectedDef(id)))
-                    value[id] = value_operand();
-                else
-                    live = false; // failed CAS writes nothing
-                break;
-            }
-        } else {
-            value[id] = value_operand();
-        }
-        if (live) {
-            last_writer[static_cast<std::size_t>(e.location)] = id;
-            cand.coOrders[e.location].push_back(id);
-        }
-    }
-    return cand;
-}
-
-/**
- * The deterministic schedule family: each thread sequentially (in
- * order and reversed), plus a round-robin interleaving one instruction
- * at a time. Cheap, reproducible, and in practice enough to witness
- * the common "all program order" and "message passing" outcomes.
- */
-std::vector<std::vector<EventId>>
-schedules(const Program &program)
-{
-    auto threads = instructionGroups(program);
-    std::vector<std::vector<EventId>> out;
+    const std::size_t threads = sc.threadCount();
+    std::vector<std::vector<std::size_t>> out;
 
     auto sequential = [&](bool reversed) {
-        std::vector<EventId> s;
-        for (std::size_t i = 0; i < threads.size(); i++) {
-            const auto &groups =
-                threads[reversed ? threads.size() - 1 - i : i];
-            for (const auto &group : groups)
-                s.insert(s.end(), group.begin(), group.end());
+        std::vector<std::size_t> s;
+        for (std::size_t i = 0; i < threads; i++) {
+            const std::size_t t = reversed ? threads - 1 - i : i;
+            s.insert(s.end(), sc.instructionCount(t), t);
         }
         return s;
     };
     out.push_back(sequential(false));
     out.push_back(sequential(true));
 
-    std::vector<EventId> rr;
-    std::vector<std::size_t> next(threads.size(), 0);
-    bool progressed = true;
-    while (progressed) {
-        progressed = false;
-        for (std::size_t t = 0; t < threads.size(); t++) {
-            if (next[t] >= threads[t].size())
-                continue;
-            const auto &group = threads[t][next[t]++];
-            rr.insert(rr.end(), group.begin(), group.end());
-            progressed = true;
+    std::vector<std::size_t> rr;
+    for (std::size_t round = 0; rr.size() < out.front().size(); round++) {
+        for (std::size_t t = 0; t < threads; t++) {
+            if (round < sc.instructionCount(t))
+                rr.push_back(t);
         }
     }
     out.push_back(std::move(rr));
     return out;
 }
 
-/** Verified outcomes of the schedule family (may be empty). */
+/**
+ * Verified outcomes of the schedule family (may be empty): each
+ * schedule runs on the SC executor, and the candidate it induces is
+ * verified exactly by the checker's own axiom core.
+ */
 std::set<litmus::Outcome>
 witnessOutcomes(const Program &program)
 {
     std::set<litmus::Outcome> out;
-    for (const auto &schedule : schedules(program)) {
-        CandidateExecution cand = simulate(program, schedule);
-        if (auto outcome = model::evaluateCandidate(program, cand)) {
+    for (const auto &schedule : schedules(model::ScExecutor(program))) {
+        model::ScExecutor sc(program);
+        for (std::size_t t : schedule)
+            sc.step(t);
+        if (auto outcome = model::evaluateCandidate(program, sc.candidate()))
             out.insert(*outcome);
-        }
     }
     return out;
 }

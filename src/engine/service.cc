@@ -18,6 +18,7 @@
 #include "engine/json.hh"
 #include "litmus/parser.hh"
 #include "litmus/registry.hh"
+#include "microarch/simulator.hh"
 #include "obs/build_info.hh"
 #include "relation/error.hh"
 #include "runtime/thread_pool.hh"
@@ -490,8 +491,10 @@ handleRequestLine(Engine &engine, const std::string &line,
         if (boolField(*doc, "lint_only"))
             request.kind = RequestKind::Lint;
         request.sim.enabled = boolField(*doc, "sim");
-        request.sim.iterations = static_cast<std::size_t>(uintField(
-            *doc, "sim_iterations", request.sim.iterations));
+        const std::uint64_t iterations =
+            uintField(*doc, "sim_iterations", request.sim.iterations);
+        microarch::checkIterations(iterations, "'sim_iterations'");
+        request.sim.iterations = static_cast<std::size_t>(iterations);
 
         Verdict verdict = engine.submit(request);
 

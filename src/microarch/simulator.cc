@@ -87,6 +87,15 @@ SimResult::summary() const
     return os.str();
 }
 
+void
+checkIterations(std::uint64_t iterations, const char *what)
+{
+    if (iterations > kMaxIterations) {
+        fatal(what, " must be at most ", kMaxIterations, " (got ",
+              iterations, ")");
+    }
+}
+
 Simulator::Simulator(SimOptions options)
     : opts(std::move(options))
 {}

@@ -24,6 +24,21 @@
 
 namespace mixedproxy::microarch {
 
+/**
+ * Most randomized schedules one campaign may run. Each is a whole
+ * simulated execution, so an unbounded count lets one request hold a
+ * daemon worker indefinitely; the largest count the repository uses is
+ * 4000.
+ */
+inline constexpr std::size_t kMaxIterations = 1'000'000;
+
+/**
+ * Throw FatalError, naming the value @p what, unless @p iterations is
+ * at most kMaxIterations. Both front ends (--simulate=N and the
+ * daemon's sim_iterations) check through it.
+ */
+void checkIterations(std::uint64_t iterations, const char *what);
+
 /** Options controlling a simulation campaign. */
 struct SimOptions
 {

@@ -723,97 +723,30 @@ candidateConsistent(const Program &program,
     return fenceScHolds(program, derived, rf, co, fr);
 }
 
-/** The outcome of one consistent candidate. */
-litmus::Outcome
-extractOutcome(const Program &program,
-               const std::vector<std::vector<EventId>> &orders,
-               const std::vector<std::uint64_t> &value)
+/** The final write of @p loc in per-location coherence @p orders. */
+EventId
+finalWrite(const Program &program,
+           const std::vector<std::vector<EventId>> &orders, LocationId loc)
 {
-    const auto &events = program.events();
-    litmus::Outcome outcome;
-    for (EventId r : program.reads()) {
-        const Event &read = events[r];
-        if (read.destReg.empty())
-            continue;
-        outcome.registers[read.threadName + "." + read.destReg] =
-            value[r];
-    }
-    for (LocationId loc = 0;
-         loc < static_cast<LocationId>(program.locationCount()); loc++) {
-        const auto &order = orders[static_cast<std::size_t>(loc)];
-        EventId final_write =
-            order.empty() ? program.initWrite(loc) : order.back();
-        outcome.memory[program.locationName(loc)] = value[final_write];
-    }
-    return outcome;
+    const auto &order = orders[static_cast<std::size_t>(loc)];
+    return order.empty() ? program.initWrite(loc) : order.back();
 }
 
 /**
  * Flat outcome accumulation for the enumeration hot path: consistent
- * candidates are deduplicated as flat value vectors against a
- * per-program slot schema instead of constructing a string-keyed
- * litmus::Outcome (two std::map builds plus a set insert of map pairs)
- * per candidate.
- *
- * The schema is fixed by the program alone: one register slot per
- * distinct "thread.reg" destination key (sorted; on duplicate keys the
- * last read in Program::reads() order supplies the value — the
- * map-assignment semantics of extractOutcome) and one memory slot per
- * location (sorted by name; the value comes from the candidate's
- * coherence-final write). Every consistent candidate of one program
- * fills exactly these slots, so lexicographic comparison of the flat
- * vectors coincides with litmus::Outcome's map comparison: the
- * materialized outcome set, and the first-candidate-per-outcome
- * witness selection, are identical to per-candidate construction.
+ * candidates are deduplicated as keys packed in the program's
+ * OutcomeLayout instead of constructing a string-keyed litmus::Outcome
+ * (two std::map builds plus a set insert of map pairs) per candidate.
+ * Packed keys compare as outcomes do, so the materialized outcome set,
+ * and the first-candidate-per-outcome witness selection, are identical
+ * to per-candidate construction.
  */
 class OutcomeAccumulator
 {
   public:
     explicit OutcomeAccumulator(const Program &program)
-        : program(program)
+        : program(program), layout(program)
     {
-        // The schema sorts and dedups without building any "thread.reg"
-        // string: slots order by (thread, reg) pair comparison over the
-        // events' own strings, which is exactly the concatenated-key
-        // order ('.' < [0-9A-Za-z_] and identifiers contain no '.');
-        // the keys themselves are only rendered in materialize().
-        const auto &events = program.events();
-        for (EventId r : program.reads()) {
-            if (!events[r].destReg.empty())
-                reg_events.push_back(r);
-        }
-        const auto key_less = [&](EventId a, EventId b) {
-            const Event &ea = events[a];
-            const Event &eb = events[b];
-            if (int c = ea.threadName.compare(eb.threadName))
-                return c < 0;
-            return ea.destReg < eb.destReg;
-        };
-        // Stable sort, then keep the *last* read per duplicate key —
-        // the map-assignment semantics of extractOutcome.
-        std::stable_sort(reg_events.begin(), reg_events.end(),
-                         key_less);
-        std::size_t kept = 0;
-        for (std::size_t i = 0; i < reg_events.size(); i++) {
-            if (i + 1 < reg_events.size() &&
-                !key_less(reg_events[i], reg_events[i + 1])) {
-                continue; // a later read shadows this slot
-            }
-            reg_events[kept++] = reg_events[i];
-        }
-        reg_events.resize(kept);
-
-        for (LocationId loc = 0;
-             loc < static_cast<LocationId>(program.locationCount());
-             loc++) {
-            mem_locs.push_back(loc);
-        }
-        std::sort(mem_locs.begin(), mem_locs.end(),
-                  [&](LocationId a, LocationId b) {
-                      return program.locationName(a) <
-                             program.locationName(b);
-                  });
-        scratch.resize(reg_events.size() + mem_locs.size());
     }
 
     /**
@@ -824,15 +757,10 @@ class OutcomeAccumulator
     insert(const std::vector<std::vector<EventId>> &orders,
            const std::vector<std::uint64_t> &value)
     {
-        std::size_t slot = 0;
-        for (EventId r : reg_events)
-            scratch[slot++] = value[r];
-        for (LocationId loc : mem_locs) {
-            const auto &order = orders[static_cast<std::size_t>(loc)];
-            const EventId final_write =
-                order.empty() ? program.initWrite(loc) : order.back();
-            scratch[slot++] = value[final_write];
-        }
+        layout.pack(
+            value,
+            [&](LocationId loc) { return finalWrite(program, orders, loc); },
+            scratch);
         return flat.insert(scratch).second;
     }
 
@@ -847,17 +775,8 @@ class OutcomeAccumulator
     void
     materialize(CheckResult &result)
     {
-        const auto &events = program.events();
         for (const auto &key : flat) {
-            litmus::Outcome outcome;
-            std::size_t slot = 0;
-            for (EventId r : reg_events) {
-                const Event &read = events[r];
-                outcome.registers[read.threadName + "." +
-                                  read.destReg] = key[slot++];
-            }
-            for (LocationId loc : mem_locs)
-                outcome.memory[program.locationName(loc)] = key[slot++];
+            litmus::Outcome outcome = layout.outcome(key);
             auto wit = witnesses.find(key);
             if (wit != witnesses.end()) {
                 result.witnesses.emplace(outcome,
@@ -869,8 +788,7 @@ class OutcomeAccumulator
 
   private:
     const Program &program;
-    std::vector<EventId> reg_events;    ///< value source per register slot
-    std::vector<LocationId> mem_locs;   ///< location per memory slot
+    const OutcomeLayout layout;
     std::vector<std::uint64_t> scratch; ///< last packed candidate
     std::set<std::vector<std::uint64_t>> flat;
     std::map<std::vector<std::uint64_t>, Witness> witnesses;
@@ -1114,71 +1032,58 @@ class IncrementalEnumerator
                           OutcomeAccumulator &acc,
                           std::size_t depth_bucket, EnumScratch &scratch)
         : program(program), opts(opts), result(result), acc(acc),
-          depth_bucket(depth_bucket),
+          depth_bucket(depth_bucket), s(scratch),
           events(program.events()), n(program.size()),
-          L(program.locationCount()), reads(program.reads()),
-          reads_at(scratch.reads_at),
-          atomic_reads_at(scratch.atomic_reads_at),
-          clique_pool(scratch.clique_pool),
-          cliques_at(scratch.cliques_at),
-          prefix_product(scratch.prefix_product),
-          closure(scratch.closure), source_of(scratch.source_of),
-          cb_pairs(scratch.cb_pairs), pos(scratch.pos),
-          color(scratch.color), frames(scratch.frames),
-          live_members(scratch.live_members),
-          final_values(scratch.final_values),
-          vals_scratch(scratch.vals), locs(scratch.locs),
-          orders_scratch(scratch.orders), digits(scratch.digits),
-          total_order(scratch.total_order)
+          L(program.locationCount()), reads(program.reads())
     {
-        clearRows(reads_at, L);
-        clearRows(atomic_reads_at, L);
+        clearRows(s.reads_at, L);
+        clearRows(s.atomic_reads_at, L);
         for (EventId r : reads) {
             const auto loc = static_cast<std::size_t>(events[r].location);
-            reads_at[loc].push_back(r);
+            s.reads_at[loc].push_back(r);
             if (events[r].isAtomic())
-                atomic_reads_at[loc].push_back(r);
+                s.atomic_reads_at[loc].push_back(r);
         }
-        clearRows(cliques_at, L);
-        clique_pool.clear();
+        clearRows(s.cliques_at, L);
+        s.clique_pool.clear();
         for (const auto &clique : program.msCliques()) {
-            const std::size_t begin = clique_pool.size();
-            clique.forEach([&](EventId id) { clique_pool.push_back(id); });
-            if (clique_pool.size() != begin) {
-                cliques_at[static_cast<std::size_t>(
-                               events[clique_pool[begin]].location)]
-                    .emplace_back(begin, clique_pool.size());
+            const std::size_t begin = s.clique_pool.size();
+            clique.forEach([&](EventId id) { s.clique_pool.push_back(id); });
+            if (s.clique_pool.size() != begin) {
+                s.cliques_at[static_cast<std::size_t>(
+                               events[s.clique_pool[begin]].location)]
+                    .emplace_back(begin, s.clique_pool.size());
             }
         }
         // Subtree sizes for prefix-prune accounting: prefix_product[i]
         // is the number of completions of a prefix whose unassigned
         // reads are exactly reads[0..i) (assignment runs from the
         // highest read index down).
-        prefix_product.assign(reads.size() + 1, 1);
+        s.prefix_product.assign(reads.size() + 1, 1);
         for (std::size_t i = 0; i < reads.size(); i++) {
-            prefix_product[i + 1] =
-                satMul(prefix_product[i],
+            s.prefix_product[i + 1] =
+                satMul(s.prefix_product[i],
                        program.readSources(reads[i]).size());
         }
-        pos.assign(n, -1);
-        color.assign(n, 0);
-        source_of.assign(n, static_cast<EventId>(-1));
-        clearRows(locs, L);
-        clearRows(orders_scratch, L);
+        s.pos.assign(n, -1);
+        s.color.assign(n, 0);
+        s.source_of.assign(n, static_cast<EventId>(-1));
+        clearRows(s.locs, L);
+        clearRows(s.orders, L);
     }
 
     void
     run()
     {
-        if (closure.size() < reads.size() + 1)
-            closure.resize(reads.size() + 1);
-        closure[0] = program.depClosure();
-        if (!closure[0].irreflexive()) {
+        if (s.closure.size() < reads.size() + 1)
+            s.closure.resize(reads.size() + 1);
+        s.closure[0] = program.depClosure();
+        if (!s.closure[0].irreflexive()) {
             // The dependency order alone is cyclic: every assignment is
             // a thin-air rejection.
-            result.stats.rfAssignments += prefix_product[reads.size()];
+            result.stats.rfAssignments += s.prefix_product[reads.size()];
             result.stats.rejectNoThinAir +=
-                prefix_product[reads.size()];
+                s.prefix_product[reads.size()];
             result.stats.layerRfPrefixReject++;
             return;
         }
@@ -1198,21 +1103,21 @@ class IncrementalEnumerator
         for (EventId src : program.readSources(r)) {
             if (result.budgetExceeded)
                 return;
-            if (closure[depth].insertWouldCycle(src, r)) {
+            if (s.closure[depth].insertWouldCycle(src, r)) {
                 // ---- Axiom: No-Thin-Air (whole subtree) -----------
                 // Every completion of this prefix contains the cycle:
                 // charge them all without enumerating.
-                result.stats.rfAssignments += prefix_product[ri];
-                result.stats.rejectNoThinAir += prefix_product[ri];
+                result.stats.rfAssignments += s.prefix_product[ri];
+                result.stats.rejectNoThinAir += s.prefix_product[ri];
                 result.stats.layerRfPrefixReject++;
                 continue;
             }
-            closure[depth + 1] = closure[depth];
-            closure[depth + 1].insertClosure(src, r);
+            s.closure[depth + 1] = s.closure[depth];
+            s.closure[depth + 1].insertClosure(src, r);
             result.stats.layerRfDelta++;
-            source_of[r] = src;
+            s.source_of[r] = src;
             dfs(depth + 1);
-            source_of[r] = static_cast<EventId>(-1);
+            s.source_of[r] = static_cast<EventId>(-1);
         }
     }
 
@@ -1221,11 +1126,11 @@ class IncrementalEnumerator
     {
         CheckStats &stats = result.stats;
         stats.rfAssignments++;
-        Relation rf = rfRelation(program, source_of);
+        Relation rf = rfRelation(program, s.source_of);
         // No-Thin-Air holds by construction: the maintained closure
         // stayed irreflexive along the whole prefix.
-        Valuation &vals = vals_scratch;
-        evaluateInto(program, rf, source_of, vals);
+        Valuation &vals = s.vals;
+        evaluateInto(program, rf, s.source_of, vals);
         if (!vals.feasible) {
             stats.rejectValueInfeasible++;
             return;
@@ -1248,7 +1153,7 @@ class IncrementalEnumerator
 
         // ---- Axiom: Causality, part (a) ---------------------------
         for (EventId r : reads) {
-            if (derived.cause.contains(r, source_of[r])) {
+            if (derived.cause.contains(r, s.source_of[r])) {
                 stats.rejectCausalityA++;
                 return;
             }
@@ -1263,7 +1168,7 @@ class IncrementalEnumerator
                 if (vals.live[w])
                     live_writes.insert(w);
             }
-            LocOrders &lo = locs[static_cast<std::size_t>(loc)];
+            LocOrders &lo = s.locs[static_cast<std::size_t>(loc)];
             lo.clear();
             classifyLocation(loc, live_writes, vals, derived, lo);
             if (lo.count == 0 && live_writes.count() > 0)
@@ -1284,7 +1189,7 @@ class IncrementalEnumerator
         // does, and so on down the check order.
         std::uint64_t p_full = 1, p_ncb = 1, p_nsc = 1, p_viable = 1;
         for (std::size_t loc = 0; loc < L; loc++) {
-            const LocOrders &lo = locs[loc];
+            const LocOrders &lo = s.locs[loc];
             const auto full = static_cast<std::uint64_t>(lo.count);
             p_full = satMul(p_full, full);
             p_ncb = satMul(p_ncb, full - lo.cb);
@@ -1318,20 +1223,20 @@ class IncrementalEnumerator
 
         // Fence-SC is the one cross-location axiom: evaluate it per
         // survivor, in visit order (location 0 fastest).
-        std::vector<std::size_t> &vi = digits;
+        std::vector<std::size_t> &vi = s.digits;
         vi.assign(L, 0);
         while (true) {
             for (std::size_t loc = 0; loc < L; loc++)
-                adoptOrder(loc, locs[loc].viable[vi[loc]]);
-            Relation co = coRelation(program, orders_scratch);
-            Relation fr = frRelation(program, source_of, co);
+                adoptOrder(loc, s.locs[loc].viable[vi[loc]]);
+            Relation co = coRelation(program, s.orders);
+            Relation fr = frRelation(program, s.source_of, co);
             if (fenceScHolds(program, derived, rf, co, fr)) {
                 stats.consistentExecutions++;
-                if (acc.insert(orders_scratch, vals.value) &&
+                if (acc.insert(s.orders, vals.value) &&
                     opts.collectWitnesses) {
                     acc.attachWitness(
                         buildWitness(program, vals.live, rf,
-                                     orders_scratch, derived));
+                                     s.orders, derived));
                 }
             } else {
                 stats.rejectFenceSc++;
@@ -1339,7 +1244,7 @@ class IncrementalEnumerator
             bool done = true;
             for (std::size_t loc = 0; loc < L; loc++) {
                 vi[loc]++;
-                if (vi[loc] < locs[loc].viable.size()) {
+                if (vi[loc] < s.locs[loc].viable.size()) {
                     done = false;
                     break;
                 }
@@ -1365,20 +1270,20 @@ class IncrementalEnumerator
                        const DerivedRelations &derived,
                        const Relation &rf)
     {
-        std::vector<std::size_t> &fi = digits;
+        std::vector<std::size_t> &fi = s.digits;
         fi.assign(L, 0);
         while (true) {
             for (std::size_t loc = 0; loc < L; loc++)
-                adoptOrder(loc, locs[loc].finals[fi[loc]]);
-            if (acc.insert(orders_scratch, vals.value) &&
+                adoptOrder(loc, s.locs[loc].finals[fi[loc]]);
+            if (acc.insert(s.orders, vals.value) &&
                 opts.collectWitnesses) {
                 acc.attachWitness(buildWitness(
-                    program, vals.live, rf, orders_scratch, derived));
+                    program, vals.live, rf, s.orders, derived));
             }
             bool done = true;
             for (std::size_t loc = 0; loc < L; loc++) {
                 fi[loc]++;
-                if (fi[loc] < locs[loc].finals.size()) {
+                if (fi[loc] < s.locs[loc].finals.size()) {
                     done = false;
                     break;
                 }
@@ -1389,13 +1294,13 @@ class IncrementalEnumerator
         }
     }
 
-    /** Copy order @p idx of location @p loc into orders_scratch. */
+    /** Copy order @p idx of location @p loc into s.orders. */
     void
     adoptOrder(std::size_t loc, std::size_t idx)
     {
-        const LocOrders &lo = locs[loc];
+        const LocOrders &lo = s.locs[loc];
         const EventId *order = lo.order(idx);
-        orders_scratch[loc].assign(order, order + lo.length);
+        s.orders[loc].assign(order, order + lo.length);
     }
 
     /**
@@ -1415,7 +1320,7 @@ class IncrementalEnumerator
         void
         push(EventId w, const std::vector<EventId> &prefix)
         {
-            e.pos[w] = static_cast<int>(prefix.size()) - 1;
+            e.s.pos[w] = static_cast<int>(prefix.size()) - 1;
             if (doomDepth >= 0)
                 return;
             // The new co edges of this push are (x, w) for every x
@@ -1424,10 +1329,10 @@ class IncrementalEnumerator
             // while w causally precedes the read. Extensions only add
             // co edges, so doom is inherited by the whole subtree.
             const EventId init = e.program.initWrite(loc);
-            for (const auto &[r, src] : e.cb_pairs) {
+            for (const auto &[r, src] : e.s.cb_pairs) {
                 if (w == src || !derived.cause.contains(w, r))
                     continue;
-                if (src == init || e.pos[src] >= 0) {
+                if (src == init || e.s.pos[src] >= 0) {
                     doomDepth = static_cast<int>(prefix.size());
                     e.result.stats.layerCoPrefixReject++;
                     break;
@@ -1440,7 +1345,7 @@ class IncrementalEnumerator
         {
             if (doomDepth == static_cast<int>(prefix.size()))
                 doomDepth = -1;
-            e.pos[w] = -1;
+            e.s.pos[w] = -1;
         }
 
         bool
@@ -1479,23 +1384,23 @@ class IncrementalEnumerator
                      const Valuation &vals,
                      const DerivedRelations &derived, LocOrders &out)
     {
-        cb_pairs.clear();
-        for (EventId r : reads_at[static_cast<std::size_t>(loc)])
-            cb_pairs.emplace_back(r, source_of[r]);
+        s.cb_pairs.clear();
+        for (EventId r : s.reads_at[static_cast<std::size_t>(loc)])
+            s.cb_pairs.emplace_back(r, s.source_of[r]);
         Classifier visitor{*this, loc, vals, derived, out};
         relation::forEachTotalOrderVisit(
             live_writes, derived.cause.restrict(live_writes), visitor,
-            total_order);
+            s.total_order);
         // One representative order per distinct final-write value, in
         // first-occurrence order, for the no-fence outcome product.
         out.finals.clear();
-        final_values.clear();
+        s.final_values.clear();
         const EventId init = program.initWrite(loc);
         for (std::size_t idx : out.viable) {
             const std::uint64_t v = vals.value[out.finalWrite(idx, init)];
-            if (std::find(final_values.begin(), final_values.end(),
-                          v) == final_values.end()) {
-                final_values.push_back(v);
+            if (std::find(s.final_values.begin(), s.final_values.end(),
+                          v) == s.final_values.end()) {
+                s.final_values.push_back(v);
                 out.finals.push_back(idx);
             }
         }
@@ -1514,8 +1419,8 @@ class IncrementalEnumerator
         if (x == y || y == init)
             return false;
         if (x == init)
-            return pos[y] >= 0;
-        return pos[x] >= 0 && pos[y] >= 0 && pos[x] < pos[y];
+            return s.pos[y] >= 0;
+        return s.pos[x] >= 0 && s.pos[y] >= 0 && s.pos[x] < s.pos[y];
     }
 
     /** One comm = rf | co | fr | po edge within a live clique. */
@@ -1524,11 +1429,11 @@ class IncrementalEnumerator
     {
         if (program.po().contains(x, y))
             return true;
-        if (events[y].isRead() && source_of[y] == x)
+        if (events[y].isRead() && s.source_of[y] == x)
             return true;
         if (events[x].isWrite() && coBefore(loc, x, y))
             return true;
-        if (events[x].isRead() && coBefore(loc, source_of[x], y))
+        if (events[x].isRead() && coBefore(loc, s.source_of[x], y))
             return true;
         return false;
     }
@@ -1538,14 +1443,14 @@ class IncrementalEnumerator
     scFails(LocationId loc, const Valuation &vals)
     {
         for (const auto &[begin, end] :
-             cliques_at[static_cast<std::size_t>(loc)]) {
-            live_members.clear();
+             s.cliques_at[static_cast<std::size_t>(loc)]) {
+            s.live_members.clear();
             for (std::size_t i = begin; i < end; i++) {
-                const EventId m = clique_pool[i];
+                const EventId m = s.clique_pool[i];
                 if (vals.live[m])
-                    live_members.push_back(m);
+                    s.live_members.push_back(m);
             }
-            if (cliqueCyclic(loc, live_members))
+            if (cliqueCyclic(loc, s.live_members))
                 return true;
         }
         return false;
@@ -1556,28 +1461,28 @@ class IncrementalEnumerator
     cliqueCyclic(LocationId loc, const std::vector<EventId> &members)
     {
         for (EventId m : members)
-            color[m] = 0;
+            s.color[m] = 0;
         for (EventId root : members) {
-            if (color[root] != 0)
+            if (s.color[root] != 0)
                 continue;
-            color[root] = 1;
-            frames.clear();
-            frames.push_back({root, 0});
-            while (!frames.empty()) {
-                Frame &f = frames.back();
+            s.color[root] = 1;
+            s.frames.clear();
+            s.frames.push_back({root, 0});
+            while (!s.frames.empty()) {
+                EnumScratch::Frame &f = s.frames.back();
                 if (f.next >= members.size()) {
-                    color[f.node] = 2;
-                    frames.pop_back();
+                    s.color[f.node] = 2;
+                    s.frames.pop_back();
                     continue;
                 }
                 const EventId y = members[f.next++];
                 if (y == f.node || !commEdge(loc, f.node, y))
                     continue;
-                if (color[y] == 1)
+                if (s.color[y] == 1)
                     return true;
-                if (color[y] == 0) {
-                    color[y] = 1;
-                    frames.push_back({y, 0});
+                if (s.color[y] == 0) {
+                    s.color[y] = 1;
+                    s.frames.push_back({y, 0});
                 }
             }
         }
@@ -1589,12 +1494,12 @@ class IncrementalEnumerator
     atomFails(LocationId loc, const std::vector<EventId> &order,
               const Valuation &vals) const
     {
-        for (EventId r : atomic_reads_at[static_cast<std::size_t>(loc)]) {
+        for (EventId r : s.atomic_reads_at[static_cast<std::size_t>(loc)]) {
             const Event &read = events[r];
             const EventId w = read.rmwPartner;
             if (!vals.live[w])
                 continue;
-            const EventId src = source_of[r];
+            const EventId src = s.source_of[r];
             for (EventId w2 : order) {
                 if (w2 == src || w2 == w)
                     continue;
@@ -1612,36 +1517,77 @@ class IncrementalEnumerator
     CheckResult &result;
     OutcomeAccumulator &acc;
     const std::size_t depth_bucket;
+    /**
+     * Static per-program tables (built once per check), then the rf-
+     * and co-layer state: the thread's EnumScratch.
+     */
+    EnumScratch &s;
     const std::vector<Event> &events;
     const std::size_t n;
     const std::size_t L; ///< locations
     const std::vector<EventId> &reads;
 
-    // Static per-program tables (built once per check), then the rf-
-    // and co-layer state; all of it lives in the thread's EnumScratch.
-    using Frame = EnumScratch::Frame;
-    std::vector<std::vector<EventId>> &reads_at;
-    std::vector<std::vector<EventId>> &atomic_reads_at;
-    std::vector<EventId> &clique_pool;
-    std::vector<std::vector<std::pair<std::size_t, std::size_t>>>
-        &cliques_at;
-    std::vector<std::uint64_t> &prefix_product;
-    std::vector<Relation> &closure;
-    std::vector<EventId> &source_of;
-    std::vector<std::pair<EventId, EventId>> &cb_pairs;
-    std::vector<int> &pos;
-    std::vector<signed char> &color;
-    std::vector<Frame> &frames;
-    std::vector<EventId> &live_members;
-    std::vector<std::uint64_t> &final_values;
-    Valuation &vals_scratch;
-    std::vector<LocOrders> &locs;
-    std::vector<std::vector<EventId>> &orders_scratch;
-    std::vector<std::size_t> &digits;
-    relation::TotalOrderScratch &total_order;
 };
 
 } // namespace
+
+OutcomeLayout::OutcomeLayout(const Program &program)
+    : program(program)
+{
+    // Slots sort and dedup without building any "thread.reg" string:
+    // they order by (thread, reg) pair comparison over the events' own
+    // strings, which is exactly the concatenated-key order ('.' <
+    // [0-9A-Za-z_] and identifiers contain no '.'); the keys themselves
+    // are only rendered in outcome().
+    const auto &events = program.events();
+    for (EventId r : program.reads()) {
+        if (!events[r].destReg.empty())
+            reg_events.push_back(r);
+    }
+    const auto key_less = [&](EventId a, EventId b) {
+        const Event &ea = events[a];
+        const Event &eb = events[b];
+        if (int c = ea.threadName.compare(eb.threadName))
+            return c < 0;
+        return ea.destReg < eb.destReg;
+    };
+    // Stable sort, then keep the *last* read per duplicate key.
+    std::stable_sort(reg_events.begin(), reg_events.end(), key_less);
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < reg_events.size(); i++) {
+        if (i + 1 < reg_events.size() &&
+            !key_less(reg_events[i], reg_events[i + 1])) {
+            continue; // a later read shadows this slot
+        }
+        reg_events[kept++] = reg_events[i];
+    }
+    reg_events.resize(kept);
+
+    for (LocationId loc = 0;
+         loc < static_cast<LocationId>(program.locationCount()); loc++) {
+        mem_locs.push_back(loc);
+    }
+    std::sort(mem_locs.begin(), mem_locs.end(),
+              [&](LocationId a, LocationId b) {
+                  return program.locationName(a) < program.locationName(b);
+              });
+}
+
+litmus::Outcome
+OutcomeLayout::outcome(const std::vector<std::uint64_t> &key) const
+{
+    const auto &events = program.events();
+    litmus::Outcome outcome;
+    std::size_t slot = 0;
+    for (EventId r : reg_events) {
+        const Event &read = events[r];
+        outcome.registers[read.threadName + "." + read.destReg] =
+            key[slot++];
+    }
+    for (LocationId loc : mem_locs)
+        outcome.memory[program.locationName(loc)] = key[slot++];
+    return outcome;
+}
 
 std::optional<litmus::Outcome>
 evaluateCandidate(const Program &program,
@@ -1722,7 +1668,13 @@ evaluateCandidate(const Program &program,
         return std::nullopt;
     }
 
-    return extractOutcome(program, orders, vals.value);
+    const OutcomeLayout layout(program);
+    std::vector<std::uint64_t> key;
+    layout.pack(
+        vals.value,
+        [&](LocationId loc) { return finalWrite(program, orders, loc); },
+        key);
+    return layout.outcome(key);
 }
 
 void

@@ -402,6 +402,47 @@ struct CandidateExecution
 };
 
 /**
+ * The flat outcome layout of one program: one slot per distinct
+ * "thread.reg" destination key (sorted; when reads share a key, the
+ * last in Program::reads() order supplies the value), then one slot per
+ * location (sorted by name) holding its final write's value. Every
+ * execution of the program fills exactly these slots, so packed keys
+ * compare as litmus::Outcome's maps do. The checker dedups its
+ * outcomes in this layout, evaluateCandidate() and the SC walk
+ * (model/sc.hh) build theirs through it.
+ */
+class OutcomeLayout
+{
+  public:
+    explicit OutcomeLayout(const Program &program);
+
+    /**
+     * Pack into @p key the outcome of an execution whose events have
+     * values @p value and whose final write to location l is
+     * final_write(l).
+     */
+    template <typename FinalWrite>
+    void
+    pack(const std::vector<std::uint64_t> &value, FinalWrite final_write,
+         std::vector<std::uint64_t> &key) const
+    {
+        key.clear();
+        for (EventId r : reg_events)
+            key.push_back(value[r]);
+        for (LocationId loc : mem_locs)
+            key.push_back(value[final_write(loc)]);
+    }
+
+    /** The string-keyed outcome of a packed @p key. */
+    litmus::Outcome outcome(const std::vector<std::uint64_t> &key) const;
+
+  private:
+    const Program &program;
+    std::vector<EventId> reg_events;  ///< value source per register slot
+    std::vector<LocationId> mem_locs; ///< location per memory slot
+};
+
+/**
  * Check one candidate execution against all six PTX axioms (the same
  * axioms Checker::check() applies during enumeration) and return its
  * outcome when consistent, std::nullopt when any

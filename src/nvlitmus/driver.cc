@@ -13,6 +13,7 @@
 #include "engine/service.hh"
 #include "litmus/parser.hh"
 #include "litmus/registry.hh"
+#include "microarch/simulator.hh"
 #include "obs/obs.hh"
 #include "obs/report.hh"
 #include "relation/error.hh"
@@ -269,6 +270,8 @@ parseArgs(const std::vector<std::string> &args)
             request.sim.enabled = true;
             request.sim.iterations =
                 count_value(arg.substr(11), "bad --simulate count");
+            microarch::checkIterations(request.sim.iterations,
+                                       "--simulate");
         } else if (arg.size() > 1 && arg[0] == '-') {
             // "-" alone still means stdin.
             fatal("unknown option '", arg, "'");

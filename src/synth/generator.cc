@@ -9,11 +9,11 @@
 #include <sstream>
 
 #include "model/checker.hh"
+#include "model/sc.hh"
 #include "obs/obs.hh"
 #include "relation/error.hh"
 #include "runtime/parallel.hh"
 #include "synth/mutate.hh"
-#include "synth/sc_reference.hh"
 #include "synth/skeletons.hh"
 
 namespace mixedproxy::synth {
@@ -142,6 +142,7 @@ std::optional<litmus::LitmusTest>
 materialize(const Skeleton &program, const std::vector<Template> &alpha,
             const ProtoTable &protos, std::size_t index, bool same_cta)
 {
+    obs::Span span("synth.materialize");
     using K = Template::Kind;
     // Declare aliases for every location that an alias template uses.
     bool aliased[2] = {false, false};
@@ -344,9 +345,9 @@ everyFenceLoadBearing(const litmus::LitmusTest &test,
 }
 
 /**
- * Classify one materialized program as weak (against the SC reference
- * executor), proxy-sensitive and, with @p fenceMinimality,
- * fence-minimal. The test is kept in the entry only if interesting.
+ * Classify one materialized program as weak (against its SC outcomes),
+ * proxy-sensitive and, with @p fenceMinimality, fence-minimal, from one
+ * PTX 7.5 expansion. The test is kept in the entry only if interesting.
  */
 Classified
 classify(litmus::LitmusTest test, bool fenceMinimality)
@@ -354,7 +355,8 @@ classify(litmus::LitmusTest test, bool fenceMinimality)
     obs::Span check_span("synth.check");
     Classified c;
     try {
-        const TwoModelVerdict verdict = checkBothModels(test);
+        const model::Program program = expandPtx75(test);
+        const TwoModelVerdict verdict = checkBothModels(program);
         c.checked75 = verdict.checked75;
         c.tooExpensive = verdict.tooExpensive;
         if (c.tooExpensive)
@@ -364,7 +366,11 @@ classify(litmus::LitmusTest test, bool fenceMinimality)
         c.entry.ptx60Outcomes = verdict.ptx60Outcomes;
         c.entry.proxySensitive = verdict.proxySensitive;
 
-        const auto sc = scOutcomes(test);
+        std::set<litmus::Outcome> sc;
+        {
+            obs::Span sc_span("synth.sc");
+            sc = model::scOutcomes(program);
+        }
         c.entry.weak = std::any_of(
             verdict.ptx75Outcomes.begin(), verdict.ptx75Outcomes.end(),
             [&](const litmus::Outcome &o) { return !sc.count(o); });
@@ -381,21 +387,23 @@ classify(litmus::LitmusTest test, bool fenceMinimality)
 
 } // namespace
 
+model::Program
+expandPtx75(const litmus::LitmusTest &test)
+{
+    obs::Span expand_span("check.expand");
+    return model::Program(test, model::ProxyMode::Ptx75);
+}
+
 TwoModelVerdict
-checkBothModels(const litmus::LitmusTest &test)
+checkBothModels(const model::Program &prog75)
 {
     TwoModelVerdict verdict;
     // One static expansion serves both checks: the Program carries the
     // precomputed base layers (dep closure, must base causality) the
     // incremental enumeration core starts from, so expanding per model
     // would redo exactly the work the layering is meant to share. The
-    // expansion and the view are timed as the checker times its own.
-    std::optional<model::Program> prog75;
-    {
-        obs::Span expand_span("check.expand");
-        prog75.emplace(test, model::ProxyMode::Ptx75);
-    }
-    auto r75 = budgetedChecker(model::ProxyMode::Ptx75).check(*prog75);
+    // view is timed as the checker times its own expansion.
+    auto r75 = budgetedChecker(model::ProxyMode::Ptx75).check(prog75);
     if (r75.budgetExceeded) {
         verdict.tooExpensive = true;
         return verdict;
@@ -407,14 +415,14 @@ checkBothModels(const litmus::LitmusTest &test)
     // fact the checker's single-proxy fast path rests on — so both
     // admit exactly r75's outcomes (and would enumerate the same
     // candidates, so the budget verdict matches too).
-    verdict.singleProxy = !prog75->usesMixedProxies();
+    verdict.singleProxy = !prog75.usesMixedProxies();
     if (verdict.singleProxy) {
         verdict.ptx60Outcomes = r75.outcomes.size();
     } else {
         std::optional<model::Program> prog60;
         {
             obs::Span expand_span("check.expand");
-            prog60.emplace(prog75->ptx60View());
+            prog60.emplace(prog75.ptx60View());
         }
         auto r60 = budgetedChecker(model::ProxyMode::Ptx60).check(*prog60);
         if (r60.budgetExceeded) {

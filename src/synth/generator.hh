@@ -33,6 +33,7 @@
 
 #include "litmus/outcome.hh"
 #include "litmus/test.hh"
+#include "model/program.hh"
 #include "obs/obs.hh"
 
 namespace mixedproxy::synth {
@@ -63,15 +64,22 @@ struct TwoModelVerdict
 };
 
 /**
- * Check @p test under PTX 7.5, then PTX 6.0, each within
- * kMaxExecutionsPerCheck, from one PTX 7.5 expansion: the PTX 6.0 check
- * reads its ptx60View(), or single-proxy pruning (docs/static_solver.md
- * "Synthesis pruning") answers it. Synthesis classification and
- * proxySensitivityPredicate share this step.
+ * The PTX 7.5 expansion of @p test, timed as one "check.expand" span as
+ * the checker times its own. Synthesis classification and
+ * proxySensitivityPredicate expand through it.
  *
  * @throws FatalError if @p test does not expand.
  */
-TwoModelVerdict checkBothModels(const litmus::LitmusTest &test);
+model::Program expandPtx75(const litmus::LitmusTest &test);
+
+/**
+ * Check the PTX 7.5 expansion @p prog75 under PTX 7.5, then PTX 6.0,
+ * each within kMaxExecutionsPerCheck: the PTX 6.0 check reads its
+ * ptx60View(), or single-proxy pruning (docs/static_solver.md
+ * "Synthesis pruning") answers it. Synthesis classification and
+ * proxySensitivityPredicate share this step.
+ */
+TwoModelVerdict checkBothModels(const model::Program &prog75);
 
 /** One synthesized-and-classified test. */
 struct SynthesizedTest

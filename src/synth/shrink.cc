@@ -94,7 +94,7 @@ proxySensitivityPredicate()
         try {
             // A candidate too expensive to check is not proxy-sensitive:
             // "does not preserve".
-            return checkBothModels(candidate).proxySensitive;
+            return checkBothModels(expandPtx75(candidate)).proxySensitive;
         } catch (const FatalError &) {
             return false; // malformed candidate: "does not preserve"
         }

@@ -20,6 +20,7 @@
 #include "engine/eventlog.hh"
 #include "engine/json.hh"
 #include "engine/service.hh"
+#include "microarch/simulator.hh"
 #include "obs/obs.hh"
 #include "support/chrome_trace.hh"
 
@@ -426,6 +427,45 @@ TEST(Service, LintOnlyAnswersWithTheAnalyzerReportAlone)
     EXPECT_NE(report.find("\n\nlint fig9_message_passing: 0 error(s)"),
               std::string::npos)
         << report;
+}
+
+TEST(Service, OverCapSimIterationsIsAnErrorAndServingContinues)
+{
+    // One request asking for more schedules than
+    // microarch::kMaxIterations once held a daemon worker for as long
+    // as it liked; now it is refused and the next request (at the cap)
+    // is still served.
+    const std::string cap = std::to_string(microarch::kMaxIterations);
+    const std::string over =
+        std::to_string(microarch::kMaxIterations + 1);
+    std::istringstream in(
+        "{\"test\":\"fig9_message_passing\",\"sim\":true,"
+        "\"sim_iterations\":" + over + ",\"id\":1}\n"
+        "{\"test\":\"fig9_message_passing\",\"sim_iterations\":" +
+        cap + ",\"id\":2}\n");
+    Engine engine;
+    std::ostringstream out;
+    std::ostringstream err;
+    ServeOptions options;
+    options.jobs = 1;
+    ASSERT_EQ(serve(engine, options, in, out, err), 0);
+
+    std::istringstream lines(out.str());
+    std::string first, second;
+    ASSERT_TRUE(std::getline(lines, first));
+    ASSERT_TRUE(std::getline(lines, second));
+    auto bad = json::parse(first);
+    auto next = json::parse(second);
+    ASSERT_TRUE(bad && next) << first << "\n" << second;
+    EXPECT_FALSE(bad->boolOr("ok", true));
+    EXPECT_NE(bad->stringOr("error", "").find(
+                  "'sim_iterations' must be at most " + cap + " (got " +
+                  over + ")"),
+              std::string::npos)
+        << first;
+    EXPECT_TRUE(next->boolOr("ok", false)) << second;
+    EXPECT_TRUE(next->boolOr("passed", false)) << second;
+    EXPECT_EQ(next->uintOr("id", 0), 2u);
 }
 
 TEST(Service, DeeplyNestedRequestIsAnErrorAndServingContinues)

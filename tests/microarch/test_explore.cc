@@ -10,8 +10,8 @@
 #include "microarch/explore.hh"
 #include "microarch/simulator.hh"
 #include "model/checker.hh"
+#include "model/sc.hh"
 #include "relation/error.hh"
-#include "synth/sc_reference.hh"
 
 namespace {
 
@@ -76,7 +76,8 @@ TEST_P(ExactSoundness, CoherentMachineEqualsScReference)
     const auto &test = litmus::testByName(GetParam());
     auto coherent =
         exploreAllSchedules(test, CoherenceMode::FullyCoherent);
-    auto sc = synth::scOutcomes(test);
+    auto sc = model::scOutcomes(
+        model::Program(test, model::ProxyMode::Ptx75));
     EXPECT_EQ(coherent.outcomes, sc) << test.name();
 }
 

@@ -10,8 +10,8 @@
 #include "litmus/test.hh"
 #include "model/checker.hh"
 #include "model/program.hh"
+#include "model/sc.hh"
 #include "relation/error.hh"
-#include "synth/sc_reference.hh"
 
 namespace {
 
@@ -158,7 +158,8 @@ TEST(BarrierSc, InterleavingsRespectBarrier)
                                          "ld.global.u32 r2, [x]"})
                     .permit("t1.r2 == 1")
                     .build();
-    for (const auto &outcome : synth::scOutcomes(test)) {
+    for (const auto &outcome :
+         scOutcomes(Program(test, ProxyMode::Ptx75))) {
         // r1 reads y before the barrier: never 1. r2 reads x after:
         // always 1.
         EXPECT_EQ(outcome.reg("t1", "r1"), 0u) << outcome.toString();

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "litmus/parser.hh"
+#include "microarch/simulator.hh"
 #include "nvlitmus/driver.hh"
 #include "relation/error.hh"
 
@@ -153,6 +154,25 @@ TEST(Cli, BadConformWindowIsUsageError)
         EXPECT_EQ(err.find("internal error"), std::string::npos) << err;
         EXPECT_EQ(out, "");
     }
+}
+
+TEST(Cli, OverCapSimulateCountIsUsageError)
+{
+    const std::string cap = std::to_string(microarch::kMaxIterations);
+    EXPECT_EQ(parseArgs({"--simulate=" + cap}).request.sim.iterations,
+              microarch::kMaxIterations);
+    std::string out;
+    std::string err;
+    EXPECT_EQ(run({"--simulate=" +
+                       std::to_string(microarch::kMaxIterations + 1),
+                   "fig9_message_passing"},
+                  &out, &err),
+              2);
+    EXPECT_NE(err.find("--simulate must be at most " + cap),
+              std::string::npos)
+        << err;
+    EXPECT_NE(err.find("usage:"), std::string::npos) << err;
+    EXPECT_EQ(out, "");
 }
 
 TEST(Cli, HelpMentionsJobs)

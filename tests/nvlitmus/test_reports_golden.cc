@@ -3,7 +3,8 @@
  * Golden suite for the CLI's report path: a fixed list of nvlitmus
  * command lines — multi-input reports with every report section on, at
  * one and at four workers, --lint-only batches, a failing batch and
- * batches with an unreadable input — must reproduce the checked-in
+ * batches with an unreadable input, pre-solver reports and the
+ * pre-solver's differential sweep — must reproduce the checked-in
  * transcript of stdout, stderr and exit code byte-for-byte.
  *
  * On a mismatch the test writes the transcript it produced to
@@ -48,6 +49,15 @@ const std::vector<std::vector<std::string>> kCommands = {
     {"--lint-only", "fig9_message_passing", "no_such_input.litmus"},
     {"--conform", "no_such_a.trace", "--conform", "no_such_b.trace",
      "--jobs", "2"},
+    // Every built-in with an assertion the pre-solver's witness
+    // schedules discharge, and the pre-solver's soundness sweep.
+    {"--presolve=only", "fig4_const_alias_generic_fence",
+     "fig9_message_passing", "lb_data_dependency", "atom_cas_mutex",
+     "s_release_acquire", "proxy_fence_is_not_sync",
+     "nc_load_races_with_store", "barrier_constant_no_fence",
+     "barrier_cross_cta_useless", "async_copy_no_wait",
+     "async_copy_stale_source", "async_copy_racing_store"},
+    {"--presolve-diff"},
 };
 
 std::string

@@ -12,8 +12,8 @@
 
 #include "microarch/simulator.hh"
 #include "model/checker.hh"
+#include "model/sc.hh"
 #include "synth/generator.hh"
-#include "synth/sc_reference.hh"
 
 namespace {
 
@@ -73,8 +73,9 @@ TEST(SynthCrossValidation, ScLegalityOnSynthesizedTests)
 
     auto corpus = synthesizedCorpus();
     for (const auto &test : corpus) {
-        auto allowed = checker.check(test).outcomes;
-        for (const auto &outcome : scOutcomes(test)) {
+        const model::Program program(test, model::ProxyMode::Ptx75);
+        auto allowed = checker.check(program).outcomes;
+        for (const auto &outcome : model::scOutcomes(program)) {
             ASSERT_TRUE(allowed.count(outcome))
                 << test.toString()
                 << "SC outcome not allowed: " << outcome.toString();

@@ -7,11 +7,11 @@
 
 #include "litmus/registry.hh"
 #include "model/checker.hh"
+#include "model/sc.hh"
 #include "obs/obs.hh"
 #include "relation/error.hh"
 #include "synth/generator.hh"
 #include "synth/mutate.hh"
-#include "synth/sc_reference.hh"
 
 namespace {
 
@@ -144,8 +144,9 @@ TEST(Synthesizer, InterestingTestsSatisfyScSubset)
     mopts.collectWitnesses = false;
     model::Checker checker(mopts);
     for (const auto &entry : report.interesting) {
-        auto allowed = checker.check(entry.test).outcomes;
-        for (const auto &outcome : scOutcomes(entry.test)) {
+        const model::Program program(entry.test, model::ProxyMode::Ptx75);
+        auto allowed = checker.check(program).outcomes;
+        for (const auto &outcome : model::scOutcomes(program)) {
             EXPECT_TRUE(allowed.count(outcome))
                 << entry.test.toString() << outcome.toString();
         }
@@ -350,7 +351,10 @@ TEST(Synthesizer, EveryCheckOpensOneCheckSpan)
 {
     // Each model check of a synthesis run is one "check" span with one
     // "check.expand" and one "check.enumerate" (the run's own PTX 7.5
-    // expansion is timed as check.expand too).
+    // expansion is timed as check.expand too). At n=3 that is 6,120
+    // checks (PTX 7.5, PTX 6.0 where pruning does not answer it, fence
+    // rechecks), and each of the 3,168 unique programs is materialized,
+    // classified and run through the SC walk once.
     obs::Session session;
     session.enable();
     SynthOptions opts;
@@ -360,10 +364,13 @@ TEST(Synthesizer, EveryCheckOpensOneCheckSpan)
         Synthesizer(opts).run();
     }
     session.disable();
-    const auto checks = session.metrics.timer("check").count;
-    EXPECT_GT(checks, 0u);
-    EXPECT_EQ(session.metrics.timer("check.expand").count, checks);
-    EXPECT_EQ(session.metrics.timer("check.enumerate").count, checks);
+    const auto &metrics = session.metrics;
+    EXPECT_EQ(metrics.timer("check").count, 6120u);
+    EXPECT_EQ(metrics.timer("check.expand").count, 6120u);
+    EXPECT_EQ(metrics.timer("check.enumerate").count, 6120u);
+    EXPECT_EQ(metrics.timer("synth.materialize").count, 3168u);
+    EXPECT_EQ(metrics.timer("synth.check").count, 3168u);
+    EXPECT_EQ(metrics.timer("synth.sc").count, 3168u);
 }
 
 TEST(Synthesizer, ParallelRunRespectsMaxUniquePrograms)
