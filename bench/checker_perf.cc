@@ -150,18 +150,13 @@ struct PresolveRun
 PresolveRun
 presolveCorpusRun(model::PresolvePolicy policy)
 {
-    static const analysis::presolve::StaticSolver solver;
     const auto &tests = litmus::allTests();
     model::CheckOptions opts;
     opts.collectWitnesses = false;
-    opts.presolve = policy;
-    if (policy != model::PresolvePolicy::Off)
-        opts.presolver = &solver;
-    model::Checker checker(opts);
     PresolveRun run;
     auto begin = std::chrono::steady_clock::now();
     for (const auto &test : tests) {
-        auto result = checker.check(test);
+        auto result = analysis::presolve::check(test, opts, policy);
         if (result.staticallyDischarged &&
             result.staticallyDischarged->discharged)
             run.discharged++;

@@ -620,7 +620,7 @@ solveAssertion(const Program &program, const litmus::Assertion &a,
 } // namespace
 
 StaticDischarge
-StaticSolver::presolve(const Program &program) const
+discharge(const Program &program)
 {
     StaticDischarge out;
     const auto &asserts = program.test().assertions();
@@ -637,6 +637,58 @@ StaticSolver::presolve(const Program &program) const
         out.assertions.push_back(std::move(v));
     }
     return out;
+}
+
+model::CheckResult
+check(const litmus::LitmusTest &test, const model::CheckOptions &options,
+      model::PresolvePolicy policy)
+{
+    if (policy == model::PresolvePolicy::Off)
+        return model::Checker(options).check(test);
+
+    std::optional<Program> program;
+    {
+        obs::Span expand("check.expand");
+        program.emplace(test, options.mode);
+    }
+    StaticDischarge verdicts;
+    {
+        obs::Span presolve_span("check.presolve");
+        verdicts = discharge(*program);
+    }
+    obs::count(verdicts.discharged ? "check.presolve.discharged"
+                                   : "check.presolve.inconclusive");
+
+    // All-or-nothing: a partial discharge is enumerated in full under
+    // On, keeping the partial provenance.
+    if (!verdicts.discharged && policy == model::PresolvePolicy::On) {
+        model::CheckResult result = model::Checker(options).check(*program);
+        result.staticallyDischarged = std::move(verdicts);
+        return result;
+    }
+
+    model::CheckResult result;
+    result.testName = test.name();
+    result.mode = options.mode;
+    const auto &asserts = test.assertions();
+    for (std::size_t i = 0; i < asserts.size(); i++) {
+        const StaticAssertionVerdict &v = verdicts.assertions[i];
+        model::AssertionCheck check;
+        check.assertion = asserts[i];
+        if (v.conclusive) {
+            check.passed = v.passed;
+            check.detail = "static " + v.method;
+            if (!v.detail.empty())
+                check.detail += ": " + v.detail;
+        } else {
+            check.detail = "statically inconclusive (presolve=only)";
+        }
+        result.assertions.push_back(std::move(check));
+    }
+    result.staticallyDischarged = std::move(verdicts);
+    if (obs::Session *session = obs::current())
+        result.stats.publish(session->metrics);
+    return result;
 }
 
 } // namespace mixedproxy::analysis::presolve

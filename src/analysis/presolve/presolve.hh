@@ -2,7 +2,7 @@
  * @file
  * The static axiomatic pre-solver (docs/static_solver.md).
  *
- * Given an expanded litmus program, StaticSolver attempts to discharge
+ * Given an expanded litmus program, discharge() attempts to decide
  * every assertion without enumerating candidate executions, using two
  * complementary polynomial-time arguments:
  *
@@ -27,10 +27,14 @@
  *    require.
  *
  * Both arguments are sound and incomplete: verdicts are only emitted
- * when proved, and anything else is reported inconclusive — the
- * checker then falls back to full enumeration, so enabling the
+ * when proved, and anything else is reported inconclusive — check()
+ * then falls back to the checker's full enumeration, so enabling the
  * pre-solver can never change a verdict (the differential CI job
  * asserts exactly this corpus-wide).
+ *
+ * The pre-solver runs in front of model::Checker, never inside it:
+ * check() is the one place that composes the two under a
+ * model::PresolvePolicy.
  */
 
 #ifndef MIXEDPROXY_ANALYSIS_PRESOLVE_PRESOLVE_HH
@@ -38,6 +42,7 @@
 
 #include <cstdint>
 
+#include "litmus/test.hh"
 #include "model/checker.hh"
 #include "model/program.hh"
 
@@ -51,17 +56,36 @@ namespace mixedproxy::analysis::presolve {
 inline constexpr std::uint64_t kMaxAssignments = 4096;
 
 /**
- * The concrete model::Presolver. Stateless and thread-safe: one
- * instance can serve concurrent presolve() calls (each call works on
- * its own locals), so the engine shares a single instance across its
- * worker pool.
+ * Attempt to decide @p program's assertions without enumeration: one
+ * verdict per assertion, in assertion order, and `discharged` only when
+ * every one is conclusive (a program without assertions is never
+ * discharged). Sound: a conclusive verdict equals what full enumeration
+ * concludes. Pure, so concurrent calls need no synchronization.
  */
-class StaticSolver : public model::Presolver
-{
-  public:
-    model::StaticDischarge
-    presolve(const model::Program &program) const override;
-};
+model::StaticDischarge discharge(const model::Program &program);
+
+/**
+ * Check @p test under @p options with the pre-solver in front of the
+ * checker (docs/static_solver.md):
+ *
+ *  - Off:  model::Checker(options).check(test), nothing else.
+ *  - On:   expand once ("check.expand"), run discharge() in a
+ *          "check.presolve" span, and return the static verdicts when
+ *          it discharges every assertion; otherwise check the expansion
+ *          with the checker (one "check" span) and attach the partial
+ *          provenance.
+ *  - Only: the same, but an undischarged test is never enumerated: its
+ *          inconclusive assertions fail with a "statically
+ *          inconclusive" note and the outcome set stays empty.
+ *
+ * Every non-Off call counts one check.presolve.discharged or
+ * check.presolve.inconclusive, and a result that skips the checker
+ * still publishes its (zero) CheckStats, so --stats-json carries the
+ * same keys either way.
+ */
+model::CheckResult check(const litmus::LitmusTest &test,
+                         const model::CheckOptions &options,
+                         model::PresolvePolicy policy);
 
 } // namespace mixedproxy::analysis::presolve
 

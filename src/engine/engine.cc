@@ -34,18 +34,6 @@ cacheConfigOf(const EngineConfig &cfg)
     return cacheConfig;
 }
 
-/**
- * The engine's pre-solver instance. StaticSolver is stateless and
- * thread-safe, so one process-wide const instance serves every engine
- * and every concurrent request.
- */
-const analysis::presolve::StaticSolver &
-staticSolver()
-{
-    static const analysis::presolve::StaticSolver solver;
-    return solver;
-}
-
 } // namespace
 
 Engine::Engine(EngineConfig config)
@@ -63,8 +51,6 @@ Engine::checkCached(const litmus::LitmusTest &test,
     model::CheckOptions opts = block;
     opts.mode = mode;
     opts.collectWitnesses = collectWitnesses;
-    if (opts.presolve != model::PresolvePolicy::Off)
-        opts.presolver = &staticSolver();
 
     // Witness-bearing requests bypass the cache: a Witness names the
     // concrete events of this program and cannot be rename-translated.
@@ -73,8 +59,8 @@ Engine::checkCached(const litmus::LitmusTest &test,
     // reconstruction path could translate back (the policy is still
     // part of the fingerprint, see engine/cache.hh).
     if (!cfg.cacheEnabled || collectWitnesses ||
-        opts.presolve != model::PresolvePolicy::Off)
-        return model::Checker(opts).check(test);
+        block.presolve != model::PresolvePolicy::Off)
+        return analysis::presolve::check(test, opts, block.presolve);
 
     CanonicalForm form;
     try {

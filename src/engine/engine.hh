@@ -22,8 +22,10 @@
  * byte-identical to a cold one. Witness-collecting checks bypass the
  * cache (witnesses name concrete events and are not translatable), as
  * do presolve-enabled checks (a statically discharged verdict has no
- * outcome enumeration to store); comparison checks are two cache
- * lookups.
+ * outcome enumeration to store); every bypassing check runs through
+ * analysis::presolve::check, which puts the static pre-solver in front
+ * of the checker when the request's policy asks for it. Comparison
+ * checks are two cache lookups.
  */
 
 #ifndef MIXEDPROXY_ENGINE_ENGINE_HH
@@ -72,7 +74,8 @@ class Engine
     /**
      * The cached axiomatic check: canonicalize, consult the cache,
      * reconstruct a CheckResult in the test's own namespace, and
-     * re-evaluate the test's assertions.
+     * re-evaluate the test's assertions. Checks that bypass the cache
+     * run analysis::presolve::check under the block's policy.
      */
     model::CheckResult checkCached(const litmus::LitmusTest &test,
                                    const CheckBlock &block,

@@ -66,10 +66,11 @@ struct CheckBlock
 
     /**
      * Static pre-solver policy (model::PresolvePolicy, CLI
-     * --presolve). The engine owns the solver instance and injects it
-     * when the policy is not Off; the policy is part of the cache
-     * fingerprint, and any non-Off policy bypasses the verdict cache
-     * (a discharged verdict carries no outcome set to reconstruct
+     * --presolve). The engine runs the check through
+     * analysis::presolve::check, which puts the pre-solver in front of
+     * the checker when the policy is not Off; the policy is part of the
+     * cache fingerprint, and any non-Off policy bypasses the verdict
+     * cache (a discharged verdict carries no outcome set to reconstruct
      * from).
      */
     model::PresolvePolicy presolve = model::PresolvePolicy::Off;
@@ -80,7 +81,7 @@ struct CheckBlock
     /** Whether the checker must record witnesses (either renderer). */
     bool collectWitnesses() const { return showWitnesses || dot; }
 
-    /** The subsystem view (the engine binds the pre-solver). */
+    /** The checker's view (the policy stays here, with the engine). */
     operator model::CheckOptions() const
     {
         model::CheckOptions opts;
@@ -88,7 +89,6 @@ struct CheckBlock
         opts.collectWitnesses = collectWitnesses();
         opts.staticFastPath = staticFastPath;
         opts.maxExecutions = maxExecutions;
-        opts.presolve = presolve;
         return opts;
     }
 };

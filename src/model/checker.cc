@@ -1730,64 +1730,6 @@ Checker::checkExpanded(const Program &program) const
     result.testName = test.name();
     result.mode = opts.mode;
 
-    // Static pre-solver fast path (docs/static_solver.md): try to
-    // discharge every assertion without enumeration. All-or-nothing —
-    // a partial discharge falls back to the full enumeration below (or
-    // stops here under PresolvePolicy::Only).
-    if (opts.presolve != PresolvePolicy::Off &&
-        opts.presolver != nullptr) {
-        StaticDischarge discharge;
-        {
-            obs::Span presolve_span("check.presolve");
-            discharge = opts.presolver->presolve(program);
-        }
-        const auto &asserts = test.assertions();
-        const bool usable =
-            discharge.assertions.size() == asserts.size();
-        if (usable && discharge.discharged) {
-            obs::count("check.presolve.discharged");
-            for (std::size_t i = 0; i < asserts.size(); i++) {
-                const auto &v = discharge.assertions[i];
-                AssertionCheck check;
-                check.assertion = asserts[i];
-                check.passed = v.passed;
-                check.detail = "static " + v.method;
-                if (!v.detail.empty())
-                    check.detail += ": " + v.detail;
-                result.assertions.push_back(std::move(check));
-            }
-            result.staticallyDischarged = std::move(discharge);
-            if (obs::Session *session = obs::current())
-                result.stats.publish(session->metrics);
-            return result;
-        }
-        obs::count("check.presolve.inconclusive");
-        if (opts.presolve == PresolvePolicy::Only) {
-            for (std::size_t i = 0; i < asserts.size(); i++) {
-                AssertionCheck check;
-                check.assertion = asserts[i];
-                if (usable && discharge.assertions[i].conclusive) {
-                    const auto &v = discharge.assertions[i];
-                    check.passed = v.passed;
-                    check.detail = "static " + v.method;
-                    if (!v.detail.empty())
-                        check.detail += ": " + v.detail;
-                } else {
-                    check.passed = false;
-                    check.detail =
-                        "statically inconclusive (presolve=only)";
-                }
-                result.assertions.push_back(std::move(check));
-            }
-            result.staticallyDischarged = std::move(discharge);
-            if (obs::Session *session = obs::current())
-                result.stats.publish(session->metrics);
-            return result;
-        }
-        // Fall through to enumeration, keeping the partial provenance.
-        result.staticallyDischarged = std::move(discharge);
-    }
-
     // Branching-factor numerators (enumeration profiler): the rf
     // choice points of this program and their candidate sources,
     // counted once per check. The candidate depth — the bucket every

@@ -32,8 +32,9 @@
 namespace mixedproxy::model {
 
 /**
- * When the static pre-solver runs relative to enumeration
- * (docs/static_solver.md).
+ * Whether the static pre-solver (analysis::presolve::check, which runs
+ * it in front of the Checker) decides a check, per
+ * docs/static_solver.md.
  *
  *  - Off:  never consult the pre-solver (the enumerating baseline).
  *  - On:   try to discharge every assertion statically first; fall back
@@ -79,31 +80,13 @@ struct StaticAssertionVerdict
  * Structured provenance for a statically discharged check: one verdict
  * per assertion, in assertion order. `discharged` is true only when
  * every assertion is conclusive — the all-or-nothing contract that
- * lets the checker skip enumeration without changing any verdict.
+ * lets analysis::presolve::check skip the checker without changing any
+ * verdict.
  */
 struct StaticDischarge
 {
     bool discharged = false;
     std::vector<StaticAssertionVerdict> assertions;
-};
-
-/**
- * The seam between the checker and the static pre-solver. The concrete
- * implementation lives in src/analysis/presolve/ (analysis::presolve::
- * StaticSolver); the model library defines only this interface so the
- * dependency arrow keeps pointing model <- analysis.
- */
-class Presolver
-{
-  public:
-    virtual ~Presolver() = default;
-
-    /**
-     * Attempt to discharge @p program's assertions without
-     * enumeration. Must be sound: a conclusive verdict must equal what
-     * full enumeration would conclude.
-     */
-    virtual StaticDischarge presolve(const Program &program) const = 0;
 };
 
 /** Options controlling a model-checking run. */
@@ -132,21 +115,6 @@ struct CheckOptions
      * report it and keep going.
      */
     std::uint64_t maxExecutions = 100'000'000;
-
-    /**
-     * Static pre-solver policy. Anything other than Off requires
-     * `presolver` to be set; with On the pre-solver runs before
-     * enumeration and a full discharge skips it entirely, with Only
-     * enumeration never runs (see PresolvePolicy).
-     */
-    PresolvePolicy presolve = PresolvePolicy::Off;
-
-    /**
-     * The pre-solver consulted when `presolve != Off` (not owned).
-     * Callers construct an analysis::presolve::StaticSolver and point
-     * here; the engine facade does this wiring automatically.
-     */
-    const Presolver *presolver = nullptr;
 };
 
 /** One consistent execution, rendered for diagnostics (Fig. 9 style). */
@@ -305,11 +273,12 @@ struct CheckResult
     CheckStats stats;
 
     /**
-     * Set when the static pre-solver ran (CheckOptions::presolve !=
-     * Off). When `->discharged`, every assertion verdict above came
-     * from the pre-solver and enumeration was skipped — `outcomes` and
-     * `witnesses` are then empty by construction, not because the test
-     * admits nothing.
+     * Set when the static pre-solver ran in front of the checker
+     * (analysis::presolve::check under a policy other than Off). When
+     * `->discharged`, every assertion verdict above came from the
+     * pre-solver and the checker never ran — `outcomes` and `witnesses`
+     * are then empty by construction, not because the test admits
+     * nothing.
      */
     std::optional<StaticDischarge> staticallyDischarged;
 

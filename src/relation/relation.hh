@@ -4,9 +4,9 @@
  *
  * This class provides the relational-algebra operators that Alloy-style
  * axiomatic memory model definitions are written in: union, intersection,
- * difference, composition (join), inverse, restriction, and transitive
- * closure, plus the acyclicity/irreflexivity checks the model axioms are
- * phrased as.
+ * difference, composition (join), restriction, and transitive closure,
+ * plus the acyclicity/irreflexivity checks the model axioms are phrased
+ * as.
  *
  * The representation is a dense adjacency bit-matrix over {0..n-1}:
  * n rows of kernel::wordsFor(n) words, backed by kernel::WordStore so
@@ -15,8 +15,8 @@
  *
  * Hot-path operations are built on the word-level kernels in kernel.hh
  * and accept any callable. The delta operations (insertClosure,
- * unionClosure, insertWouldCycle) let an already-closed relation be
- * *extended* edge by edge without recomputing the closure from scratch —
+ * insertWouldCycle) let an already-closed relation be *extended* edge by
+ * edge without recomputing the closure from scratch —
  * the substrate of the checker's incremental enumeration core. Their
  * row-level kernel (kernel.hh closureInsert) also maintains the
  * streaming checker's Fence-SC order (src/conform/fence_order.hh).
@@ -214,15 +214,6 @@ class Relation
         return r;
     }
 
-    /** The inverse relation: (b, a) for every (a, b). */
-    Relation
-    inverse() const
-    {
-        Relation r(n);
-        forEach([&r](EventId a, EventId b) { r.insert(b, a); });
-        return r;
-    }
-
     /** Irreflexive transitive closure (Alloy ^r). */
     Relation
     transitiveClosure() const
@@ -276,21 +267,6 @@ class Relation
     insertWouldCycle(EventId a, EventId b) const
     {
         return a == b || contains(b, a);
-    }
-
-    /**
-     * Extend an already transitively closed relation with every pair of
-     * @p delta, maintaining closure (repeated insertClosure, skipping
-     * pairs already present).
-     */
-    void
-    unionClosure(const Relation &delta)
-    {
-        checkUniverse(delta, "unionClosure");
-        delta.forEach([&](EventId a, EventId b) {
-            if (!contains(a, b))
-                insertClosure(a, b);
-        });
     }
 
     /** Restrict both sides to @p s: s <: r :> s. */

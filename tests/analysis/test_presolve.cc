@@ -2,8 +2,9 @@
  * @file
  * Tests for the static axiomatic pre-solver (docs/static_solver.md):
  * the may/must closures, the checker's exact single-candidate
- * evaluator, the StaticSolver verdicts, and — the load-bearing
- * property — a corpus-wide differential suite asserting that every
+ * evaluator, the verdicts of presolve::discharge, presolve::check under
+ * each policy, and — the load-bearing property — a corpus-wide
+ * differential suite asserting, under both models, that every
  * conclusive static verdict equals the enumerated one.
  */
 
@@ -20,6 +21,7 @@
 #include "litmus/registry.hh"
 #include "model/checker.hh"
 #include "model/program.hh"
+#include "obs/obs.hh"
 
 namespace {
 
@@ -232,15 +234,14 @@ TEST(EvaluateCandidate, RejectsMalformedCandidates)
 }
 
 // ---------------------------------------------------------------------
-// StaticSolver verdicts
+// presolve::discharge verdicts
 // ---------------------------------------------------------------------
 
 TEST(StaticSolver, DischargesMessagePassingCompletely)
 {
     auto test = litmus::testByName("fig9_message_passing");
     model::Program program(test, model::ProxyMode::Ptx75);
-    presolve::StaticSolver solver;
-    auto discharge = solver.presolve(program);
+    auto discharge = presolve::discharge(program);
     EXPECT_TRUE(discharge.discharged);
     ASSERT_EQ(discharge.assertions.size(), test.assertions().size());
     for (const auto &v : discharge.assertions) {
@@ -258,8 +259,7 @@ TEST(StaticSolver, IriwStaysInconclusive)
     // out, so the pre-solver must say "inconclusive" — never guess.
     auto test = litmus::testByName("fig2_iriw_weak");
     model::Program program(test, model::ProxyMode::Ptx75);
-    presolve::StaticSolver solver;
-    auto discharge = solver.presolve(program);
+    auto discharge = presolve::discharge(program);
     EXPECT_FALSE(discharge.discharged);
     ASSERT_EQ(discharge.assertions.size(), 1u);
     EXPECT_FALSE(discharge.assertions[0].conclusive);
@@ -272,8 +272,7 @@ TEST(StaticSolver, DischargeIsAllOrNothing)
     // claim discharge.
     auto test = litmus::testByName("lb_data_dependency");
     model::Program program(test, model::ProxyMode::Ptx75);
-    presolve::StaticSolver solver;
-    auto discharge = solver.presolve(program);
+    auto discharge = presolve::discharge(program);
     ASSERT_EQ(discharge.assertions.size(), 2u);
     bool any_conclusive = false, all_conclusive = true;
     for (const auto &v : discharge.assertions) {
@@ -291,34 +290,33 @@ TEST(StaticSolver, NoAssertionsMeansNoDischarge)
                     .thread("t0", 0, 0, {"st.global.u32 [x], 1"})
                     .build();
     model::Program program(test, model::ProxyMode::Ptx75);
-    presolve::StaticSolver solver;
-    auto discharge = solver.presolve(program);
+    auto discharge = presolve::discharge(program);
     EXPECT_FALSE(discharge.discharged);
     EXPECT_TRUE(discharge.assertions.empty());
 }
 
 // ---------------------------------------------------------------------
-// Checker integration
+// The pre-solver in front of the checker
 // ---------------------------------------------------------------------
+
+constexpr model::ProxyMode kModes[] = {model::ProxyMode::Ptx75,
+                                       model::ProxyMode::Ptx60};
 
 model::CheckResult
 checkWithPolicy(const litmus::LitmusTest &test,
                 model::PresolvePolicy policy,
-                const model::Presolver *solver)
+                model::ProxyMode mode = model::ProxyMode::Ptx75)
 {
     model::CheckOptions opts;
+    opts.mode = mode;
     opts.collectWitnesses = false;
-    opts.presolve = policy;
-    opts.presolver = solver;
-    return model::Checker(opts).check(test);
+    return presolve::check(test, opts, policy);
 }
 
 TEST(CheckerPresolve, OnPolicySkipsEnumerationWhenDischarged)
 {
-    presolve::StaticSolver solver;
     auto test = litmus::testByName("fig9_message_passing");
-    auto result =
-        checkWithPolicy(test, model::PresolvePolicy::On, &solver);
+    auto result = checkWithPolicy(test, model::PresolvePolicy::On);
     ASSERT_TRUE(result.staticallyDischarged.has_value());
     EXPECT_TRUE(result.staticallyDischarged->discharged);
     EXPECT_TRUE(result.outcomes.empty());
@@ -330,72 +328,104 @@ TEST(CheckerPresolve, OnPolicySkipsEnumerationWhenDischarged)
 
 TEST(CheckerPresolve, OnPolicyFallsBackWhenInconclusive)
 {
-    presolve::StaticSolver solver;
     auto test = litmus::testByName("fig2_iriw_weak");
-    auto result =
-        checkWithPolicy(test, model::PresolvePolicy::On, &solver);
+    auto result = checkWithPolicy(test, model::PresolvePolicy::On);
     ASSERT_TRUE(result.staticallyDischarged.has_value());
     EXPECT_FALSE(result.staticallyDischarged->discharged);
     // Fallback enumerated for real and produced the exact verdict.
     EXPECT_FALSE(result.outcomes.empty());
-    auto baseline =
-        checkWithPolicy(test, model::PresolvePolicy::Off, nullptr);
+    auto baseline = checkWithPolicy(test, model::PresolvePolicy::Off);
     EXPECT_EQ(result.outcomes, baseline.outcomes);
 }
 
 TEST(CheckerPresolve, OnlyPolicyNeverEnumerates)
 {
-    presolve::StaticSolver solver;
     auto test = litmus::testByName("fig2_iriw_weak");
-    auto result =
-        checkWithPolicy(test, model::PresolvePolicy::Only, &solver);
-    EXPECT_TRUE(result.outcomes.empty());
-    EXPECT_EQ(result.stats.candidateExecutions, 0u);
+    auto result = checkWithPolicy(test, model::PresolvePolicy::Only);
     ASSERT_EQ(result.assertions.size(), 1u);
     EXPECT_FALSE(result.assertions[0].passed);
     EXPECT_NE(
         result.assertions[0].detail.find("statically inconclusive"),
         std::string::npos);
+
+    // No built-in is enumerated under Only, whatever its verdicts and
+    // under either model.
+    for (auto mode : kModes) {
+        for (const auto &builtin : litmus::allTests()) {
+            auto only =
+                checkWithPolicy(builtin, model::PresolvePolicy::Only, mode);
+            EXPECT_EQ(only.stats.rfAssignments, 0u) << builtin.name();
+            EXPECT_EQ(only.stats.candidateExecutions, 0u)
+                << builtin.name();
+            EXPECT_TRUE(only.outcomes.empty()) << builtin.name();
+            EXPECT_TRUE(only.staticallyDischarged.has_value())
+                << builtin.name();
+            EXPECT_EQ(only.assertions.size(), builtin.assertions().size())
+                << builtin.name();
+        }
+    }
+}
+
+TEST(CheckerPresolve, DischargedTestOpensNoCheckSpan)
+{
+    // The pre-solver runs in front of the checker: both tests are
+    // expanded and presolved once, and only the inconclusive one opens
+    // the checker's "check" span.
+    obs::Session session;
+    session.enable();
+    {
+        obs::ScopedSession bind(&session);
+        checkWithPolicy(litmus::testByName("fig9_message_passing"),
+                        model::PresolvePolicy::On);
+        checkWithPolicy(litmus::testByName("fig2_iriw_weak"),
+                        model::PresolvePolicy::On);
+    }
+    session.disable();
+    const auto &metrics = session.metrics;
+    EXPECT_EQ(metrics.timer("check.expand").count, 2u);
+    EXPECT_EQ(metrics.timer("check.presolve").count, 2u);
+    EXPECT_EQ(metrics.timer("check").count, 1u);
+    EXPECT_EQ(metrics.timer("check.enumerate").count, 1u);
+    EXPECT_EQ(metrics.counter("check.presolve.discharged"), 1u);
+    EXPECT_EQ(metrics.counter("check.presolve.inconclusive"), 1u);
 }
 
 // ---------------------------------------------------------------------
 // Differential suite: static verdicts vs full enumeration, corpus-wide
+// and under both models
 // ---------------------------------------------------------------------
 
 void
-expectSoundVerdicts(const litmus::LitmusTest &test)
+expectSoundVerdicts(const litmus::LitmusTest &test, model::ProxyMode mode)
 {
-    presolve::StaticSolver solver;
-    auto exact =
-        checkWithPolicy(test, model::PresolvePolicy::Off, nullptr);
+    auto exact = checkWithPolicy(test, model::PresolvePolicy::Off, mode);
     if (exact.budgetExceeded)
         return; // nothing exact to compare against
-    auto fused =
-        checkWithPolicy(test, model::PresolvePolicy::On, &solver);
+    auto fused = checkWithPolicy(test, model::PresolvePolicy::On, mode);
     auto static_only =
-        checkWithPolicy(test, model::PresolvePolicy::Only, &solver);
+        checkWithPolicy(test, model::PresolvePolicy::Only, mode);
+    const std::string where =
+        test.name() + " (" + model::toString(mode) + ")";
 
     // presolve=on is always exact: verdict-for-verdict identical.
-    ASSERT_EQ(fused.assertions.size(), exact.assertions.size())
-        << test.name();
+    ASSERT_EQ(fused.assertions.size(), exact.assertions.size()) << where;
     for (std::size_t i = 0; i < exact.assertions.size(); i++) {
         EXPECT_EQ(fused.assertions[i].passed,
                   exact.assertions[i].passed)
-            << test.name() << " assertion " << i;
+            << where << " assertion " << i;
     }
 
     // presolve=only: every *conclusive* verdict agrees with
     // enumeration (the soundness contract; inconclusive carries no
     // claim).
-    ASSERT_TRUE(static_only.staticallyDischarged.has_value())
-        << test.name();
+    ASSERT_TRUE(static_only.staticallyDischarged.has_value()) << where;
     const auto &sd = *static_only.staticallyDischarged;
     for (std::size_t i = 0;
          i < sd.assertions.size() && i < exact.assertions.size(); i++) {
         if (!sd.assertions[i].conclusive)
             continue;
         EXPECT_EQ(sd.assertions[i].passed, exact.assertions[i].passed)
-            << test.name() << " assertion " << i << " ("
+            << where << " assertion " << i << " ("
             << sd.assertions[i].method << ": "
             << sd.assertions[i].detail << ")";
     }
@@ -403,17 +433,18 @@ expectSoundVerdicts(const litmus::LitmusTest &test)
 
 TEST(PresolveDifferential, EveryBuiltinAgrees)
 {
-    std::size_t conclusive_somewhere = 0;
-    for (const auto &test : litmus::allTests()) {
-        expectSoundVerdicts(test);
-        presolve::StaticSolver solver;
-        model::Program program(test, model::ProxyMode::Ptx75);
-        for (const auto &v : solver.presolve(program).assertions)
-            conclusive_somewhere += v.conclusive ? 1 : 0;
+    for (auto mode : kModes) {
+        std::size_t conclusive_somewhere = 0;
+        for (const auto &test : litmus::allTests()) {
+            expectSoundVerdicts(test, mode);
+            model::Program program(test, mode);
+            for (const auto &v : presolve::discharge(program).assertions)
+                conclusive_somewhere += v.conclusive ? 1 : 0;
+        }
+        // The pre-solver must actually bite on the corpus, not just
+        // stay vacuously sound by answering "inconclusive" everywhere.
+        EXPECT_GT(conclusive_somewhere, 20u) << model::toString(mode);
     }
-    // The pre-solver must actually bite on the corpus, not just stay
-    // vacuously sound by answering "inconclusive" everywhere.
-    EXPECT_GT(conclusive_somewhere, 20u);
 }
 
 TEST(PresolveDifferential, EveryCorpusFileAgrees)
@@ -426,8 +457,9 @@ TEST(PresolveDifferential, EveryCorpusFileAgrees)
             if (entry.path().extension() != ".litmus")
                 continue;
             seen++;
-            expectSoundVerdicts(
-                litmus::parseTestFile(entry.path().string()));
+            const auto test = litmus::parseTestFile(entry.path().string());
+            for (auto mode : kModes)
+                expectSoundVerdicts(test, mode);
         }
         EXPECT_GT(seen, 0u) << dir;
     }

@@ -3,8 +3,9 @@
  * Golden suite for the CLI's report path: a fixed list of nvlitmus
  * command lines — multi-input reports with every report section on, at
  * one and at four workers, --lint-only batches, a failing batch and
- * batches with an unreadable input, pre-solver reports and the
- * pre-solver's differential sweep — must reproduce the checked-in
+ * batches with an unreadable input, pre-solver reports and --all
+ * tables under both models, and the pre-solver's differential sweep —
+ * must reproduce the checked-in
  * transcript of stdout, stderr and exit code byte-for-byte.
  *
  * On a mismatch the test writes the transcript it produced to
@@ -58,6 +59,15 @@ const std::vector<std::vector<std::string>> kCommands = {
      "barrier_cross_cta_useless", "async_copy_no_wait",
      "async_copy_stale_source", "async_copy_racing_store"},
     {"--presolve-diff"},
+    // The pre-solver in front of the whole corpus under both models,
+    // and a discharged plus an inconclusive test with both models'
+    // outcome sets compared.
+    {"--all", "--presolve"},
+    {"--all", "--presolve", "--model", "ptx60"},
+    {"--all", "--presolve=only"},
+    {"--all", "--presolve=only", "--model", "ptx60"},
+    {"--presolve", "--witness", "--compare", "fig9_message_passing",
+     "fig2_iriw_weak"},
 };
 
 std::string

@@ -276,18 +276,6 @@ TEST(RelationDifferential, InsertWouldCycleMatchesFromScratchAcyclicity)
     }
 }
 
-TEST(RelationDifferential, UnionClosureMatchesFromScratch)
-{
-    std::mt19937 rng(0xF00D99);
-    for (std::size_t n : {8UL, 30UL, 70UL}) {
-        Sample base = randomRelation(rng, n, 0.04);
-        Sample delta = randomRelation(rng, n, 0.03);
-        Relation closed = base.rel.transitiveClosure();
-        closed.unionClosure(delta.rel);
-        EXPECT_EQ(closed, (base.rel | delta.rel).transitiveClosure());
-    }
-}
-
 TEST(EventSetDifferential, EmptyAndFilterMatchOracle)
 {
     std::mt19937 rng(0x5E7000);
