@@ -6,7 +6,6 @@
 #include <sstream>
 #include <tuple>
 
-#include "analysis/presolve/approx.hh"
 #include "model/checker.hh"
 #include "obs/obs.hh"
 #include "relation/error.hh"
@@ -161,6 +160,63 @@ AnalysisResult::render() const
     return os.str();
 }
 
+Relation
+mayBaseCausality(const Program &program)
+{
+    const auto &events = program.events();
+    const std::size_t n = events.size();
+
+    // Potential morally strong reads-from: every enumerable source that
+    // would make the edge morally strong (§6.2.2).
+    Relation pot_msrf(n);
+    for (EventId r : program.reads()) {
+        for (EventId w : program.readSources(r)) {
+            if (!events[w].isInit &&
+                program.morallyStrong().contains(w, r)) {
+                pot_msrf.insert(w, r);
+            }
+        }
+    }
+
+    // Potential observation order: extended through atomic RMW chains
+    // exactly as the checker's per-candidate computation does.
+    Relation obs = pot_msrf;
+    bool changed = true;
+    while (changed) {
+        changed = false;
+        obs.forEach([&](EventId w, EventId r) {
+            const Event &read = events[r];
+            if (!read.isAtomic())
+                return;
+            EventId w2 = read.rmwPartner;
+            pot_msrf.forEach([&](EventId src, EventId r2) {
+                if (src == w2 && !obs.contains(w, r2)) {
+                    obs.insert(w, r2);
+                    changed = true;
+                }
+            });
+        });
+    }
+
+    // Potential synchronizes-with: release pattern to acquire pattern
+    // whenever the pattern write could reach the pattern read.
+    Relation sw(n);
+    for (const auto &rel : program.releasePatterns()) {
+        const Event &first = events[rel.first];
+        for (const auto &acq : program.acquirePatterns()) {
+            const Event &last = events[acq.last];
+            if (obs.contains(rel.write, acq.read) &&
+                program.scopeIncludes(first, last.thread) &&
+                program.scopeIncludes(last, first.thread)) {
+                sw.insert(rel.first, acq.last);
+            }
+        }
+    }
+
+    return (program.po() | sw | program.barrierSync())
+        .transitiveClosure();
+}
+
 AnalysisResult
 analyze(const litmus::LitmusTest &test)
 {
@@ -179,7 +235,7 @@ analyze(const Program &program)
     result.testName = test.name();
     result.mixedProxies = program.usesMixedProxies();
 
-    Relation bcause = presolve::mayBaseCausality(program);
+    Relation bcause = mayBaseCausality(program);
 
     // ---- Mixed-proxy race candidates (§6.2.4) ------------------------
     // Scan overlapping cross-proxy pairs. A pair with a causality path

@@ -67,6 +67,14 @@ AnalysisResult analyze(const litmus::LitmusTest &test);
 /** Analyze a pre-expanded program (reuse across calls). */
 AnalysisResult analyze(const model::Program &program);
 
+/**
+ * Optimistic base causality (§6.2.3 upper bound) the race scan runs
+ * on: program order, barrier rendezvous, and every synchronizes-with
+ * edge that *some* reads-from assignment could realize. A pair
+ * unordered here is unordered in every candidate execution.
+ */
+relation::Relation mayBaseCausality(const model::Program &program);
+
 } // namespace mixedproxy::analysis
 
 #endif // MIXEDPROXY_ANALYSIS_ANALYZER_HH

@@ -7,7 +7,6 @@
 #include <sstream>
 #include <vector>
 
-#include "approx.hh"
 #include "litmus/expr.hh"
 #include "model/sc.hh"
 #include "obs/obs.hh"

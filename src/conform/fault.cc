@@ -36,20 +36,6 @@ faultKindFromString(const std::string &name)
     return std::nullopt;
 }
 
-ViolationKind
-expectedViolation(FaultKind kind)
-{
-    switch (kind) {
-      case FaultKind::Drop:
-        return ViolationKind::Malformed;
-      case FaultKind::Reorder:
-        return ViolationKind::Coherence;
-      case FaultKind::Corrupt:
-        return ViolationKind::RfValue;
-    }
-    return ViolationKind::Malformed;
-}
-
 namespace {
 
 /** One trace line plus its parse, when it is an event line. */

@@ -40,9 +40,6 @@ std::string toString(FaultKind kind);
 /** Parse a CLI fault name; nullopt when unrecognized. */
 std::optional<FaultKind> faultKindFromString(const std::string &name);
 
-/** The violation the checker must report for @p kind. */
-ViolationKind expectedViolation(FaultKind kind);
-
 /**
  * Plant one @p kind fault in @p trace, choosing among the viable sites
  * with a generator seeded by @p seed (same trace + seed = same fault).

@@ -182,9 +182,6 @@ class TraceWriter
     /** Emit the "finish" footer from a machine outcome. */
     void finish(const litmus::Outcome &outcome);
 
-    /** uid the next store will receive. */
-    std::uint64_t nextUid() const { return _nextUid; }
-
   private:
     std::ostream *out;
     std::uint64_t _nextUid = 0; ///< set by header()

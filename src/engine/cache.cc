@@ -512,12 +512,4 @@ VerdictCache::size() const
     return lru.size();
 }
 
-void
-VerdictCache::clear()
-{
-    std::lock_guard lock(mutex);
-    lru.clear();
-    index.clear();
-}
-
 } // namespace mixedproxy::engine

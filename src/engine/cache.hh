@@ -128,9 +128,6 @@ class VerdictCache
     /** Entries currently resident in memory. */
     std::size_t size() const;
 
-    /** Drop every in-memory entry (the disk store is untouched). */
-    void clear();
-
     const Config &config() const { return cfg; }
 
   private:

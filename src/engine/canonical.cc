@@ -388,10 +388,4 @@ canonicalize(const litmus::LitmusTest &test)
     return form;
 }
 
-std::string
-canonicalKey(const litmus::LitmusTest &test)
-{
-    return canonicalize(test).key;
-}
-
 } // namespace mixedproxy::engine

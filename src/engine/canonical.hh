@@ -14,7 +14,7 @@
  * This extends the synthesizer's skeleton-level symmetry reduction
  * (serial orderly generation, src/synth/skeletons.hh) to arbitrary
  * parsed tests: where the generator picks class representatives over
- * its own alphabet, engine::canonicalKey() works on any LitmusTest,
+ * its own alphabet, engine::canonicalize() works on any LitmusTest,
  * covering register renaming and alias structure as well.
  *
  * Soundness contract: equal keys imply isomorphic programs (the key
@@ -97,9 +97,6 @@ inline constexpr std::size_t kMaxTieOrderings = 720;
  * defined before use.
  */
 CanonicalForm canonicalize(const litmus::LitmusTest &test);
-
-/** Just the key of canonicalize(test). */
-std::string canonicalKey(const litmus::LitmusTest &test);
 
 } // namespace mixedproxy::engine
 

@@ -34,6 +34,14 @@ cacheConfigOf(const EngineConfig &cfg)
     return cacheConfig;
 }
 
+/** The model a --compare check runs under. */
+model::ProxyMode
+otherMode(model::ProxyMode mode)
+{
+    return mode == model::ProxyMode::Ptx75 ? model::ProxyMode::Ptx60
+                                           : model::ProxyMode::Ptx75;
+}
+
 } // namespace
 
 Engine::Engine(EngineConfig config)
@@ -137,15 +145,20 @@ Engine::submit(const Request &request)
         request.test, request.check, request.check.mode,
         request.check.collectWitnesses(), &verdict.cacheHit);
 
-    if (request.check.compareModels) {
-        const model::ProxyMode other =
-            request.check.mode == model::ProxyMode::Ptx75
-                ? model::ProxyMode::Ptx60
-                : model::ProxyMode::Ptx75;
+    // The comparison needs the primary outcome set: none exists under
+    // presolve=only or for a statically discharged check. When one
+    // does, the other model is enumerated with the pre-solver off, so a
+    // comparison never reads an outcome set that was not computed.
+    const bool enumerated =
+        request.check.presolve != model::PresolvePolicy::Only &&
+        !(verdict.check.staticallyDischarged &&
+          verdict.check.staticallyDischarged->discharged);
+    if (request.check.compareModels && enumerated) {
+        CheckBlock block = request.check;
+        block.presolve = model::PresolvePolicy::Off;
         verdict.comparison =
-            checkCached(request.test, request.check, other,
-                        /*collectWitnesses=*/false,
-                        &verdict.comparisonCacheHit);
+            checkCached(request.test, block, otherMode(block.mode),
+                        /*collectWitnesses=*/false, nullptr);
     }
 
     if (request.lint.enabled)
@@ -199,7 +212,12 @@ renderReport(const Request &request, const Verdict &verdict)
         }
     }
 
-    if (request.check.compareModels && verdict.comparison) {
+    if (request.check.compareModels && !verdict.comparison) {
+        os << "\ncomparison with "
+           << model::toString(otherMode(result.mode))
+           << ": not computed (the " << model::toString(result.mode)
+           << " outcome set was not enumerated)\n";
+    } else if (request.check.compareModels) {
         const model::CheckResult &other = *verdict.comparison;
         os << "\ncomparison with " << model::toString(other.mode)
            << ":\n";

@@ -24,8 +24,11 @@
  * do presolve-enabled checks (a statically discharged verdict has no
  * outcome enumeration to store); every bypassing check runs through
  * analysis::presolve::check, which puts the static pre-solver in front
- * of the checker when the request's policy asks for it. Comparison
- * checks are two cache lookups.
+ * of the checker when the request's policy asks for it. A comparison check
+ * always runs with the pre-solver off, so it is enumerated and cached
+ * like any plain check; when the primary check enumerated nothing
+ * (presolve=only, or statically discharged) no comparison is computed
+ * and the report says so.
  */
 
 #ifndef MIXEDPROXY_ENGINE_ENGINE_HH

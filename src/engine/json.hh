@@ -52,7 +52,6 @@ struct Value
     std::vector<Value> array{};
     std::map<std::string, Value> object{};
 
-    bool isNull() const { return kind == Kind::Null; }
     bool isObject() const { return kind == Kind::Object; }
     bool isString() const { return kind == Kind::String; }
 

@@ -43,7 +43,8 @@ namespace mixedproxy::engine {
  * Axiomatic-check options. Every field except collectWitnesses and
  * compareModels is part of the verdict-cache fingerprint
  * (engine/cache.hh): witness collection bypasses the cache, and a
- * comparison is just two cached lookups under different modes.
+ * comparison is one more cached lookup, under the other mode with the
+ * pre-solver off.
  */
 struct CheckBlock
 {
@@ -151,27 +152,11 @@ struct Request
         return request;
     }
 
-    static Request forLint(litmus::LitmusTest subject)
-    {
-        Request request;
-        request.kind = RequestKind::Lint;
-        request.test = std::move(subject);
-        return request;
-    }
-
     static Request forSynth(std::size_t instructions)
     {
         Request request;
         request.kind = RequestKind::Synth;
         request.synth.instructions = instructions;
-        return request;
-    }
-
-    static Request forConform(std::string tracePath)
-    {
-        Request request;
-        request.kind = RequestKind::Conform;
-        request.conform.path = std::move(tracePath);
         return request;
     }
 };
@@ -182,7 +167,10 @@ struct Verdict
     /** The axiomatic check (RequestKind::Check). */
     model::CheckResult check;
 
-    /** The other model's result, when CheckBlock::compareModels. */
+    /**
+     * The other model's result, when CheckBlock::compareModels and the
+     * primary check enumerated its outcome set.
+     */
     std::optional<model::CheckResult> comparison;
 
     /** Analyzer findings (RequestKind::Lint, or LintBlock::enabled). */
@@ -199,9 +187,6 @@ struct Verdict
 
     /** True when the primary check was served from the verdict cache. */
     bool cacheHit = false;
-
-    /** Same, for the comparison model's check. */
-    bool comparisonCacheHit = false;
 
     /**
      * The request's pass/fail bit (the CLI's exit-code input): every

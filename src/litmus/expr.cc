@@ -9,12 +9,6 @@
 namespace mixedproxy::litmus {
 
 ExprPtr
-Expr::alwaysTrue()
-{
-    return ExprPtr(new Expr(Kind::True));
-}
-
-ExprPtr
 Expr::literal(std::uint64_t value)
 {
     auto *node = new Expr(Kind::Literal);
@@ -121,8 +115,6 @@ bool
 Expr::evalBool(const Outcome &outcome) const
 {
     switch (_kind) {
-      case Kind::True:
-        return true;
       case Kind::Eq:
         return lhs->evalValue(outcome) == rhs->evalValue(outcome);
       case Kind::Ne:
@@ -185,8 +177,6 @@ std::string
 Expr::toString() const
 {
     switch (_kind) {
-      case Kind::True:
-        return "true";
       case Kind::Literal:
         return std::to_string(literalValue);
       case Kind::Reg:

@@ -28,17 +28,14 @@ using ExprPtr = std::shared_ptr<const Expr>;
  * One node of a condition expression tree.
  *
  * Value nodes (Literal, Reg, Mem) evaluate to a 64-bit integer; boolean
- * nodes (Eq, Ne, And, Or, Not, True) evaluate to a truth value. The two
+ * nodes (Eq, Ne, And, Or, Not) evaluate to a truth value. The two
  * families must not be mixed: comparisons take value operands, logical
  * connectives take boolean operands. Factory functions enforce this.
  */
 class Expr
 {
   public:
-    enum class Kind { True, Literal, Reg, Mem, Eq, Ne, And, Or, Not };
-
-    /** The constant true condition. */
-    static ExprPtr alwaysTrue();
+    enum class Kind { Literal, Reg, Mem, Eq, Ne, And, Or, Not };
 
     /** An integer literal value. */
     static ExprPtr literal(std::uint64_t value);

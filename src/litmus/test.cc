@@ -31,16 +31,6 @@ LitmusTest::addThread(Thread thread)
     return _threads.size() - 1;
 }
 
-std::size_t
-LitmusTest::threadIndex(const std::string &name) const
-{
-    for (std::size_t i = 0; i < _threads.size(); i++) {
-        if (_threads[i].name == name)
-            return i;
-    }
-    fatal("no thread named '", name, "' in test '", _name, "'");
-}
-
 void
 LitmusTest::addAlias(const std::string &va, const std::string &canonical)
 {
@@ -136,15 +126,6 @@ LitmusTest::addAssertion(AssertKind kind, const std::string &condition)
     a.text = condition;
     _validated = false;
     _assertions.push_back(std::move(a));
-}
-
-void
-LitmusTest::addAssertion(Assertion assertion)
-{
-    if (!assertion.condition)
-        fatal("assertion without a condition in test '", _name, "'");
-    _validated = false;
-    _assertions.push_back(std::move(assertion));
 }
 
 void

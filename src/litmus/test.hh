@@ -64,9 +64,6 @@ class LitmusTest
     /** Append a thread; returns its index. */
     std::size_t addThread(Thread thread);
 
-    /** Find a thread index by name; throws FatalError if absent. */
-    std::size_t threadIndex(const std::string &name) const;
-
     /**
      * Declare that virtual address @p va denotes the same physical
      * location as @p canonical (which may itself be an alias).
@@ -94,7 +91,6 @@ class LitmusTest
 
     /** Attach an assertion. */
     void addAssertion(AssertKind kind, const std::string &condition);
-    void addAssertion(Assertion assertion);
 
     const std::vector<Assertion> &assertions() const { return _assertions; }
 

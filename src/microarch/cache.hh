@@ -79,8 +79,6 @@ class Cache
     /** Mark the line for @p tag clean (after its flush drained). */
     void markClean(VirtualTag tag);
 
-    std::size_t lineCount() const { return lines.size(); }
-
   private:
     std::string _name;
     std::map<VirtualTag, CacheLine> lines;

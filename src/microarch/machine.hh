@@ -135,9 +135,6 @@ class Machine
 
     const MachineStats &stats() const { return _stats; }
 
-    /** Number of SMs instantiated (one per CTA). */
-    std::size_t smCount() const { return sms.size(); }
-
     CoherenceMode mode() const { return _mode; }
 
     /**

@@ -38,15 +38,6 @@ driveSchedule(Machine &machine, const litmus::LitmusTest &test,
 
 } // namespace
 
-std::set<litmus::Outcome>
-SimResult::outcomes() const
-{
-    std::set<litmus::Outcome> out;
-    for (const auto &[outcome, count] : histogram)
-        out.insert(outcome);
-    return out;
-}
-
 double
 SimResult::meanLatency() const
 {
@@ -54,20 +45,6 @@ SimResult::meanLatency() const
         return 0.0;
     return static_cast<double>(stats.totalLatency) /
            static_cast<double>(iterations);
-}
-
-double
-SimResult::coverageOf(const std::set<litmus::Outcome> &reference) const
-{
-    if (reference.empty())
-        return 1.0;
-    std::size_t hit = 0;
-    for (const auto &outcome : reference) {
-        if (histogram.count(outcome))
-            hit++;
-    }
-    return static_cast<double>(hit) /
-           static_cast<double>(reference.size());
 }
 
 std::string

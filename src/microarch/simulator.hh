@@ -65,21 +65,8 @@ struct SimResult
 
     std::size_t iterations = 0;
 
-    /** The distinct outcomes observed. */
-    std::set<litmus::Outcome> outcomes() const;
-
     /** Mean simulated latency per schedule. */
     double meanLatency() const;
-
-    /**
-     * Fraction of @p reference outcomes that sampling observed, in
-     * [0, 1]. With the axiomatic checker's allowed set as reference
-     * this measures how much of the model's behavior envelope random
-     * scheduling explores (the machine is stricter than the model, so
-     * full coverage is not generally reachable); with
-     * exploreAllSchedules' exact set it measures sampling convergence.
-     */
-    double coverageOf(const std::set<litmus::Outcome> &reference) const;
 
     /** Multi-line human-readable report. */
     std::string summary() const;

@@ -174,9 +174,7 @@ class Program
      * of base causality, ^(po | barrierSync), computed once per
      * expansion. The checker's layered computeDerived() copies this and
      * folds the rf-dependent synchronizes-with edges in as incremental
-     * closure inserts instead of re-closing from scratch; the static
-     * pre-solver's must-side base-causality approximation is this same
-     * relation.
+     * closure inserts instead of re-closing from scratch.
      */
     const relation::Relation &mustCause() const { return _mustCause; }
 

@@ -273,36 +273,17 @@ class Relation
     Relation
     restrict(const EventSet &s) const
     {
-        return restrictDomain(s).restrictRange(s);
-    }
-
-    /** Restrict the domain to @p s (Alloy s <: r). */
-    Relation
-    restrictDomain(const EventSet &s) const
-    {
         if (s.universeSize() != n)
-            panic("Relation::restrictDomain: universe mismatch");
+            panic("Relation::restrict: universe mismatch");
+        // Copy the rows in s, masked with s's membership words.
         Relation r(n);
         const std::size_t rowWords = wordsPerRow();
+        const std::uint64_t *mask = s.wordData();
         s.forEach([&](EventId a) {
             const std::uint64_t *src = row(a);
             std::copy(src, src + rowWords, r.row(a));
-        });
-        return r;
-    }
-
-    /** Restrict the range to @p s (Alloy r :> s). */
-    Relation
-    restrictRange(const EventSet &s) const
-    {
-        if (s.universeSize() != n)
-            panic("Relation::restrictRange: universe mismatch");
-        // Mask every row with s's membership words.
-        Relation r(*this);
-        const std::size_t rowWords = wordsPerRow();
-        const std::uint64_t *mask = s.wordData();
-        for (EventId a = 0; a < n; a++)
             kernel::andInto(r.row(a), mask, rowWords);
+        });
         return r;
     }
 

@@ -6,7 +6,9 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <set>
 #include <sstream>
+#include <vector>
 
 #include "model/checker.hh"
 #include "model/sc.hh"
@@ -299,6 +301,78 @@ budgetedChecker(model::ProxyMode mode)
                            .maxExecutions = kMaxExecutionsPerCheck});
 }
 
+/** What checkBothModels found; only checked75 is set if tooExpensive. */
+struct TwoModelVerdict
+{
+    bool checked75 = false;    ///< the PTX 7.5 check finished in budget
+    bool tooExpensive = false; ///< a check exceeded its budget
+    bool singleProxy = false;  ///< pruning answered the PTX 6.0 check
+    std::set<litmus::Outcome> ptx75Outcomes;
+    std::size_t ptx60Outcomes = 0;
+    bool proxySensitive = false; ///< the two outcome sets differ
+};
+
+/**
+ * The PTX 7.5 expansion of @p test, timed as one "check.expand" span as
+ * the checker times its own.
+ *
+ * @throws FatalError if @p test does not expand.
+ */
+model::Program
+expandPtx75(const litmus::LitmusTest &test)
+{
+    obs::Span expand_span("check.expand");
+    return model::Program(test, model::ProxyMode::Ptx75);
+}
+
+/**
+ * Check the PTX 7.5 expansion @p prog75 under PTX 7.5, then PTX 6.0,
+ * each within kMaxExecutionsPerCheck: the PTX 6.0 check reads its
+ * ptx60View(), or single-proxy pruning (docs/static_solver.md
+ * "Synthesis pruning") answers it.
+ */
+TwoModelVerdict
+checkBothModels(const model::Program &prog75)
+{
+    TwoModelVerdict verdict;
+    // One static expansion serves both checks: the Program carries the
+    // precomputed base layers (dep closure, must base causality) the
+    // incremental enumeration core starts from, so expanding per model
+    // would redo exactly the work the layering is meant to share. The
+    // view is timed as the checker times its own expansion.
+    auto r75 = budgetedChecker(model::ProxyMode::Ptx75).check(prog75);
+    if (r75.budgetExceeded) {
+        verdict.tooExpensive = true;
+        return verdict;
+    }
+    verdict.checked75 = true;
+
+    // Single-proxy pruning: a program all of whose accesses go through
+    // one proxy is interpreted identically by both models — the same
+    // fact the checker's single-proxy fast path rests on — so both
+    // admit exactly r75's outcomes (and would enumerate the same
+    // candidates, so the budget verdict matches too).
+    verdict.singleProxy = !prog75.usesMixedProxies();
+    if (verdict.singleProxy) {
+        verdict.ptx60Outcomes = r75.outcomes.size();
+    } else {
+        std::optional<model::Program> prog60;
+        {
+            obs::Span expand_span("check.expand");
+            prog60.emplace(prog75.ptx60View());
+        }
+        auto r60 = budgetedChecker(model::ProxyMode::Ptx60).check(*prog60);
+        if (r60.budgetExceeded) {
+            verdict.tooExpensive = true;
+            return verdict;
+        }
+        verdict.ptx60Outcomes = r60.outcomes.size();
+        verdict.proxySensitive = r60.outcomes != r75.outcomes;
+    }
+    verdict.ptx75Outcomes = std::move(r75.outcomes);
+    return verdict;
+}
+
 /** What classifying one unique skeleton produced (default: counts nowhere). */
 struct Classified
 {
@@ -387,55 +461,6 @@ classify(litmus::LitmusTest test, bool fenceMinimality)
 
 } // namespace
 
-model::Program
-expandPtx75(const litmus::LitmusTest &test)
-{
-    obs::Span expand_span("check.expand");
-    return model::Program(test, model::ProxyMode::Ptx75);
-}
-
-TwoModelVerdict
-checkBothModels(const model::Program &prog75)
-{
-    TwoModelVerdict verdict;
-    // One static expansion serves both checks: the Program carries the
-    // precomputed base layers (dep closure, must base causality) the
-    // incremental enumeration core starts from, so expanding per model
-    // would redo exactly the work the layering is meant to share. The
-    // view is timed as the checker times its own expansion.
-    auto r75 = budgetedChecker(model::ProxyMode::Ptx75).check(prog75);
-    if (r75.budgetExceeded) {
-        verdict.tooExpensive = true;
-        return verdict;
-    }
-    verdict.checked75 = true;
-
-    // Single-proxy pruning: a program all of whose accesses go through
-    // one proxy is interpreted identically by both models — the same
-    // fact the checker's single-proxy fast path rests on — so both
-    // admit exactly r75's outcomes (and would enumerate the same
-    // candidates, so the budget verdict matches too).
-    verdict.singleProxy = !prog75.usesMixedProxies();
-    if (verdict.singleProxy) {
-        verdict.ptx60Outcomes = r75.outcomes.size();
-    } else {
-        std::optional<model::Program> prog60;
-        {
-            obs::Span expand_span("check.expand");
-            prog60.emplace(prog75.ptx60View());
-        }
-        auto r60 = budgetedChecker(model::ProxyMode::Ptx60).check(*prog60);
-        if (r60.budgetExceeded) {
-            verdict.tooExpensive = true;
-            return verdict;
-        }
-        verdict.ptx60Outcomes = r60.outcomes.size();
-        verdict.proxySensitive = r60.outcomes != r75.outcomes;
-    }
-    verdict.ptx75Outcomes = std::move(r75.outcomes);
-    return verdict;
-}
-
 void
 Synthesizer::forEachProgram(
     const std::function<void(const litmus::LitmusTest &)> &visit) const
@@ -505,8 +530,6 @@ Synthesizer::run() const
                 continue;
             if (opts.sink)
                 opts.sink(std::move(c.entry));
-            else
-                report.interesting.push_back(std::move(c.entry));
         }
         filled = 0;
     };

@@ -27,13 +27,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <set>
 #include <string>
-#include <vector>
 
-#include "litmus/outcome.hh"
 #include "litmus/test.hh"
-#include "model/program.hh"
 #include "obs/obs.hh"
 
 namespace mixedproxy::synth {
@@ -51,35 +47,6 @@ inline constexpr std::uint64_t kMaxExecutionsPerCheck = 2'000'000;
  * report says "fence-minimal n/a" (SynthStats::fenceMinimalCounted).
  */
 inline constexpr std::size_t kMaxFenceMinimalInstructions = 3;
-
-/** What checkBothModels found; only checked75 is set if tooExpensive. */
-struct TwoModelVerdict
-{
-    bool checked75 = false;    ///< the PTX 7.5 check finished in budget
-    bool tooExpensive = false; ///< a check exceeded its budget
-    bool singleProxy = false;  ///< pruning answered the PTX 6.0 check
-    std::set<litmus::Outcome> ptx75Outcomes;
-    std::size_t ptx60Outcomes = 0;
-    bool proxySensitive = false; ///< the two outcome sets differ
-};
-
-/**
- * The PTX 7.5 expansion of @p test, timed as one "check.expand" span as
- * the checker times its own. Synthesis classification and
- * proxySensitivityPredicate expand through it.
- *
- * @throws FatalError if @p test does not expand.
- */
-model::Program expandPtx75(const litmus::LitmusTest &test);
-
-/**
- * Check the PTX 7.5 expansion @p prog75 under PTX 7.5, then PTX 6.0,
- * each within kMaxExecutionsPerCheck: the PTX 6.0 check reads its
- * ptx60View(), or single-proxy pruning (docs/static_solver.md
- * "Synthesis pruning") answers it. Synthesis classification and
- * proxySensitivityPredicate share this step.
- */
-TwoModelVerdict checkBothModels(const model::Program &prog75);
 
 /** One synthesized-and-classified test. */
 struct SynthesizedTest
@@ -141,10 +108,9 @@ struct SynthOptions
 
     /**
      * Receiver of the interesting tests, called on the calling thread
-     * in report order while the run streams. Unset, run() collects
-     * them in SynthReport::interesting; set, that vector stays empty
-     * and memory stays bounded however many tests the run finds. An
-     * exception it throws propagates out of run().
+     * in report order while the run streams, so memory stays bounded
+     * however many tests the run finds. Unset, run() only counts them.
+     * An exception it throws propagates out of run().
      */
     std::function<void(SynthesizedTest &&)> sink;
 
@@ -198,12 +164,6 @@ struct SynthStats
 struct SynthReport
 {
     SynthStats stats;
-
-    /**
-     * Tests with at least one interesting classification (empty when
-     * SynthOptions::sink received them instead).
-     */
-    std::vector<SynthesizedTest> interesting;
 
     /** Multi-line human-readable table row. */
     std::string summary() const;

@@ -88,20 +88,6 @@ shrink(const litmus::LitmusTest &test, const TestPredicate &predicate,
 }
 
 TestPredicate
-proxySensitivityPredicate()
-{
-    return [](const litmus::LitmusTest &candidate) {
-        try {
-            // A candidate too expensive to check is not proxy-sensitive:
-            // "does not preserve".
-            return checkBothModels(expandPtx75(candidate)).proxySensitive;
-        } catch (const FatalError &) {
-            return false; // malformed candidate: "does not preserve"
-        }
-    };
-}
-
-TestPredicate
 admitsPredicate(const std::string &condition)
 {
     auto expr = litmus::parseCondition(condition);

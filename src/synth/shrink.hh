@@ -56,15 +56,6 @@ litmus::LitmusTest shrink(const litmus::LitmusTest &test,
                           ShrinkStats *stats = nullptr);
 
 /**
- * Predicate: the proxy-aware and proxy-oblivious models admit
- * different outcome sets (the test is proxy-sensitive), judged by
- * checkBothModels (synth/generator.hh) as synthesis judges it,
- * single-proxy pruning included. A candidate whose check exceeds
- * kMaxExecutionsPerCheck does not preserve it.
- */
-TestPredicate proxySensitivityPredicate();
-
-/**
  * Predicate: the PTX 7.5 model admits an outcome satisfying
  * @p condition. A candidate whose check exceeds kMaxExecutionsPerCheck
  * does not preserve it.

@@ -1,9 +1,10 @@
 /**
  * @file
  * Tests for the static axiomatic pre-solver (docs/static_solver.md):
- * the may/must closures, the checker's exact single-candidate
- * evaluator, the verdicts of presolve::discharge, presolve::check under
- * each policy, and — the load-bearing property — a corpus-wide
+ * the may/must closures (the linter's mayBaseCausality and
+ * Program::mustCause), the checker's exact single-candidate evaluator,
+ * the verdicts of presolve::discharge, presolve::check under each
+ * policy, and — the load-bearing property — a corpus-wide
  * differential suite asserting, under both models, that every
  * conclusive static verdict equals the enumerated one.
  */
@@ -15,7 +16,7 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/presolve/approx.hh"
+#include "analysis/analyzer.hh"
 #include "analysis/presolve/presolve.hh"
 #include "litmus/parser.hh"
 #include "litmus/registry.hh"
@@ -48,8 +49,8 @@ TEST(Approx, MustIsSubsetOfMayOnEveryBuiltin)
 {
     for (const auto &test : litmus::allTests()) {
         model::Program program(test, model::ProxyMode::Ptx75);
-        auto may = presolve::mayBaseCausality(program);
-        auto must = presolve::mustBaseCausality(program);
+        auto may = analysis::mayBaseCausality(program);
+        const auto &must = program.mustCause();
         for (std::size_t a = 0; a < program.size(); a++) {
             for (std::size_t b = 0; b < program.size(); b++) {
                 if (must.contains(a, b)) {
@@ -67,8 +68,8 @@ TEST(Approx, MayIncludesPotentialSynchronization)
     // needs an rf), but the may closure includes the potential sw.
     auto test = litmus::testByName("fig9_message_passing");
     model::Program program(test, model::ProxyMode::Ptx75);
-    auto may = presolve::mayBaseCausality(program);
-    auto must = presolve::mustBaseCausality(program);
+    auto may = analysis::mayBaseCausality(program);
+    const auto &must = program.mustCause();
 
     auto rel = findEvent(program, [](const model::Event &e) {
         return e.isWrite() && litmus::hasRelease(e.sem);
@@ -86,7 +87,7 @@ TEST(Approx, MustIsProgramOrderWithinAThread)
 {
     auto test = litmus::testByName("fig9_message_passing");
     model::Program program(test, model::ProxyMode::Ptx75);
-    auto must = presolve::mustBaseCausality(program);
+    const auto &must = program.mustCause();
     for (std::size_t a = 0; a < program.size(); a++) {
         for (std::size_t b = 0; b < program.size(); b++) {
             if (program.po().contains(a, b)) {
@@ -94,64 +95,6 @@ TEST(Approx, MustIsProgramOrderWithinAThread)
             }
         }
     }
-}
-
-TEST(Approx, MustProxyPreservedNeedsTheFenceChain)
-{
-    // One thread writes through [x] and reads it back through the
-    // alias [y]: a mixed-proxy (two-generic-proxies) pair. With the
-    // alias proxy fence between them §6.2.4 clause (3) bridges the
-    // pair along the must path; without it no clause applies and the
-    // pair must NOT be statically proxy-preserved.
-    auto fenced = litmus::LitmusBuilder("alias_fenced")
-                      .alias("y", "x")
-                      .thread("t0", 0, 0,
-                              {"st.global.u32 [x], 1",
-                               "fence.proxy.alias",
-                               "ld.global.u32 r0, [y]"})
-                      .build();
-    auto unfenced = litmus::LitmusBuilder("alias_unfenced")
-                        .alias("y", "x")
-                        .thread("t0", 0, 0,
-                                {"st.global.u32 [x], 1",
-                                 "ld.global.u32 r0, [y]"})
-                        .build();
-
-    for (bool with_fence : {true, false}) {
-        model::Program program(with_fence ? fenced : unfenced,
-                               model::ProxyMode::Ptx75);
-        ASSERT_TRUE(program.usesMixedProxies());
-        auto ppbc = presolve::mustProxyPreserved(program);
-        auto w = findEvent(program, [](const model::Event &e) {
-            return e.isWrite();
-        });
-        auto r = findEvent(program, [](const model::Event &e) {
-            return e.isRead();
-        });
-        ASSERT_GE(w, 0);
-        ASSERT_GE(r, 0);
-        EXPECT_EQ(ppbc.contains(w, r), with_fence);
-    }
-}
-
-TEST(Approx, MustProxyPreservedSameAddressGenericPair)
-{
-    // Same virtual address, generic proxy both sides: clause (1)
-    // orders the must-related pair with no fence needed.
-    auto test = litmus::LitmusBuilder("same_va")
-                    .thread("t0", 0, 0,
-                            {"st.global.u32 [x], 1",
-                             "ld.global.u32 r0, [x]"})
-                    .build();
-    model::Program program(test, model::ProxyMode::Ptx75);
-    auto ppbc = presolve::mustProxyPreserved(program);
-    auto w = findEvent(program, [](const model::Event &e) {
-        return e.isWrite();
-    });
-    auto r = findEvent(program, [](const model::Event &e) {
-        return e.isRead();
-    });
-    EXPECT_TRUE(ppbc.contains(w, r));
 }
 
 // ---------------------------------------------------------------------

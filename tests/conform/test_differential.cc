@@ -12,6 +12,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -102,9 +103,13 @@ TEST(ConformDifferential, AllCoherenceModesConform)
  */
 TEST(ConformDifferential, InjectedFaultsFlagTheTargetAxiom)
 {
-    for (auto kind : {conform::FaultKind::Drop,
-                      conform::FaultKind::Reorder,
-                      conform::FaultKind::Corrupt}) {
+    // Each fault class and the violation the checker must report for it.
+    using conform::FaultKind;
+    using conform::ViolationKind;
+    for (auto [kind, violation] :
+         {std::pair{FaultKind::Drop, ViolationKind::Malformed},
+          std::pair{FaultKind::Reorder, ViolationKind::Coherence},
+          std::pair{FaultKind::Corrupt, ViolationKind::RfValue}}) {
         std::size_t injected = 0;
         for (const auto &test : litmus::allTests()) {
             const std::string trace =
@@ -120,14 +125,11 @@ TEST(ConformDifferential, InjectedFaultsFlagTheTargetAxiom)
                     << test.name() << " fault "
                     << conform::toString(kind) << " seed "
                     << faultSeed;
-                const auto expected = static_cast<std::size_t>(
-                    conform::expectedViolation(kind));
+                const auto expected = static_cast<std::size_t>(violation);
                 EXPECT_GT(report.stats.byKind[expected], 0u)
                     << test.name() << " fault "
                     << conform::toString(kind) << " seed " << faultSeed
-                    << ": expected a "
-                    << conform::toString(
-                           conform::expectedViolation(kind))
+                    << ": expected a " << conform::toString(violation)
                     << " violation\n"
                     << report.summary();
             }

@@ -4,7 +4,7 @@
  * litmus test: thread permutation, thread renaming, virtual-address
  * renaming, and per-thread register renaming (with the assertion text
  * rewritten to match). The canonical-key golden suite asserts
- * engine::canonicalKey() is invariant under exactly these relabelings.
+ * engine::canonicalize().key is invariant under exactly these relabelings.
  */
 
 #ifndef MIXEDPROXY_TESTS_ENGINE_RENAME_HH

@@ -144,12 +144,6 @@ TEST(VerdictCache, MissComputesThenHits)
     EXPECT_EQ(second.budgetExceeded, first.budgetExceeded);
     EXPECT_EQ(second.stats.candidateExecutions,
               first.stats.candidateExecutions);
-
-    cache.clear();
-    EXPECT_EQ(cache.size(), 0u);
-    cache.lookupOrCompute("k", compute, &hit);
-    EXPECT_FALSE(hit);
-    EXPECT_EQ(computations, 2);
 }
 
 TEST(VerdictCache, EvictsLeastRecentlyUsed)

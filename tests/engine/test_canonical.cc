@@ -1,7 +1,7 @@
 /**
  * @file
- * The golden canonical-key suite (ISSUE 6): engine::canonicalKey() must
- * be invariant under thread permutation, thread renaming, virtual-
+ * The golden canonical-key suite: engine::canonicalize().key must be
+ * invariant under thread permutation, thread renaming, virtual-
  * address renaming, and register renaming — over the entire built-in
  * corpus, not just hand-picked examples — and must separate tests whose
  * verdicts differ. Where two corpus tests do share a key, the suite
@@ -48,8 +48,8 @@ TEST(CanonicalKey, InvariantUnderThreadPermutation)
         plan.threadOrder.resize(test.threads().size());
         std::iota(plan.threadOrder.begin(), plan.threadOrder.end(), 0);
         std::reverse(plan.threadOrder.begin(), plan.threadOrder.end());
-        EXPECT_EQ(engine::canonicalKey(test),
-                  engine::canonicalKey(applyRename(test, plan)))
+        EXPECT_EQ(engine::canonicalize(test).key,
+                  engine::canonicalize(applyRename(test, plan)).key)
             << "thread permutation changed the key of " << test.name();
     }
 }
@@ -62,8 +62,8 @@ TEST(CanonicalKey, InvariantUnderThreadRenaming)
         for (const litmus::Thread &thread : test.threads())
             plan.threads[thread.name] =
                 "zzthread" + std::to_string(i++);
-        EXPECT_EQ(engine::canonicalKey(test),
-                  engine::canonicalKey(applyRename(test, plan)))
+        EXPECT_EQ(engine::canonicalize(test).key,
+                  engine::canonicalize(applyRename(test, plan)).key)
             << "thread renaming changed the key of " << test.name();
     }
 }
@@ -76,8 +76,8 @@ TEST(CanonicalKey, InvariantUnderAddressRenaming)
         for (const std::string &location : test.locations())
             for (const std::string &va : test.addressesOf(location))
                 plan.addresses[va] = "zzaddr" + std::to_string(i++);
-        EXPECT_EQ(engine::canonicalKey(test),
-                  engine::canonicalKey(applyRename(test, plan)))
+        EXPECT_EQ(engine::canonicalize(test).key,
+                  engine::canonicalize(applyRename(test, plan)).key)
             << "address renaming changed the key of " << test.name();
     }
 }
@@ -88,8 +88,8 @@ TEST(CanonicalKey, InvariantUnderRegisterRenaming)
         RenamePlan plan = freshNamePlan(test, false);
         plan.threads.clear();
         plan.addresses.clear();
-        EXPECT_EQ(engine::canonicalKey(test),
-                  engine::canonicalKey(applyRename(test, plan)))
+        EXPECT_EQ(engine::canonicalize(test).key,
+                  engine::canonicalize(applyRename(test, plan)).key)
             << "register renaming changed the key of " << test.name();
     }
 }
@@ -98,8 +98,8 @@ TEST(CanonicalKey, InvariantUnderEverythingAtOnce)
 {
     for (const litmus::LitmusTest &test : litmus::allTests()) {
         RenamePlan plan = freshNamePlan(test, true);
-        EXPECT_EQ(engine::canonicalKey(test),
-                  engine::canonicalKey(applyRename(test, plan)))
+        EXPECT_EQ(engine::canonicalize(test).key,
+                  engine::canonicalize(applyRename(test, plan)).key)
             << "combined renaming changed the key of " << test.name();
     }
 }
@@ -117,12 +117,12 @@ TEST(CanonicalKey, IgnoresTestNameAndAssertions)
                      "ld.global.u32 r1, [x]"})
             .forbid("t1.r0 == 1 && t1.r1 == 0")
             .build();
-    EXPECT_EQ(engine::canonicalKey(a), engine::canonicalKey(b));
+    EXPECT_EQ(engine::canonicalize(a).key, engine::canonicalize(b).key);
 }
 
 TEST(CanonicalKey, SeparatesSemanticsInitsAliasesAndPlacement)
 {
-    const std::string base = engine::canonicalKey(messagePassing());
+    const std::string base = engine::canonicalize(messagePassing()).key;
 
     litmus::LitmusTest weaker =
         litmus::LitmusBuilder("mp")
@@ -133,7 +133,7 @@ TEST(CanonicalKey, SeparatesSemanticsInitsAliasesAndPlacement)
                      "ld.global.u32 r1, [x]"})
             .require("!(t1.r0 == 1) || t1.r1 == 1")
             .build();
-    EXPECT_NE(base, engine::canonicalKey(weaker));
+    EXPECT_NE(base, engine::canonicalize(weaker).key);
 
     litmus::LitmusTest withInit =
         litmus::LitmusBuilder("mp")
@@ -146,7 +146,7 @@ TEST(CanonicalKey, SeparatesSemanticsInitsAliasesAndPlacement)
                      "ld.global.u32 r1, [x]"})
             .require("!(t1.r0 == 1) || t1.r1 == 1")
             .build();
-    EXPECT_NE(base, engine::canonicalKey(withInit));
+    EXPECT_NE(base, engine::canonicalize(withInit).key);
 
     litmus::LitmusTest aliased =
         litmus::LitmusBuilder("mp")
@@ -159,7 +159,7 @@ TEST(CanonicalKey, SeparatesSemanticsInitsAliasesAndPlacement)
                      "ld.global.u32 r1, [x]"})
             .require("!(t1.r0 == 1) || t1.r1 == 1")
             .build();
-    EXPECT_NE(base, engine::canonicalKey(aliased));
+    EXPECT_NE(base, engine::canonicalize(aliased).key);
 
     litmus::LitmusTest sameCta =
         litmus::LitmusBuilder("mp")
@@ -171,7 +171,7 @@ TEST(CanonicalKey, SeparatesSemanticsInitsAliasesAndPlacement)
                      "ld.global.u32 r1, [x]"})
             .require("!(t1.r0 == 1) || t1.r1 == 1")
             .build();
-    EXPECT_NE(base, engine::canonicalKey(sameCta));
+    EXPECT_NE(base, engine::canonicalize(sameCta).key);
 }
 
 TEST(CanonicalKey, SeparatesDifferentVerdictCorpusTests)
@@ -183,8 +183,8 @@ TEST(CanonicalKey, SeparatesDifferentVerdictCorpusTests)
     };
     for (const auto &pair : pairs) {
         EXPECT_NE(
-            engine::canonicalKey(litmus::testByName(pair[0])),
-            engine::canonicalKey(litmus::testByName(pair[1])))
+            engine::canonicalize(litmus::testByName(pair[0])).key,
+            engine::canonicalize(litmus::testByName(pair[1])).key)
             << pair[0] << " vs " << pair[1];
     }
 }
@@ -197,7 +197,7 @@ TEST(CanonicalKey, CorpusCollisionsAreTrueIsomorphisms)
     std::map<std::string, std::vector<const litmus::LitmusTest *>>
         byKey;
     for (const litmus::LitmusTest &test : litmus::allTests())
-        byKey[engine::canonicalKey(test)].push_back(&test);
+        byKey[engine::canonicalize(test).key].push_back(&test);
 
     model::CheckOptions opts;
     opts.collectWitnesses = false;
@@ -249,8 +249,8 @@ TEST(CanonicalForm, RenamedTestsTranslateToTheSameCanonicalOutcome)
     litmus::LitmusTest test = messagePassing();
     RenamePlan plan = freshNamePlan(test, true);
     litmus::LitmusTest variant = applyRename(test, plan);
-    ASSERT_EQ(engine::canonicalKey(test),
-              engine::canonicalKey(variant));
+    ASSERT_EQ(engine::canonicalize(test).key,
+              engine::canonicalize(variant).key);
 
     model::CheckOptions opts;
     opts.collectWitnesses = false;

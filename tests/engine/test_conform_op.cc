@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the engine-level trace-conformance operation (ISSUE 10):
- * Request::forConform / RequestKind::Conform through Engine::submit,
+ * Tests for the engine-level trace-conformance operation:
+ * RequestKind::Conform through Engine::submit,
  * the rendered report, and the daemon's "conform" command (file path
  * and inline trace variants, violation attribution, error paths).
  */
@@ -37,6 +37,15 @@ recordTrace(const std::string &testName, std::uint64_t seed)
     return out.str();
 }
 
+/** A conform request for an inline trace (set conform.traceText). */
+Request
+conformRequest()
+{
+    Request request;
+    request.kind = RequestKind::Conform;
+    return request;
+}
+
 std::unique_ptr<json::Value>
 response(Engine &engine, const std::string &line)
 {
@@ -55,7 +64,7 @@ jsonQuote(const std::string &text)
 TEST(ConformOp, InlineTraceVerdict)
 {
     Engine engine;
-    Request request = Request::forConform("");
+    Request request = conformRequest();
     request.conform.traceText = recordTrace("fig9_message_passing", 3);
 
     Verdict verdict = engine.submit(request);
@@ -77,7 +86,7 @@ TEST(ConformOp, FaultedTraceFailsWithAttribution)
         conform::injectFault(trace, conform::FaultKind::Corrupt, 1);
     ASSERT_TRUE(faulted.has_value());
 
-    Request request = Request::forConform("");
+    Request request = conformRequest();
     request.conform.traceText = *faulted;
     Verdict verdict = engine.submit(request);
     ASSERT_TRUE(verdict.conform.has_value());
@@ -94,7 +103,7 @@ TEST(ConformOp, ConformVerdictsAreNeverCached)
     // test — resubmitting the same trace must re-check, not hit the
     // verdict cache.
     Engine engine;
-    Request request = Request::forConform("");
+    Request request = conformRequest();
     request.conform.traceText = recordTrace("fig9_message_passing", 3);
     engine.submit(request);
     Verdict again = engine.submit(request);
@@ -198,7 +207,7 @@ TEST(ConformOp, DaemonRejectsBadWindowAndKeepsServing)
 TEST(ConformOp, EngineRejectsBadWindow)
 {
     Engine engine;
-    Request request = Request::forConform("");
+    Request request = conformRequest();
     request.conform.traceText = recordTrace("fig9_message_passing", 3);
     for (std::size_t window :
          {std::size_t{0}, std::size_t{1}, conform::kMaxWindow + 1}) {

@@ -16,6 +16,7 @@
 #include "engine/engine.hh"
 #include "litmus/registry.hh"
 #include "litmus/test.hh"
+#include "obs/obs.hh"
 
 #include "rename.hh"
 
@@ -60,7 +61,7 @@ TEST(Engine, RenamedTestHitsAndSpeaksItsOwnNamespace)
     litmus::LitmusTest original = messagePassing();
     RenamePlan plan = freshNamePlan(original, true);
     litmus::LitmusTest variant = applyRename(original, plan);
-    ASSERT_EQ(canonicalKey(original), canonicalKey(variant));
+    ASSERT_EQ(canonicalize(original).key, canonicalize(variant).key);
 
     Verdict cold = engine.submit(Request::forCheck(original));
     EXPECT_FALSE(cold.cacheHit);
@@ -154,16 +155,77 @@ TEST(Engine, ComparisonIsTwoCacheLookups)
     Request compare = Request::forCheck(messagePassing());
     compare.check.compareModels = true;
 
-    Verdict cold = engine.submit(compare);
+    obs::Session session;
+    session.enable();
+    Verdict cold, warm;
+    {
+        obs::ScopedSession bind(&session);
+        cold = engine.submit(compare);
+        EXPECT_EQ(session.metrics.counter("engine.cache.miss"), 2u);
+        EXPECT_EQ(session.metrics.counter("engine.cache.hit"), 0u);
+        warm = engine.submit(compare);
+    }
+    session.disable();
     EXPECT_FALSE(cold.cacheHit);
-    EXPECT_FALSE(cold.comparisonCacheHit);
     ASSERT_TRUE(cold.comparison.has_value());
-
-    Verdict warm = engine.submit(compare);
     EXPECT_TRUE(warm.cacheHit);
-    EXPECT_TRUE(warm.comparisonCacheHit);
+    // Both lookups of the second submit hit.
+    EXPECT_EQ(session.metrics.counter("engine.cache.miss"), 2u);
+    EXPECT_EQ(session.metrics.counter("engine.cache.hit"), 2u);
     EXPECT_EQ(warm.comparison->outcomes, cold.comparison->outcomes);
     EXPECT_EQ(renderReport(compare, warm), renderReport(compare, cold));
+}
+
+/** The report from its "comparison with" line on ("" if none). */
+std::string
+comparisonSection(const std::string &report)
+{
+    const std::size_t at = report.find("\ncomparison with ");
+    return at == std::string::npos ? "" : report.substr(at);
+}
+
+TEST(Engine, PresolveCompareMatchesPlainCompare)
+{
+    // Under a pre-solver policy the comparison is the plain one
+    // whenever the primary check enumerated; otherwise the report
+    // says no comparison was computed. Checked over every built-in
+    // under ptx75, with both non-off policies.
+    const std::string notComputed =
+        "\ncomparison with ptx60: not computed (the ptx75 outcome set "
+        "was not enumerated)\n";
+    Engine engine;
+    std::size_t enumerated = 0, discharged = 0;
+    for (const auto &test : litmus::allTests()) {
+        Request plain = Request::forCheck(test);
+        plain.check.compareModels = true;
+        const std::string expected =
+            comparisonSection(renderReport(plain, engine.submit(plain)));
+        ASSERT_NE(expected, "") << test.name();
+
+        for (auto policy :
+             {model::PresolvePolicy::On, model::PresolvePolicy::Only}) {
+            Request request = plain;
+            request.check.presolve = policy;
+            const Verdict verdict = engine.submit(request);
+            const bool didEnumerate =
+                policy == model::PresolvePolicy::On &&
+                !verdict.check.staticallyDischarged->discharged;
+            const std::string section =
+                comparisonSection(renderReport(request, verdict));
+            if (didEnumerate) {
+                enumerated++;
+                EXPECT_EQ(section, expected) << test.name();
+            } else {
+                discharged += policy == model::PresolvePolicy::On;
+                EXPECT_EQ(section, notComputed)
+                    << test.name() << " " << model::toString(policy);
+                EXPECT_FALSE(verdict.comparison.has_value());
+            }
+        }
+    }
+    // Both branches are exercised.
+    EXPECT_GT(enumerated, 0u);
+    EXPECT_GT(discharged, 0u);
 }
 
 TEST(Engine, DisabledCacheNeverHits)
@@ -180,7 +242,9 @@ TEST(Engine, DisabledCacheNeverHits)
 TEST(Engine, LintOnlyRequestSkipsChecking)
 {
     Engine engine;
-    Verdict verdict = engine.submit(Request::forLint(messagePassing()));
+    Request request = Request::forCheck(messagePassing());
+    request.kind = RequestKind::Lint;
+    Verdict verdict = engine.submit(request);
     ASSERT_TRUE(verdict.lint.has_value());
     EXPECT_TRUE(verdict.check.outcomes.empty());
     EXPECT_FALSE(verdict.cacheHit);

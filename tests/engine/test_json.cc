@@ -14,7 +14,7 @@ using namespace mixedproxy::engine;
 
 TEST(Json, ParsesScalars)
 {
-    EXPECT_TRUE(json::parse("null")->isNull());
+    EXPECT_EQ(json::parse("null")->kind, json::Value::Kind::Null);
     EXPECT_TRUE(json::parse("true")->boolean);
     EXPECT_FALSE(json::parse("false")->boolean);
     EXPECT_EQ(json::parse("\"hi\"")->string, "hi");

@@ -61,8 +61,12 @@ daemonRequests()
 std::string
 cacheEntry()
 {
+    // One directory per test: ctest runs the tests that call this in
+    // parallel processes.
     const std::filesystem::path dir =
-        std::filesystem::temp_directory_path() / "mp_json_fuzz_cache";
+        std::filesystem::temp_directory_path() /
+        (std::string("mp_json_fuzz_cache_") +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name());
     std::filesystem::remove_all(dir);
     {
         engine::EngineConfig config;

@@ -56,8 +56,8 @@ TEST(Expr, Comparisons)
 TEST(Expr, Connectives)
 {
     Outcome o = sampleOutcome();
-    auto t = Expr::alwaysTrue();
-    auto f = Expr::logicalNot(Expr::alwaysTrue());
+    auto t = Expr::eq(Expr::literal(1), Expr::literal(1));
+    auto f = Expr::logicalNot(t);
     EXPECT_TRUE(Expr::logicalAnd(t, t)->evalBool(o));
     EXPECT_FALSE(Expr::logicalAnd(t, f)->evalBool(o));
     EXPECT_TRUE(Expr::logicalOr(f, t)->evalBool(o));
@@ -67,14 +67,13 @@ TEST(Expr, Connectives)
 
 TEST(Expr, TypeDisciplineEnforced)
 {
-    EXPECT_THROW(Expr::eq(Expr::alwaysTrue(), Expr::literal(1)),
-                 PanicError);
-    EXPECT_THROW(Expr::logicalAnd(Expr::literal(1), Expr::alwaysTrue()),
-                 PanicError);
+    auto t = Expr::eq(Expr::literal(1), Expr::literal(1));
+    EXPECT_THROW(Expr::eq(t, Expr::literal(1)), PanicError);
+    EXPECT_THROW(Expr::logicalAnd(Expr::literal(1), t), PanicError);
     EXPECT_THROW(Expr::logicalNot(Expr::literal(1)), PanicError);
     Outcome o = sampleOutcome();
     EXPECT_THROW(Expr::literal(1)->evalBool(o), PanicError);
-    EXPECT_THROW(Expr::alwaysTrue()->evalValue(o), PanicError);
+    EXPECT_THROW(t->evalValue(o), PanicError);
 }
 
 TEST(ConditionParser, SimpleComparison)

@@ -236,13 +236,6 @@ TEST(LitmusTest, AddressesOf)
     EXPECT_EQ(vas[1], "rd2");
 }
 
-TEST(LitmusTest, ThreadIndexLookup)
-{
-    LitmusTest test = parseTest(kFig8a);
-    EXPECT_EQ(test.threadIndex("t0"), 0u);
-    EXPECT_THROW(test.threadIndex("nope"), FatalError);
-}
-
 TEST(LitmusTest, InstructionCount)
 {
     LitmusTest test = parseTest(kFig8a);

@@ -5,6 +5,8 @@
  * plus mode-specific behavior of the §4.2/§4.3 ablations.
  */
 
+#include <set>
+
 #include <gtest/gtest.h>
 
 #include "litmus/registry.hh"
@@ -221,15 +223,28 @@ TEST(Machine, AcquireInvalidatesL1)
 TEST(Machine, SmPerCtaSharing)
 {
     // Threads in the same CTA share one SM; different CTAs get their
-    // own.
+    // own. Each thread buffers one store; the drains name two SMs.
     auto test = LitmusBuilder("sms")
-                    .thread("a", 0, 0, {"ld.global.u32 r1, [x]"})
-                    .thread("b", 0, 0, {"ld.global.u32 r1, [x]"})
-                    .thread("c", 1, 0, {"ld.global.u32 r1, [x]"})
-                    .permit("a.r1 == 0")
+                    .thread("a", 0, 0, {"st.global.u32 [x], 1"})
+                    .thread("b", 0, 0, {"st.global.u32 [y], 1"})
+                    .thread("c", 1, 0, {"st.global.u32 [z], 1"})
+                    .permit("[x] == 1")
                     .build();
     Machine machine(test);
-    EXPECT_EQ(machine.smCount(), 2u);
+    for (const Action &action : machine.actions()) {
+        ASSERT_EQ(action.kind, Action::Kind::ThreadStep);
+        machine.execute(action);
+    }
+    std::set<std::size_t> sms;
+    std::size_t drains = 0;
+    for (const Action &action : machine.actions()) {
+        if (action.kind == Action::Kind::DrainGeneric) {
+            sms.insert(action.sm);
+            drains++;
+        }
+    }
+    EXPECT_EQ(drains, 3u);
+    EXPECT_EQ(sms, (std::set<std::size_t>{0, 1}));
 }
 
 TEST(Machine, OutcomeBeforeFinishPanics)

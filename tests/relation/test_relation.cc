@@ -163,8 +163,8 @@ TEST(Relation, RestrictOperators)
     Relation r(4, {{0, 1}, {1, 2}, {2, 3}});
     EventSet s(4, {1, 2});
     EXPECT_EQ(r.restrict(s), Relation(4, {{1, 2}}));
-    EXPECT_EQ(r.restrictDomain(s), Relation(4, {{1, 2}, {2, 3}}));
-    EXPECT_EQ(r.restrictRange(s), Relation(4, {{0, 1}, {1, 2}}));
+    EXPECT_EQ(r.restrict(EventSet(4, {0, 1, 2, 3})), r);
+    EXPECT_EQ(r.restrict(EventSet(4)), Relation(4));
 }
 
 TEST(Relation, DomainRangeSuccessors)

@@ -15,6 +15,8 @@
 #include "model/sc.hh"
 #include "synth/generator.hh"
 
+#include "collect.hh"
+
 namespace {
 
 using namespace mixedproxy;
@@ -29,9 +31,8 @@ synthesizedCorpus()
     opts.maxLocations = 2;
     opts.withProxies = true;
     opts.classifyFenceMinimal = false;
-    auto report = Synthesizer(opts).run();
     std::vector<litmus::LitmusTest> out;
-    for (const auto &entry : report.interesting) {
+    for (const auto &entry : synth_tests::runCollecting(opts).interesting) {
         if (!entry.proxySensitive)
             continue;
         out.push_back(entry.test);

@@ -13,10 +13,13 @@
 #include "synth/generator.hh"
 #include "synth/mutate.hh"
 
+#include "collect.hh"
+
 namespace {
 
 using namespace mixedproxy;
 using namespace mixedproxy::synth;
+using synth_tests::runCollecting;
 
 SynthOptions
 smallOptions(std::size_t instructions, bool with_proxies)
@@ -47,11 +50,12 @@ TEST(Synthesizer, TwoInstructionRunFindsTheFig4Race)
 {
     // With the proxy alphabet, a 2-instruction single-thread program
     // (store + constant alias load) is already proxy-sensitive.
-    auto report = Synthesizer(smallOptions(2, true)).run();
+    const auto run = runCollecting(smallOptions(2, true));
+    const auto &report = run.report;
     EXPECT_GT(report.stats.uniquePrograms, 0u);
     EXPECT_GT(report.stats.proxySensitive, 0u) << report.summary();
     bool found = false;
-    for (const auto &entry : report.interesting) {
+    for (const auto &entry : run.interesting) {
         if (entry.proxySensitive && entry.ptx75Outcomes == 2 &&
             entry.ptx60Outcomes == 1) {
             found = true;
@@ -127,8 +131,8 @@ TEST(Synthesizer, GeneratedTestsAreWellFormed)
 {
     auto opts = smallOptions(3, true);
     opts.maxUniquePrograms = 50;
-    auto report = Synthesizer(opts).run();
-    for (const auto &entry : report.interesting) {
+    const auto run = runCollecting(opts);
+    for (const auto &entry : run.interesting) {
         EXPECT_NO_THROW(entry.test.validate()) << entry.test.toString();
         EXPECT_GE(entry.ptx75Outcomes, 1u);
     }
@@ -139,11 +143,11 @@ TEST(Synthesizer, InterestingTestsSatisfyScSubset)
     // Spot-check the synthesized corpus against the SC oracle.
     auto opts = smallOptions(3, true);
     opts.maxUniquePrograms = 40;
-    auto report = Synthesizer(opts).run();
+    const auto run = runCollecting(opts);
     model::CheckOptions mopts;
     mopts.collectWitnesses = false;
     model::Checker checker(mopts);
-    for (const auto &entry : report.interesting) {
+    for (const auto &entry : run.interesting) {
         const model::Program program(entry.test, model::ProxyMode::Ptx75);
         auto allowed = checker.check(program).outcomes;
         for (const auto &outcome : model::scOutcomes(program)) {
@@ -173,10 +177,11 @@ TEST(Synthesizer, AsyncAlphabetFindsAsyncSensitivity)
     opts.withReleaseAcquire = false;
     opts.withAsync = true;
     opts.classifyFenceMinimal = false;
-    auto report = Synthesizer(opts).run();
+    const auto run = runCollecting(opts);
+    const auto &report = run.report;
     EXPECT_GT(report.stats.proxySensitive, 0u) << report.summary();
     bool has_async = false;
-    for (const auto &entry : report.interesting) {
+    for (const auto &entry : run.interesting) {
         for (const auto &thread : entry.test.threads()) {
             for (const auto &instr : thread.instructions) {
                 has_async |=
@@ -197,11 +202,12 @@ TEST(Synthesizer, BarrierAlphabetValidatesAndRuns)
     opts.withReleaseAcquire = false;
     opts.withBarriers = true;
     opts.classifyFenceMinimal = false;
-    auto report = Synthesizer(opts).run();
+    const auto run = runCollecting(opts);
+    const auto &report = run.report;
     // Mismatched-barrier programs are silently skipped; the rest
     // check cleanly.
     EXPECT_GT(report.stats.checked, 0u) << report.summary();
-    for (const auto &entry : report.interesting)
+    for (const auto &entry : run.interesting)
         EXPECT_NO_THROW(entry.test.validate());
 }
 
@@ -212,9 +218,11 @@ TEST(Synthesizer, ParallelRunMatchesSerialRun)
     // with the same names and classifications. Only the wall-clock
     // seconds figure may differ.
     auto opts = smallOptions(3, true);
-    auto serial = Synthesizer(opts).run();
+    const auto serialRun = runCollecting(opts);
     opts.jobs = 4;
-    auto parallel = Synthesizer(opts).run();
+    const auto parallelRun = runCollecting(opts);
+    const auto &serial = serialRun.report;
+    const auto &parallel = parallelRun.report;
 
     EXPECT_EQ(serial.stats.programsEnumerated,
               parallel.stats.programsEnumerated);
@@ -229,10 +237,10 @@ TEST(Synthesizer, ParallelRunMatchesSerialRun)
               parallel.stats.proxySensitive);
     EXPECT_EQ(serial.stats.fenceMinimal, parallel.stats.fenceMinimal);
 
-    ASSERT_EQ(serial.interesting.size(), parallel.interesting.size());
-    for (std::size_t i = 0; i < serial.interesting.size(); i++) {
-        const auto &a = serial.interesting[i];
-        const auto &b = parallel.interesting[i];
+    ASSERT_EQ(serialRun.interesting.size(), parallelRun.interesting.size());
+    for (std::size_t i = 0; i < serialRun.interesting.size(); i++) {
+        const auto &a = serialRun.interesting[i];
+        const auto &b = parallelRun.interesting[i];
         EXPECT_EQ(a.test.name(), b.test.name()) << "entry " << i;
         EXPECT_EQ(a.test.toString(), b.test.toString());
         EXPECT_EQ(a.weak, b.weak);
@@ -384,22 +392,22 @@ TEST(Synthesizer, ParallelRunRespectsMaxUniquePrograms)
 
 TEST(Synthesizer, SinkReceivesTheInterestingTestsInReportOrder)
 {
-    // The sink contract: at any worker count the sink sees exactly the
-    // entries a sinkless run collects, in the same order, and the
-    // report's own vector stays empty.
+    // The sink contract: at any worker count the sink sees the same
+    // entries in the same order, one per test the stats count as
+    // interesting.
     auto opts = smallOptions(3, true);
-    const auto baseline = Synthesizer(opts).run();
+    const auto baseline = runCollecting(opts);
     ASSERT_FALSE(baseline.interesting.empty());
+    std::uint64_t weak = 0;
+    for (const auto &entry : baseline.interesting)
+        weak += entry.weak ? 1 : 0;
+    EXPECT_EQ(weak, baseline.report.stats.weak);
     for (std::size_t jobs : {1, 4}) {
         SCOPED_TRACE("jobs=" + std::to_string(jobs));
-        std::vector<SynthesizedTest> received;
         opts.jobs = jobs;
-        opts.sink = [&](SynthesizedTest &&entry) {
-            received.push_back(std::move(entry));
-        };
-        const auto report = Synthesizer(opts).run();
-        EXPECT_TRUE(report.interesting.empty());
-        EXPECT_EQ(report.stats.weak, baseline.stats.weak);
+        const auto run = runCollecting(opts);
+        const auto &received = run.interesting;
+        EXPECT_EQ(run.report.stats.weak, baseline.report.stats.weak);
         ASSERT_EQ(received.size(), baseline.interesting.size());
         for (std::size_t i = 0; i < received.size(); i++) {
             const auto &a = baseline.interesting[i];

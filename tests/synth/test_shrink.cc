@@ -4,7 +4,6 @@
  */
 
 #include <filesystem>
-#include <set>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -15,6 +14,8 @@
 #include "synth/generator.hh"
 #include "synth/mutate.hh"
 #include "synth/shrink.hh"
+
+#include "collect.hh"
 
 namespace {
 
@@ -71,8 +72,8 @@ TEST(Mutate, WithoutThread)
 TEST(Shrink, MinimizesFig4WithJunk)
 {
     // Fig. 4 buried under unrelated instructions: the shrinker should
-    // recover the two-instruction core while preserving
-    // proxy-sensitivity.
+    // recover the two-instruction core while the stale constant read
+    // of the stored location stays admitted.
     auto bloated = LitmusBuilder("bloated")
                        .alias("c", "g")
                        .thread("t0", 0, 0,
@@ -85,8 +86,8 @@ TEST(Shrink, MinimizesFig4WithJunk)
                        .permit("t0.r1 == 0")
                        .build();
     ShrinkStats stats;
-    auto minimal =
-        shrink(bloated, proxySensitivityPredicate(), &stats);
+    auto minimal = shrink(
+        bloated, admitsPredicate("t0.r1 == 0 && [g] == 42"), &stats);
     EXPECT_EQ(minimal.instructionCount(), 2u) << minimal.toString();
     EXPECT_EQ(minimal.threads().size(), 1u);
     EXPECT_GT(stats.removalsAccepted, 0u);
@@ -135,37 +136,10 @@ TEST(Shrink, AdmitsPredicateKeepsReferencedRegisters)
 TEST(Shrink, FixpointIsStable)
 {
     const auto &test = litmus::testByName("fig4_const_alias_nofence");
-    auto predicate = proxySensitivityPredicate();
+    auto predicate = admitsPredicate("t0.r1 == 0 && [global_ptr] == 42");
     auto once = shrink(test, predicate);
     auto twice = shrink(once, predicate);
     EXPECT_EQ(once.instructionCount(), twice.instructionCount());
-}
-
-TEST(Shrink, ProxySensitivityPredicateAgreesWithSynthesis)
-{
-    // The shrinker judges proxy-sensitivity as synthesis classifies
-    // it: over every n=3 program, the predicate holds exactly on the
-    // programs the run reports as proxy-sensitive.
-    SynthOptions opts;
-    opts.instructions = 3;
-    std::set<std::string> sensitive;
-    opts.sink = [&](SynthesizedTest &&entry) {
-        if (entry.proxySensitive)
-            sensitive.insert(entry.test.name());
-    };
-    const Synthesizer synthesizer(opts);
-    const auto report = synthesizer.run();
-    ASSERT_EQ(sensitive.size(), report.stats.proxySensitive);
-    ASSERT_GT(sensitive.size(), 0u);
-
-    const auto predicate = proxySensitivityPredicate();
-    std::size_t programs = 0;
-    synthesizer.forEachProgram([&](const litmus::LitmusTest &test) {
-        programs++;
-        EXPECT_EQ(predicate(test), sensitive.count(test.name()) != 0)
-            << test.toString();
-    });
-    EXPECT_EQ(programs, report.stats.checked);
 }
 
 TEST(SuiteExport, WritesClassifiedLitmusFiles)
@@ -174,15 +148,15 @@ TEST(SuiteExport, WritesClassifiedLitmusFiles)
     opts.instructions = 2;
     opts.maxThreads = 2;
     opts.withProxies = true;
-    auto report = Synthesizer(opts).run();
-    ASSERT_GT(report.interesting.size(), 0u);
+    const auto run = synth_tests::runCollecting(opts);
+    ASSERT_GT(run.interesting.size(), 0u);
 
     const std::string dir = "synth_suite_tmp";
     SuiteWriter suite(dir);
-    for (const auto &entry : report.interesting)
+    for (const auto &entry : run.interesting)
         suite.write(entry);
     const std::size_t written = suite.written();
-    EXPECT_EQ(written, report.interesting.size());
+    EXPECT_EQ(written, run.interesting.size());
 
     // Every emitted file parses back and matches its header.
     std::size_t parsed = 0;
